@@ -5,11 +5,9 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .families import (Classification, TABLE_C6, TABLE_C9, c6_classify,
                        c6_coeff_polys, c6_count_max_a, c6_entry_poly, c6_form,
-                       c6_hw, c6_isomorphic, c9_classify, c9_form, c9_hw,
-                       coeff_of_power)
+                       c6_hw, c9_classify, c9_form, c9_hw, coeff_of_power)
 from .ffield import (FactorialTable, Fp2Element, FpElement, PrimeModulus,
-                     binomial, build_factorials, is_prime, is_square_fp2,
-                     modulus, multinomial)
+                     binomial, is_prime, is_square_fp2, modulus, multinomial)
 from .harness import (ReportRow, SweepReport, count_points_ext2,
                       is_maximal_ext2, main, parse_c6_param, parse_quartic,
                       run_suite)
@@ -19,8 +17,8 @@ from .hwcore import (HWMatrix, QuarticForm, a_number,
 from .hypergeom import (ExpectationReport, RationalParam, TruncatedSeries,
                         expectation_check, gauss_truncated, pochhammer,
                         verify_euler, verify_gauss_lemma)
-from .unipoly import (UniPoly, derivative, divides, is_separable, poly_eval,
-                      poly_gcd, poly_mul, roots_over)
+from .unipoly import (UniPoly, derivative, divides, is_separable, poly_gcd,
+                      roots_over)
 
 __version__ = "0.1.0"
 

@@ -54,9 +54,6 @@ class FactorialTable:
         self.values = values
         self.inverses = inverses
 
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
 
 class PrimeModulus:
     """A prime p >= 5 together with per-prime cached data.
@@ -93,18 +90,6 @@ class PrimeModulus:
                     break
         return self._nonresidue
 
-    def element(self, value: int) -> "FpElement":
-        return FpElement(value, self)
-
-    def zero(self) -> "FpElement":
-        return FpElement(0, self)
-
-    def one(self) -> "FpElement":
-        return FpElement(1, self)
-
-    def ext_element(self, a, b=0) -> "Fp2Element":
-        return Fp2Element(a, b, self)
-
     def __eq__(self, other):
         return isinstance(other, PrimeModulus) and self.p == other.p
 
@@ -119,12 +104,6 @@ class PrimeModulus:
 def modulus(p: int) -> PrimeModulus:
     """Shared PrimeModulus instance for p (factorial tables built once)."""
     return PrimeModulus(p)
-
-
-def build_factorials(mod) -> FactorialTable:
-    """Factorial table mod p; rejects non-prime or too-small moduli."""
-    mod = _as_modulus(mod)
-    return mod.factorials
 
 
 def _as_modulus(mod) -> PrimeModulus:

@@ -28,7 +28,7 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
 from .ffield import Fp2Element, FpElement, is_prime, modulus
 from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, stable_rank)
-from .unipoly import DEFAULT_ROOT_BOUND
+from .unipoly import DEFAULT_ROOT_BOUND, roots_over
 
 #: default cap on p for exact F_{p^2} point counting (p^4 evaluations)
 DEFAULT_POINT_BOUND = 60
@@ -237,8 +237,7 @@ def hasse_weil_window(p: int, g: int = 3):
 
 def is_maximal_ext2(F: QuarticForm, bound: int | None = None) -> bool:
     """True iff the F_{p^2} point count attains p^2 + 1 + 6p."""
-    p = F.modulus.p
-    return count_points_ext2(F, bound=bound) == p * p + 1 + 6 * p
+    return count_points_ext2(F, bound=bound) == hasse_weil_window(F.modulus.p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +486,29 @@ def _suite_expectation(report, mod, explicit=False, bound=None, **_kw):
                       f"all_square={rep.all_square}")
 
 
+def _first_maximal_c6(mod, bound):
+    """(r, r in F_p) for the first F_{p^2}-maximal C_r found, or (None, False).
+
+    A maximal curve has Frobenius -p, so F = -V on J[p] and a = 3: the
+    matrix vanishes and r is a root of c2.  Only those roots are counted,
+    r != 0, 2, -2: the F_p roots in ascending order, then the others by
+    their components (a, b).
+    """
+    p = mod.p
+    c2 = families.c6_coeff_polys(mod).c2
+    for r in sorted(z.value for z in roots_over(c2, 1)):
+        if r not in (0, 2, p - 2) and \
+                is_maximal_ext2(families.c6_form(mod, r), bound=bound):
+            return str(r), True
+    for a, b in sorted((z.a, z.b) for z in roots_over(c2, 2) if z.b):
+        r = Fp2Element(a, b, mod)
+        if is_maximal_ext2(families.c6_form(mod, r), bound=bound):
+            return str(r), False
+    return None, False
+
+
 def _suite_maximality(report, mod, explicit=False, bound=None,
-                      c6_question=False, sweep_ext2=False, **_kw):
+                      c6_question=False, **_kw):
     p = mod.p
     pb = DEFAULT_POINT_BOUND if bound is None else bound
     if p > pb:
@@ -497,36 +517,19 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
         report.add(p=p, family="c9", status="SKIP",
                    detail=f"p exceeds point-count bound {pb}")
         return
+    top = hasse_weil_window(p)[1]
     count = count_points_ext2(families.c9_form(mod), bound=pb)
-    maximal = count == p * p + 1 + 6 * p
+    maximal = count == top
     expected = p % 18 == 17
     report.add(p=p, family="c9",
                status="PASS" if maximal == expected else "FAIL",
-               detail=f"points={count} hasse-weil-max={p * p + 1 + 6 * p} "
+               detail=f"points={count} hasse-weil-max={top} "
                       f"maximal={maximal} expected={expected}")
     if not c6_question or p % 6 != 5 or p < 17:
         return
-    # informational sweep for the open question: is some C_r maximal?
-    found = None
-    for r in range(p):
-        if r in (0, 2, p - 2):
-            continue
-        if is_maximal_ext2(families.c6_form(mod, r), bound=pb):
-            found = str(r)
-            break
-    if found is None and sweep_ext2:
-        for a in range(p):
-            for b in range(1, p):
-                r = Fp2Element(a, b, mod)
-                if is_maximal_ext2(families.c6_form(mod, r), bound=pb):
-                    found = str(r)
-                    break
-            if found:
-                break
-        coverage = "r swept over all of F_p2"
-    else:
-        coverage = "r swept over F_p only" + \
-            ("" if found else "; F_p2 sweep not run (pass --sweep-ext2)")
+    # informational search for the open question: is some C_r maximal?
+    found, rational = _first_maximal_c6(mod, pb)
+    coverage = "r swept over F_p only" if rational else "r swept over all of F_p2"
     report.add(p=p, family="c6", param=found or "",
                status="PASS",
                detail=f"maximal C_r {'found at r=' + found if found else 'not found'}"
@@ -698,8 +701,7 @@ def _cmd_verify(args) -> int:
     primes, explicit = _resolve_primes(args)
     report, status = run_suite(args.suite, primes, explicit=explicit,
                                bound=args.bound,
-                               c6_question=args.c6_question,
-                               sweep_ext2=args.sweep_ext2)
+                               c6_question=args.c6_question)
     print(report.render(args.format), end="")
     return status
 
@@ -751,9 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, default=None,
                     help="capacity bound (points: prime cap; expectation: p^2 cap)")
     sp.add_argument("--c6-question", action="store_true",
-                    help="also sweep C6 parameters for maximal curves")
-    sp.add_argument("--sweep-ext2", action="store_true",
-                    help="extend the C6 maximality sweep to r in F_{p^2} (slow)")
+                    help="also search C6 parameters in F_{p^2} for maximal curves")
     sp.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -337,10 +337,9 @@ def stable_rank(M: HWMatrix) -> int:
     """Rank of M * M^(p) * M^(p^2); equals the p-rank for genus 3.
 
     M^(q) raises entries to the q-th power (the matrix of the iterated
-    p-linear Frobenius), computed by modular exponentiation.
+    p-linear Frobenius).  Entries lie in F_{p^2}, so M^(p^2) = M.
     """
-    p = M.modulus.p
-    return rank3(M * M.power_entrywise(p) * M.power_entrywise(p * p))
+    return rank3(M * M.power_entrywise(M.modulus.p) * M)
 
 
 def a_number(M: HWMatrix) -> int:

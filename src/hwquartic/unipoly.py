@@ -187,10 +187,6 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + f", p={self.modulus.p})"
 
 
-def poly_mul(f: UniPoly, g: UniPoly) -> UniPoly:
-    return f * g
-
-
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; rejects gcd(0, 0)."""
     if f.is_zero and g.is_zero:
@@ -216,10 +212,6 @@ def is_separable(f: UniPoly) -> bool:
         # means f is a p-th power, hence inseparable
         return f.degree == 0
     return poly_gcd(f, d).degree == 0
-
-
-def poly_eval(f: UniPoly, x):
-    return f.eval(x)
 
 
 def divides(f: UniPoly, g: UniPoly) -> bool:

@@ -2,10 +2,11 @@ import pytest
 
 from hwquartic.errors import IntegrityError
 from hwquartic.families import (Classification, TABLE_C6, TABLE_C9,
-                                c6_classify, c6_coeff_polys, c6_count_max_a,
-                                c6_entry_poly, c6_form, c6_hw, c6_isomorphic,
+                                _c9_solve_slot, c6_classify, c6_coeff_polys,
+                                c6_count_max_a, c6_entry_poly, c6_form, c6_hw,
                                 c9_classify, c9_form, c9_hw, coeff_of_power)
-from hwquartic.ffield import Fp2Element, FpElement, modulus
+from hwquartic.ffield import Fp2Element, FpElement, modulus, multinomial
+from hwquartic.harness import primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, rank3,
                               stable_rank)
 from hwquartic.unipoly import UniPoly, divides, is_separable, roots_over
@@ -108,10 +109,10 @@ def test_ct2_has_no_roots_besides_pm2():
 
 
 def test_dt2_is_scaled_power_of_r2_minus_4():
-    """dt2 = binom((2p-2)/3, (p-1)/3) * (r^2 - 4)^((p-1)/6) exactly,
-    which pins every root of ct2 to +-2 for all p = 1 mod 6 up to 500."""
+    """dt2 = ct2 / binom(p-1, (p-1)/3), the raw y-coefficient behind ct2,
+    is binom((2p-2)/3, (p-1)/3) * (r^2 - 4)^((p-1)/6) exactly, which pins
+    every root of ct2 to +-2 for all p = 1 mod 6 up to 500."""
     from hwquartic.ffield import binomial
-    from hwquartic.harness import primes_in
 
     for p in primes_in(7, 500):
         if p % 6 != 1:
@@ -121,7 +122,7 @@ def test_dt2_is_scaled_power_of_r2_minus_4():
         base = UniPoly([-4, 0, 1], m)
         expect = (base ** ((p - 1) // 6)).scale(
             binomial((2 * p - 2) // 3, (p - 1) // 3, m))
-        assert polys.dt2 == expect, p
+        assert polys.ct2 == expect.scale(binomial(p - 1, (p - 1) // 3, m)), p
 
 
 def test_c6_hw_values():
@@ -196,10 +197,13 @@ def test_c6_superspecial_member():
 
 
 def test_c6_isomorphic():
+    # C_r and C_r' are isomorphic iff r^2 = r'^2
     m = modulus(11)
-    assert c6_isomorphic(m.element(3), m.element(8))  # r and -r
-    assert c6_isomorphic(m.element(3), m.element(3))
-    assert not c6_isomorphic(m.element(1), m.element(3))  # 1 != 9
+    r1, r3, r8 = (FpElement(v, m) for v in (1, 3, 8))
+    assert r3 * r3 == r8 * r8  # r and -r
+    assert r3 * r3 == r3 * r3
+    assert r1 * r1 != r3 * r3  # 1 != 9
+    assert c6_classify(m, r3) == c6_classify(m, r8)
 
 
 def test_c6_count_max_a_examples():
@@ -244,6 +248,47 @@ def test_c9_hw_matches_oracle_and_fast_path():
         F = c9_form(m)
         assert c9_hw(m) == hw_matrix(F)
         assert c9_hw(m) == hw_matrix_oracle(F)
+
+
+# C9 slot tables, kept here as an oracle for the slot solver: slot
+# (row, col) is active exactly in one residue class mod 9, with the
+# multinomial exponents (a, b, c) below.
+_C9_ABC = {
+    (1, 1): lambda p: (2 * (p - 1) // 3, (p - 1) // 9, 2 * (p - 1) // 9),
+    (2, 1): lambda p: ((2 * p - 1) // 3, (p - 5) // 9, (2 * p - 1) // 9),
+    (3, 1): lambda p: ((2 * p - 1) // 3, (p - 2) // 9, 2 * (p - 2) // 9),
+    (1, 2): lambda p: ((p - 2) // 3, (5 * p - 1) // 9, (p - 2) // 9),
+    (2, 2): lambda p: ((p - 1) // 3, 5 * (p - 1) // 9, (p - 1) // 9),
+    (3, 2): lambda p: ((p - 1) // 3, (5 * p - 2) // 9, (p - 4) // 9),
+    (1, 3): lambda p: ((p - 2) // 3, (2 * p - 1) // 9, 2 * (2 * p - 1) // 9),
+    (2, 3): lambda p: ((p - 1) // 3, (2 * p - 5) // 9, (4 * p - 1) // 9),
+    (3, 3): lambda p: ((p - 1) // 3, 2 * (p - 1) // 9, 4 * (p - 1) // 9),
+}
+
+_C9_ACTIVE = {
+    1: {(1, 1), (2, 2), (3, 3)},
+    2: {(1, 2), (3, 1)},
+    4: {(3, 2)},
+    5: {(2, 1), (1, 3)},
+    7: {(2, 3)},
+    8: set(),
+}
+
+
+def test_c9_hw_matches_slot_tables():
+    for p in primes_in(5, 2999):
+        m = modulus(p)
+        H = c9_hw(m)
+        for row in (1, 2, 3):
+            for col in (1, 2, 3):
+                if (row, col) in _C9_ACTIVE[p % 9]:
+                    abc = _C9_ABC[(row, col)](p)
+                    assert _c9_solve_slot(p, row, col) == abc, (p, row, col)
+                    assert H[row, col] == multinomial(p - 1, abc, m), (p, row, col)
+                    assert not H[row, col].is_zero(), (p, row, col)
+                else:
+                    assert _c9_solve_slot(p, row, col) is None, (p, row, col)
+                    assert H[row, col].is_zero(), (p, row, col)
 
 
 def test_c9_classify_table():

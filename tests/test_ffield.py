@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwquartic.errors import ModulusError
-from hwquartic.ffield import (Fp2Element, PrimeModulus, binomial,
-                              build_factorials, embed, is_prime,
-                              is_square_fp2, modulus, multinomial, sqrt_fp,
-                              sqrt_fp2_of_fp)
+from hwquartic.ffield import (Fp2Element, FpElement, PrimeModulus, binomial,
+                              embed, is_prime, is_square_fp2, modulus,
+                              multinomial, sqrt_fp, sqrt_fp2_of_fp)
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -28,12 +27,12 @@ def test_modulus_rejects_bad_values():
 
 
 def test_factorial_tables():
-    assert build_factorials(5).values == [1, 1, 2, 1, 4]
+    assert modulus(5).factorials.values == [1, 1, 2, 1, 4]
     # Wilson: (p-1)! = -1 mod p
-    assert build_factorials(7).values[6] == 6
-    assert build_factorials(13).values[4] == 24 % 13
+    assert modulus(7).factorials.values[6] == 6
+    assert modulus(13).factorials.values[4] == 24 % 13
     for p in SMALL_PRIMES:
-        t = build_factorials(p)
+        t = modulus(p).factorials
         assert t.values[0] == 1
         for n in range(1, p):
             assert t.values[n] == t.values[n - 1] * n % p
@@ -61,7 +60,7 @@ def test_binomial_rejects_large_top_index():
 def test_binomial_factorial_law():
     # C(n,k) * k! * (n-k)! = n! for all n < p
     for p in (5, 7, 31):
-        t = build_factorials(p)
+        t = modulus(p).factorials
         for n in range(p):
             for k in range(n + 1):
                 lhs = binomial(n, k, p).value * t.values[k] % p * t.values[n - k] % p
@@ -80,7 +79,7 @@ def test_multinomial():
 
 def test_fp_arithmetic():
     m = modulus(7)
-    a, b = m.element(3), m.element(5)
+    a, b = FpElement(3, m), FpElement(5, m)
     assert (a + b).value == 1
     assert (a - b).value == 5
     assert (a * b).value == 1
@@ -88,14 +87,14 @@ def test_fp_arithmetic():
     assert (-a).value == 4
     assert (a ** -1 * a).value == 1
     assert a + 4 == 0 and 4 + a == 0
-    assert 1 - a == m.element(5)
-    assert bool(m.zero()) is False
+    assert 1 - a == FpElement(5, m)
+    assert bool(FpElement(0, m)) is False
     with pytest.raises(ZeroDivisionError):
-        a / m.zero()
+        a / FpElement(0, m)
     with pytest.raises(ZeroDivisionError):
-        m.zero().inverse()
+        FpElement(0, m).inverse()
     with pytest.raises(ModulusError):
-        a + modulus(11).element(1)
+        a + FpElement(1, modulus(11))
 
 
 def test_fp2_arithmetic():
@@ -111,8 +110,8 @@ def test_fp2_arithmetic():
     assert z.b == (3 * 9 + 4 * 5) % 11
     assert (x * x.inverse()) == 1
     assert x / x == 1
-    assert x + m.element(2) == Fp2Element(5, 4, m)
-    assert m.element(2) * x == Fp2Element(6, 8, m)
+    assert x + FpElement(2, m) == Fp2Element(5, 4, m)
+    assert FpElement(2, m) * x == Fp2Element(6, 8, m)
     assert x ** 0 == 1
     with pytest.raises(ZeroDivisionError):
         x / Fp2Element(0, 0, m)
@@ -184,7 +183,7 @@ def test_sqrt_fp():
     for p in SMALL_PRIMES:
         m = modulus(p)
         for v in range(p):
-            rt = sqrt_fp(m.element(v))
+            rt = sqrt_fp(FpElement(v, m))
             if pow(v, (p - 1) // 2, p) == p - 1:
                 assert rt is None
             else:
@@ -195,8 +194,8 @@ def test_sqrt_fp2_of_fp():
     for p in (5, 7, 11, 13):
         m = modulus(p)
         for v in range(p):
-            rt = sqrt_fp2_of_fp(m.element(v))
-            assert rt * rt == embed(m.element(v))
+            rt = sqrt_fp2_of_fp(FpElement(v, m))
+            assert rt * rt == embed(FpElement(v, m))
 
 
 def test_nonresidue_is_deterministic_and_minimal():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,44 @@ def test_maximality_examples():
     m = modulus(7)
     assert not any(is_maximal_ext2(families.c6_form(m, r))
                    for r in range(7) if r not in (2, 5))
+
+
+@pytest.mark.parametrize("p, ext", [(11, 2), (17, 1), (23, 1)])
+def test_maximal_c6_members_are_superspecial(p, ext):
+    """Brute force over every r in F_p^ext (r != +-2): a maximal C_r has
+    c2(r) = 0, which is why the --c6-question search counts only there."""
+    m = modulus(p)
+    c2 = families.c6_coeff_polys(m).c2
+    params = [Fp2Element(a, b, m) for a in range(p)
+              for b in range(p if ext == 2 else 1)
+              if not (b == 0 and a in (2, p - 2))]
+    maximal = [r for r in params
+               if is_maximal_ext2(families.c6_form(m, r))]
+    assert maximal
+    assert all(c2.eval(r).is_zero() for r in maximal)
+
+
+@pytest.mark.parametrize("accept", [None, "0+28*w"])
+def test_c6_question_search_order(monkeypatch, accept):
+    """F_p roots of c2 in ascending order first, then the roots off F_p by
+    (a, b); at p = 29 they are 5, 24 and +-w.  The fake count rejects
+    every F_p root, so the search must reach F_{p^2}."""
+    from hwquartic import harness
+
+    tried = []
+
+    def fake_is_maximal(F, bound=None):
+        r = str(F.terms[(0, 2, 2)])
+        tried.append(r)
+        return r == accept
+
+    monkeypatch.setattr(harness, "is_maximal_ext2", fake_is_maximal)
+    rep, _ = run_suite("maximality", [29], c6_question=True)
+    assert tried == ["5", "24", "0+1*w", "0+28*w"]
+    row = rep.rows[1]
+    assert row.param == (accept or "")
+    found = f"found at r={accept}" if accept else "not found"
+    assert row.detail == f"maximal C_r {found} (r swept over all of F_p2)"
 
 
 def test_count_points_capacity():
@@ -235,6 +277,32 @@ def test_cli_usage_errors(capsys):
     assert main(["hw", "--p", "7", "--family", "c6"]) == 2  # c6 without --r
     assert main(["nonsense"]) == 2
     assert main(["hw", "--p", "7", "--quartic", "x^3"]) == 2
+    assert main(["verify", "maximality", "--p", "17", "--sweep-ext2"]) == 2
+
+
+@pytest.mark.parametrize("p, rows", [
+    (17, ["17,c9,,,,,,PASS,points=392 hasse-weil-max=392 maximal=True expected=True",
+          "17,c6,5,,,,,PASS,maximal C_r found at r=5 (r swept over F_p only)"]),
+    (23, ["23,c9,,,,,,PASS,points=530 hasse-weil-max=668 maximal=False expected=False",
+          "23,c6,10,,,,,PASS,maximal C_r found at r=10 (r swept over F_p only)"]),
+])
+def test_cli_verify_maximality_c6_question(capsys, p, rows):
+    code, out = run_cli(capsys, "verify", "maximality", "--p", str(p),
+                        "--c6-question")
+    assert code == 0
+    assert out.splitlines()[1:] == rows
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(families.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hwquartic", "classify", "--p", "13", "--family", "c9"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert SweepReport.from_csv(proc.stdout).rows[0].a_number == 2
 
 
 def test_cli_capacity_exit_code(capsys):

@@ -132,6 +132,16 @@ def test_stable_rank():
     nil = M([[0, 0, 2], [0, 0, 0], [0, 0, 0]], 7)
     assert rank3(nil) == 1
     assert stable_rank(nil) == 0
+    # F_{p^2} entries: M = u v^T with v . u^(p) = 0 but v . u != 0, so
+    # M * M^(p) = 0 while M^3 = 4M; only the p-twisted product sees it
+    m = modulus(5)
+    w = Fp2Element(0, 1, m)  # w^2 = 2, and 3w = w/2
+    zero = Fp2Element(0, 0, m)
+    one = Fp2Element(1, 0, m)
+    twisted = HWMatrix([[one, 3 * w, zero], [w, one, zero],
+                        [zero, zero, zero]], m)
+    assert rank3(twisted) == rank3(twisted * twisted * twisted) == 1
+    assert stable_rank(twisted) == 0
 
 
 def test_stable_rank_at_most_rank():

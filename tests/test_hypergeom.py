@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError, PoleError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import embed, modulus
+from hwquartic.ffield import FpElement, embed, modulus
 from hwquartic.hypergeom import (RationalParam, alpha_beta, expectation_check,
                                  gauss_truncated, pochhammer, verify_euler,
                                  verify_gauss_lemma)
@@ -36,7 +36,7 @@ def test_pochhammer_basics():
 @given(st.sampled_from((11, 17, 23)), st.integers(0, 40), st.integers(0, 15))
 def test_pochhammer_recurrence(p, x0, n):
     m = modulus(p)
-    x = m.element(x0)
+    x = FpElement(x0, m)
     assert pochhammer(x, n + 1, m) == pochhammer(x, n, m) * (x + n)
 
 
@@ -46,7 +46,7 @@ def test_appendix_congruence_example_p11_i2():
     lhs = pochhammer(RationalParam(1, 3), 2, m)
     assert lhs.value == 9
     fact = m.factorials.values
-    assert lhs == fact[7] * modulus(11).element(fact[5]).inverse()
+    assert lhs == fact[7] * FpElement(fact[5], modulus(11)).inverse()
 
 
 @pytest.mark.parametrize("p", (11, 17, 23, 29))
@@ -127,14 +127,14 @@ def test_alpha_beta():
     for p in (11, 23):
         m = modulus(p)
         for rv in range(p):
-            r = m.element(rv)
+            r = FpElement(rv, m)
             alpha, beta = alpha_beta(r, m)
             assert alpha + beta == embed(r)
-            assert alpha * beta == embed(m.one())
+            assert alpha * beta == embed(FpElement(1, m))
     # r = 0: alpha = -beta, still on the unit "circle"
-    alpha, beta = alpha_beta(modulus(11).element(0), modulus(11))
+    alpha, beta = alpha_beta(FpElement(0, modulus(11)), modulus(11))
     assert alpha == -beta
-    assert (alpha / beta) == embed(modulus(11).element(-1))
+    assert (alpha / beta) == embed(FpElement(-1, modulus(11)))
 
 
 @pytest.mark.parametrize("p", (11, 23, 47))
@@ -178,6 +178,6 @@ def test_c2_roots_match_series_roots(p):
     for rv in range(p):
         if rv in (2, p - 2):
             continue
-        r = m.element(rv)
+        r = FpElement(rv, m)
         alpha, beta = alpha_beta(r, m)
         assert c2.eval(r).is_zero() == g.eval(alpha / beta).is_zero()

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import Fp2Element, modulus
+from hwquartic.ffield import Fp2Element, FpElement, modulus
 from hwquartic.unipoly import (UniPoly, derivative, divides, is_separable,
-                               poly_eval, poly_gcd, poly_mul, roots_over)
+                               poly_gcd, roots_over)
 
 
 def P(coeffs, p):
@@ -24,13 +24,13 @@ def test_construction_trims_and_canonicalizes():
 
 def test_poly_mul():
     # (r+1)(r-1) = r^2 + 4 over F_5
-    assert poly_mul(P([1, 1], 5), P([-1, 1], 5)) == P([4, 0, 1], 5)
-    assert poly_mul(P([1, 2, 3], 5), UniPoly.zero(modulus(5))).is_zero
+    assert P([1, 1], 5) * P([-1, 1], 5) == P([4, 0, 1], 5)
+    assert (P([1, 2, 3], 5) * UniPoly.zero(modulus(5))).is_zero
     # (r^2+1)^2 = r^4 + 2r^2 + 1 over F_5
     f = P([1, 0, 1], 5)
-    assert poly_mul(f, f) == P([1, 0, 2, 0, 1], 5)
+    assert f * f == P([1, 0, 2, 0, 1], 5)
     with pytest.raises(ModulusError):
-        poly_mul(P([1], 5), P([1], 7))
+        P([1], 5) * P([1], 7)
 
 
 def test_poly_gcd():
@@ -53,7 +53,7 @@ def test_derivative():
 
 def test_is_separable():
     assert is_separable(P([-1, 0, 1], 7))
-    assert not is_separable(poly_mul(P([-1, 1], 7), P([-1, 1], 7)))
+    assert not is_separable(P([-1, 1], 7) * P([-1, 1], 7))
     # f' = 0 with deg > 0 means a p-th power
     assert not is_separable(P([1, 0, 0, 0, 0, 1], 5))
     assert is_separable(P([3], 5))
@@ -74,14 +74,14 @@ def test_c2_at_17_is_separable_with_two_ext2_roots():
 def test_eval():
     f = P([1, 0, 1], 5)
     assert f.eval(2).value == 0
-    assert f.eval(modulus(5).element(2)).value == 0
+    assert f.eval(FpElement(2, modulus(5))).value == 0
     assert P([4, 1, 3], 5).eval(0).value == 4
     assert UniPoly.zero(modulus(5)).eval(3).value == 0
     m = modulus(5)
     x = Fp2Element(1, 2, m)
-    assert poly_eval(f, x) == x * x + 1
+    assert f.eval(x) == x * x + 1
     with pytest.raises(ModulusError):
-        f.eval(modulus(7).element(1))
+        f.eval(FpElement(1, modulus(7)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -91,7 +91,7 @@ def test_eval():
        st.integers(0, 30))
 def test_eval_is_a_ring_homomorphism(p, fc, gc, xv):
     m = modulus(p)
-    f, g, x = UniPoly(fc, m), UniPoly(gc, m), m.element(xv)
+    f, g, x = UniPoly(fc, m), UniPoly(gc, m), FpElement(xv, m)
     assert (f * g).eval(x) == f.eval(x) * g.eval(x)
     assert (f + g).eval(x) == f.eval(x) + g.eval(x)
 
@@ -111,8 +111,8 @@ def test_euclidean_division_law(p, fc, gc):
 
 
 def test_roots_over():
-    assert roots_over(P([-1, 0, 1], 7), 1) == {modulus(7).element(1),
-                                               modulus(7).element(6)}
+    assert roots_over(P([-1, 0, 1], 7), 1) == {FpElement(1, modulus(7)),
+                                               FpElement(6, modulus(7))}
     m = modulus(11)
     s = m.nonresidue
     f = P([-s, 0, 1], 11)  # r^2 - s
