@@ -30,7 +30,8 @@ from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, stable_rank)
 from .unipoly import DEFAULT_ROOT_BOUND, roots_over
 
-#: default cap on p for exact F_{p^2} point counting (p^4 evaluations)
+#: default cap on p for exact F_{p^2} point counting; the grid path of
+#: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
 DEFAULT_POINT_BOUND = 60
 
 SUITES = ("oracle", "c6-structure", "counts", "c9-table", "euler",
@@ -170,16 +171,70 @@ def _component(coeff):
 def count_points_ext2(F: QuarticForm, bound: int | None = None) -> int:
     """Exact number of projective F_{p^2}-points of F = 0.
 
-    Charts are disjoint by construction: z = 1 (all x, y), then z = 0,
-    y = 1 (all x), then the single point (1:0:0).  Evaluation is
-    vectorized over F_{p^2} componentwise; the default prime bound keeps
-    the p^4-point main chart around 10^7 evaluations.
+    Raises CapacityError before any work when p exceeds the prime bound
+    (DEFAULT_POINT_BOUND unless given).  Two paths:
+
+    * Triple cover, when x occurs in a single term c*x^3*l with l in
+      {y, z}, so F = c*x^3*l + G(m, l) with {l, m} = {y, z}: every C_r
+      and C9.  On the chart l = 1 the points over m = t are the cube
+      roots of u(t) = -G(t, 1)/c.  Since q = p^2 = 1 (mod 3), there are
+      3, 0 or 1 of them as u(t) is a nonzero cube, a non-cube or zero
+      (the cubic character of F_q); the count is their sum over all q
+      values of t, read off a table of x -> x^3 on F_q.  The line l = 0
+      meets F = 0 in G(m, 0) = g*m^4 = 0: the one point (1:0:0) when
+      g != 0, otherwise all q + 1 points of the line.  O(p^2) work.
+    * Grid, for any other quartic: F is evaluated at all p^4 points of
+      the chart z = 1, then on z = 0.  Also the test oracle of the
+      cover path.
     """
     bound = DEFAULT_POINT_BOUND if bound is None else bound
-    mod = F.modulus
-    p = mod.p
+    p = F.modulus.p
     if p > bound:
         raise CapacityError(f"point counting needs p <= {bound}, got {p}")
+    x_terms = [e for e in F.terms if e[0]]
+    if len(x_terms) == 1 and x_terms[0] in ((3, 1, 0), (3, 0, 1)):
+        return _count_points_cover(F, x_terms[0])
+    return _count_points_grid(F)
+
+
+def _count_points_cover(F: QuarticForm, x_term) -> int:
+    """Points of c*x^3*l + G(m, l) = 0, c the coefficient of x_term."""
+    mod = F.modulus
+    p = mod.p
+    s = mod.nonresidue
+    q = p * p
+    m = 2 if x_term[1] else 1
+    minus_inv_c = -F.terms[x_term].inverse()
+    # u(t) = -G(t, 1)/c, coefficients indexed by the degree of t
+    u = [(0, 0)] * 5
+    for expo, coeff in F.terms.items():
+        if expo != x_term:
+            u[expo[m]] = _component(coeff * minus_inv_c)
+    # t = a + b*w and x = a + b*w at index a*p + b, as in eval_all_ext2
+    A = np.repeat(np.arange(p, dtype=np.int64), p)
+    B = np.tile(np.arange(p, dtype=np.int64), p)
+    ua = np.zeros(q, dtype=np.int64)
+    ub = np.zeros(q, dtype=np.int64)
+    for ca, cb in reversed(u):
+        ua, ub = (ua * A + s * ub * B + ca) % p, (ua * B + ub * A + cb) % p
+    # cube_roots[v] = #{x : x^3 = v}, from x^3 at every x
+    xa, xb = (A * A + s * B * B) % p, (2 * A * B) % p
+    xa, xb = (xa * A + s * xb * B) % p, (xa * B + xb * A) % p
+    cube_roots = np.bincount(xa * p + xb, minlength=q)
+    count = int(cube_roots[ua * p + ub].sum())
+    # the line l = 0: the point (1:0:0) alone, or the whole line
+    return count + (1 if u[4] != (0, 0) else q + 1)
+
+
+def _count_points_grid(F: QuarticForm) -> int:
+    """Points of any quartic by evaluation at every point of P^2(F_{p^2}).
+
+    Charts are disjoint by construction: z = 1 (all x, y), then z = 0,
+    y = 1 (all x), then the single point (1:0:0).  Evaluation is
+    vectorized over F_{p^2} componentwise, p^4 evaluations in all.
+    """
+    mod = F.modulus
+    p = mod.p
     s = mod.nonresidue
     q = p * p
     XA = np.repeat(np.arange(p, dtype=np.int64), p)
@@ -548,19 +603,23 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, primes, explicit: bool = False, **kw):
+def run_suite(name: str, primes, explicit: bool = False,
+              bound: int | None = None, c6_question: bool = False):
     """Run one verification suite over an iterable of primes.
 
     Returns (SweepReport, exit_status).  Preconditions not met by a prime
     give SKIP rows in range mode and hard errors when the prime was
-    requested explicitly.
+    requested explicitly.  bound is the capacity bound of the suites that
+    have one (maximality: prime cap; expectation: p^2 cap); c6_question
+    adds the maximal-C_r search to maximality.
     """
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     fn = _SUITE_FUNCS[name]
     report = SweepReport()
     for p in primes:
-        fn(report, modulus(int(p)), explicit=explicit, **kw)
+        fn(report, modulus(int(p)), explicit=explicit, bound=bound,
+           c6_question=c6_question)
     return report, report.exit_status
 
 

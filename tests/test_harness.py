@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from hwquartic import families
 from hwquartic.errors import CapacityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, modulus
-from hwquartic.harness import (SweepReport, count_points_ext2,
+from hwquartic.harness import (SweepReport, _count_points_grid,
+                               count_points_ext2, fermat_form,
                                hasse_weil_window, is_maximal_ext2, main,
                                oracle_corpus, parse_c6_param, parse_quartic,
                                primes_in, run_suite)
@@ -141,6 +143,64 @@ def test_count_points_capacity():
     count_points_ext2(families.c9_form(modulus(61)), bound=61)
 
 
+@pytest.mark.parametrize("p", primes_in(5, 37))
+def test_cover_path_matches_grid_on_families(p):
+    """C9, every C_r with r in F_p minus +-2, and seeded r off F_p."""
+    m = modulus(p)
+    rng = random.Random(f"cover-{p}")
+    params = [r for r in range(p) if r not in (2, p - 2)]
+    params += [Fp2Element(rng.randrange(p), rng.randrange(1, p), m)
+               for _ in range(3)]
+    forms = [families.c9_form(m)] + [families.c6_form(m, r) for r in params]
+    for F in forms:
+        assert count_points_ext2(F) == _count_points_grid(F)
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param(lambda m: {(3, 0, 1): 1, (0, 3, 1): 1}, id="x^3*z+y^3*z"),
+    pytest.param(lambda m: {(3, 1, 0): 1, (0, 0, 4): 1}, id="x^3*y+z^4"),
+    pytest.param(lambda m: {(3, 1, 0): Fp2Element(2, 3, m), (0, 3, 1): 1,
+                            (0, 0, 4): Fp2Element(1, 4, m)},
+                 id="fp2-coefficient-on-x^3*y"),
+])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cover_path_matches_grid_on_shapes(p, terms):
+    """The line l = 0 inside the curve (x^3*z + y^3*z), the chart l = y,
+    and F_{p^2} coefficients, the one on x^3*y included."""
+    F = QuarticForm(terms(modulus(p)), modulus(p))
+    assert count_points_ext2(F) == _count_points_grid(F)
+
+
+@pytest.mark.parametrize("text, grid", [
+    ("x^4 + x^3*z + y^4 + z^4", True),
+    ("x^2*y*z + x^3*z + y^4 + z^4", True),
+    ("x^3*y + x^3*z + y^4", True),
+    ("x*y^3 + y^4 + z^4", True),
+    ("x^3*z + y^4 + 3*y^2*z^2 + z^4", False),
+    ("x^3*y + y^3*z + z^4", False),
+])
+def test_count_points_dispatch(monkeypatch, text, grid):
+    from hwquartic import harness
+
+    monkeypatch.setattr(harness, "_count_points_grid", lambda F: -1)
+    assert (count_points_ext2(parse_quartic(text, 7)) == -1) == grid
+
+
+@pytest.mark.parametrize("form", [families.c9_form, fermat_form])
+def test_count_points_capacity_before_any_work(monkeypatch, form):
+    from hwquartic import harness
+
+    def no_work(*_args):
+        raise AssertionError("counted past the capacity bound")
+
+    monkeypatch.setattr(harness, "_count_points_cover", no_work)
+    monkeypatch.setattr(harness, "_count_points_grid", no_work)
+    with pytest.raises(CapacityError):
+        count_points_ext2(form(modulus(61)))
+    with pytest.raises(CapacityError):
+        count_points_ext2(form(modulus(13)), bound=11)
+
+
 def test_hasse_weil_window_respected():
     for p in (5, 7, 11):
         m = modulus(p)
@@ -232,6 +292,12 @@ def test_run_suite_skips_wrong_class_in_range_mode():
     rep, status = run_suite("euler", [7, 11])
     assert status == 0
     assert [r.status for r in rep.rows] == ["SKIP", "PASS"]
+
+
+@pytest.mark.parametrize("kw", [{"sweep_ext2": True}, {"no_such_option": 1}])
+def test_run_suite_rejects_unknown_keywords(kw):
+    with pytest.raises(TypeError):
+        run_suite("counts", [13], **kw)
 
 
 def test_run_suite_unknown_name():
