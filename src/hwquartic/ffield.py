@@ -382,6 +382,13 @@ class Fp2Element:
         return f"{self.a}+{self.b}*w"
 
 
+def components(x):
+    """(a, b) with x = a + b*w; an F_p element has b = 0."""
+    if isinstance(x, Fp2Element):
+        return x.a, x.b
+    return int(x), 0
+
+
 def embed(x, mod=None) -> Fp2Element:
     """Embed an F_p element (or int) into F_{p^2}."""
     if isinstance(x, Fp2Element):

@@ -25,10 +25,10 @@ import numpy as np
 from . import families, hypergeom
 from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
-from .ffield import Fp2Element, FpElement, is_prime, modulus
+from .ffield import Fp2Element, FpElement, components, is_prime, modulus
 from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, stable_rank)
-from .unipoly import DEFAULT_ROOT_BOUND, roots_over
+from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner_ext2, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
@@ -162,12 +162,6 @@ def parse_c6_param(text: str, mod):
 # ---------------------------------------------------------------------------
 # point counting over F_{p^2}
 
-def _component(coeff):
-    if isinstance(coeff, Fp2Element):
-        return coeff.a, coeff.b
-    return coeff.value, 0
-
-
 def count_points_ext2(F: QuarticForm, bound: int | None = None) -> int:
     """Exact number of projective F_{p^2}-points of F = 0.
 
@@ -201,7 +195,6 @@ def _count_points_cover(F: QuarticForm, x_term) -> int:
     """Points of c*x^3*l + G(m, l) = 0, c the coefficient of x_term."""
     mod = F.modulus
     p = mod.p
-    s = mod.nonresidue
     q = p * p
     m = 2 if x_term[1] else 1
     minus_inv_c = -F.terms[x_term].inverse()
@@ -209,17 +202,11 @@ def _count_points_cover(F: QuarticForm, x_term) -> int:
     u = [(0, 0)] * 5
     for expo, coeff in F.terms.items():
         if expo != x_term:
-            u[expo[m]] = _component(coeff * minus_inv_c)
-    # t = a + b*w and x = a + b*w at index a*p + b, as in eval_all_ext2
-    A = np.repeat(np.arange(p, dtype=np.int64), p)
-    B = np.tile(np.arange(p, dtype=np.int64), p)
-    ua = np.zeros(q, dtype=np.int64)
-    ub = np.zeros(q, dtype=np.int64)
-    for ca, cb in reversed(u):
-        ua, ub = (ua * A + s * ub * B + ca) % p, (ua * B + ub * A + cb) % p
+            u[expo[m]] = components(coeff * minus_inv_c)
+    A, B = ext2_elements(p)
+    ua, ub = horner_ext2(u, A, B, mod)
     # cube_roots[v] = #{x : x^3 = v}, from x^3 at every x
-    xa, xb = (A * A + s * B * B) % p, (2 * A * B) % p
-    xa, xb = (xa * A + s * xb * B) % p, (xa * B + xb * A) % p
+    xa, xb = horner_ext2([(0, 0)] * 3 + [(1, 0)], A, B, mod)
     cube_roots = np.bincount(xa * p + xb, minlength=q)
     count = int(cube_roots[ua * p + ub].sum())
     # the line l = 0: the point (1:0:0) alone, or the whole line
@@ -235,48 +222,28 @@ def _count_points_grid(F: QuarticForm) -> int:
     """
     mod = F.modulus
     p = mod.p
-    s = mod.nonresidue
     q = p * p
-    XA = np.repeat(np.arange(p, dtype=np.int64), p)
-    XB = np.tile(np.arange(p, dtype=np.int64), p)
-
-    # chart z = 1: write F(x, y, 1) = sum_d cd(x) y^d and run Horner in y
-    cda = [np.zeros(q, dtype=np.int64) for _ in range(5)]
-    cdb = [np.zeros(q, dtype=np.int64) for _ in range(5)]
-    for (i, j, _k), coeff in F.terms.items():
-        ca, cb = _component(coeff)
-        # coeff * x^i, in components
-        ta, tb = np.full(q, ca, dtype=np.int64), np.full(q, cb, dtype=np.int64)
-        for _ in range(i):
-            ta, tb = (ta * XA + s * tb * XB) % p, (ta * XB + tb * XA) % p
-        cda[j] = (cda[j] + ta) % p
-        cdb[j] = (cdb[j] + tb) % p
+    X = ext2_elements(p)
+    # chart z = 1: F(x, y, 1) = sum_j cd_j(x) y^j; cd[j][i] is the x^i y^j
+    # coefficient, and the z = 0 chart keeps F(x, 1, 0) = sum_i g[i] x^i
+    cd = [[(0, 0)] * 5 for _ in range(5)]
+    g = [(0, 0)] * 5
+    for (i, j, k), coeff in F.terms.items():
+        cd[j][i] = components(coeff)
+        if not k:
+            g[i] = cd[j][i]
+    cd = [horner_ext2(c, *X, mod) for c in cd]
 
     count = 0
     chunk = max(1, 1_000_000 // q)
     for lo in range(0, q, chunk):
-        hi = min(lo + chunk, q)
-        ya = XA[np.newaxis, :]
-        yb = XB[np.newaxis, :]
-        aa = np.broadcast_to(cda[4][lo:hi, np.newaxis], (hi - lo, q)).copy()
-        ab = np.broadcast_to(cdb[4][lo:hi, np.newaxis], (hi - lo, q)).copy()
-        for d in (3, 2, 1, 0):
-            aa, ab = ((aa * ya + s * ab * yb + cda[d][lo:hi, np.newaxis]) % p,
-                      (aa * yb + ab * ya + cdb[d][lo:hi, np.newaxis]) % p)
-        count += int(np.count_nonzero((aa == 0) & (ab == 0)))
+        # Horner in y: a column of cd_j(x) against the row of all y
+        rows = [(ca[lo:lo + chunk, np.newaxis], cb[lo:lo + chunk, np.newaxis])
+                for ca, cb in cd]
+        va, vb = horner_ext2(rows, *X, mod)
+        count += int(np.count_nonzero((va == 0) & (vb == 0)))
 
-    # chart z = 0, y = 1: only terms with k = 0 survive
-    ga = np.zeros(q, dtype=np.int64)
-    gb = np.zeros(q, dtype=np.int64)
-    for (i, _j, k), coeff in F.terms.items():
-        if k:
-            continue
-        ca, cb = _component(coeff)
-        ta, tb = np.full(q, ca, dtype=np.int64), np.full(q, cb, dtype=np.int64)
-        for _ in range(i):
-            ta, tb = (ta * XA + s * tb * XB) % p, (ta * XB + tb * XA) % p
-        ga = (ga + ta) % p
-        gb = (gb + tb) % p
+    ga, gb = horner_ext2(g, *X, mod)
     count += int(np.count_nonzero((ga == 0) & (gb == 0)))
 
     # the remaining point (1:0:0)
@@ -398,10 +365,10 @@ def random_sparse_quartic(rng: random.Random, mod) -> QuarticForm:
     return QuarticForm({e: rng.randint(1, mod.p - 1) for e in support}, mod)
 
 
-def oracle_corpus(mod, seed: "int | None" = None):
+def oracle_corpus(mod):
     """All C_r, the C9 form, Fermat, and 50 seeded random sparse quartics."""
     p = mod.p
-    rng = random.Random(f"hw-oracle-{p}" if seed is None else seed)
+    rng = random.Random(f"hw-oracle-{p}")
     forms = [("c6 r=%d" % r, families.c6_form(mod, r))
              for r in range(p) if r not in (2, p - 2)]
     forms.append(("c9", families.c9_form(mod)))
@@ -551,14 +518,13 @@ def _first_maximal_c6(mod, bound):
     """
     p = mod.p
     c2 = families.c6_coeff_polys(mod).c2
-    for r in sorted(z.value for z in roots_over(c2, 1)):
-        if r not in (0, 2, p - 2) and \
-                is_maximal_ext2(families.c6_form(mod, r), bound=bound):
-            return str(r), True
-    for a, b in sorted((z.a, z.b) for z in roots_over(c2, 2) if z.b):
-        r = Fp2Element(a, b, mod)
+    for z in sorted(roots_over(c2, 2), key=lambda z: (z.b != 0, z.a, z.b)):
+        rational = z.b == 0
+        if rational and z.a in (0, 2, p - 2):
+            continue
+        r = z.a if rational else z
         if is_maximal_ext2(families.c6_form(mod, r), bound=bound):
-            return str(r), False
+            return str(r), rational
     return None, False
 
 
@@ -661,15 +627,18 @@ def _resolve_family(args):
 
 
 def _form_for(args, mod):
+    """(family, param, r, F), r the C_r parameter (r != +-2) or None."""
     fam = _resolve_family(args)
     if fam == "general":
-        return fam, args.quartic, parse_quartic(args.quartic, mod)
+        if args.quartic is None:
+            raise ParseError("--family general needs --quartic")
+        return fam, args.quartic, None, parse_quartic(args.quartic, mod)
     if fam == "c9":
-        return fam, "", families.c9_form(mod)
+        return fam, "", None, families.c9_form(mod)
     if args.r is None:
         raise ParseError("--family c6 needs --r")
-    r = parse_c6_param(args.r, mod)
-    return fam, str(r), families.c6_form(mod, r)
+    r = families._reject_singular(mod, parse_c6_param(args.r, mod))
+    return fam, str(r), r, families.c6_form(mod, r)
 
 
 def _cmd_hw(args) -> int:
@@ -677,7 +646,7 @@ def _cmd_hw(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, F = _form_for(args, mod)
+        fam, param, _, F = _form_for(args, mod)
         M = hw_matrix(F)
         report.add(p=p, family=fam, param=param,
                    a_number=a_number(M), p_rank=stable_rank(M),
@@ -691,21 +660,16 @@ def _cmd_classify(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam = _resolve_family(args)
-        if fam == "c6":
-            r = parse_c6_param(args.r, mod)
-            cls = families.c6_classify(mod, r)
-            report.add(p=p, family=fam, param=str(r),
-                       **_classification_columns(cls))
-        elif fam == "c9":
-            cls = families.c9_classify(mod)
-            report.add(p=p, family=fam, **_classification_columns(cls))
-        else:
-            F = parse_quartic(args.quartic, mod)
+        fam, param, r, F = _form_for(args, mod)
+        if fam == "general":
             M = hw_matrix(F)
-            report.add(p=p, family=fam, param=args.quartic,
+            report.add(p=p, family=fam, param=param,
                        a_number=a_number(M), p_rank=stable_rank(M),
                        detail="NP/EO lookup applies to c6/c9 families only")
+            continue
+        cls = (families.c6_classify(mod, r) if fam == "c6"
+               else families.c9_classify(mod))
+        report.add(p=p, family=fam, param=param, **_classification_columns(cls))
     print(report.render(args.format), end="")
     return report.exit_status
 
@@ -747,7 +711,7 @@ def _cmd_count_points(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, F = _form_for(args, mod)
+        fam, param, _, F = _form_for(args, mod)
         n = count_points_ext2(F, bound=args.bound)
         lo, hi = hasse_weil_window(p)
         report.add(p=p, family=fam, param=param,

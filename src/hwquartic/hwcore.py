@@ -25,7 +25,8 @@ outright and is feasible for p <= 31; the two must agree everywhere.
 from __future__ import annotations
 
 from .errors import CapacityError, ModulusError
-from .ffield import Fp2Element, FpElement, _as_modulus, binomial
+from .ffield import (Fp2Element, FpElement, _as_modulus, binomial,
+                     components)
 
 BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
@@ -283,12 +284,8 @@ def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
         raise CapacityError(
             f"oracle expansion needs p <= {ORACLE_PRIME_BOUND}, got {p}")
     ext = F.uses_ext_field()
-
-    def as_pair(c):
-        return (c.a, c.b) if isinstance(c, Fp2Element) else (c.value, 0)
-
     s = mod.nonresidue if ext else 0
-    base = {e: as_pair(c) for e, c in F.terms.items()}
+    base = {e: components(c) for e, c in F.terms.items()}
     acc = {(0, 0, 0): (1, 0)}
     for _ in range(p - 1):
         nxt = {}

@@ -4,7 +4,8 @@ Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
 the representation canonical.  Root finding is exhaustive evaluation,
 which at desk scale (p^ext up to a configurable bound) is simple and
-certain; the F_{p^2} scan is vectorized with numpy.
+certain.  ext2_elements and horner_ext2 are the one numpy evaluation
+kernel over F_{p^2}: the root scan and the point counts share it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ class UniPoly:
     @classmethod
     def zero(cls, mod) -> "UniPoly":
         return cls((), mod)
-
-    @classmethod
-    def constant(cls, c, mod) -> "UniPoly":
-        return cls((c,), mod)
-
-    @classmethod
-    def monomial(cls, c, k: int, mod) -> "UniPoly":
-        return cls((0,) * k + (int(c),), mod)
 
     @property
     def is_zero(self) -> bool:
@@ -223,22 +216,34 @@ def divides(f: UniPoly, g: UniPoly) -> bool:
     return g.divmod(f)[1].is_zero
 
 
-def eval_all_ext2(f: UniPoly):
-    """Values of f over all of F_{p^2}.
-
-    Returns (A, B, va, vb): component arrays of the points a + b*w and of
-    the values, each of length p^2, indexed by a*p + b.
-    """
-    mod = f.modulus
-    p = mod.p
-    s = mod.nonresidue
+def ext2_elements(p: int):
+    """Components (A, B) of every a + b*w in F_{p^2}, at index a*p + b."""
     A = np.repeat(np.arange(p, dtype=np.int64), p)
     B = np.tile(np.arange(p, dtype=np.int64), p)
-    va = np.zeros(p * p, dtype=np.int64)
-    vb = np.zeros(p * p, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        va, vb = (va * A + s * vb * B + c) % p, (va * B + vb * A) % p
-    return A, B, va, vb
+    return A, B
+
+
+def horner_ext2(coeffs, xa, xb, mod):
+    """Horner's rule over F_{p^2} = F_p[w], w^2 = s, on component pairs.
+
+    coeffs lists the (a, b) components of the coefficients, low degree
+    first; x = xa + xb*w.  Every component lies in [0, p) and may be an
+    int or an int64 array, and arrays broadcast (a column of coefficients against a row
+    of points gives a 2-D table).  Returns the value's components (va, vb).
+    """
+    p = mod.p
+    sxb = mod.nonresidue * xb % p
+    va = vb = 0
+    for ca, cb in reversed(coeffs):
+        va, vb = (va * xa + vb * sxb + ca) % p, (va * xb + vb * xa + cb) % p
+    return va, vb
+
+
+def eval_all_ext2(f: UniPoly):
+    """Values of f over all of F_{p^2}: component arrays (va, vb) of
+    length p^2, indexed as ext2_elements."""
+    A, B = ext2_elements(f.modulus.p)
+    return horner_ext2([(c, 0) for c in f.coeffs] or [(0, 0)], A, B, f.modulus)
 
 
 def roots_over(f: UniPoly, ext: int, limit: int | None = None):
@@ -261,6 +266,6 @@ def roots_over(f: UniPoly, ext: int, limit: int | None = None):
     if ext == 1:
         vals = f.eval_all()
         return {FpElement(int(x), mod) for x in np.nonzero(vals == 0)[0]}
-    A, B, va, vb = eval_all_ext2(f)
-    idx = np.nonzero((va == 0) & (vb == 0))[0]
-    return {Fp2Element(int(A[i]), int(B[i]), mod) for i in idx}
+    va, vb = eval_all_ext2(f)
+    return {Fp2Element(*divmod(int(i), p), mod)
+            for i in np.nonzero((va == 0) & (vb == 0))[0]}

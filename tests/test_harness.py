@@ -344,6 +344,19 @@ def test_cli_usage_errors(capsys):
     assert main(["nonsense"]) == 2
     assert main(["hw", "--p", "7", "--quartic", "x^3"]) == 2
     assert main(["verify", "maximality", "--p", "17", "--sweep-ext2"]) == 2
+    assert main(["classify", "--p", "13", "--family", "c6"]) == 2  # no --r
+    for cmd in ("hw", "classify", "count-points"):      # general, no --quartic
+        assert main([cmd, "--p", "13", "--family", "general"]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["hw", "count-points", "classify"])
+@pytest.mark.parametrize("r", ["2", "11", "2+0*w"])
+def test_cli_rejects_singular_c6(capsys, cmd, r):
+    """r = +-2 (here p = 13, so -2 = 11) is a usage error in every command."""
+    assert main([cmd, "--p", "13", "--family", "c6", "--r", r]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: r = 2 or -2 gives a singular quartic\n"
 
 
 @pytest.mark.parametrize("p, rows", [

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import Fp2Element, FpElement, modulus
-from hwquartic.unipoly import (UniPoly, derivative, divides, is_separable,
+from hwquartic.ffield import Fp2Element, FpElement, components, modulus
+from hwquartic.unipoly import (UniPoly, derivative, divides, eval_all_ext2,
+                               ext2_elements, horner_ext2, is_separable,
                                poly_gcd, roots_over)
 
 
@@ -157,3 +159,77 @@ def test_separable_root_count_bound():
         f = polys.root_locus_poly()
         if is_separable(f):
             assert len(roots_over(f, 2)) <= f.degree
+
+
+# ---------------------------------------------------------------------------
+# the F_{p^2} evaluation kernel
+
+PAIRS = st.tuples(st.integers(0, 60), st.integers(0, 60))
+
+
+def horner_fp2(coeffs, x):
+    """Reference: Horner's rule with Fp2Element arithmetic."""
+    acc = Fp2Element(0, 0, x.modulus)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((5, 7, 13, 31, 491)), st.lists(PAIRS, max_size=7),
+       st.integers(0, 490), st.integers(0, 490))
+def test_horner_ext2_matches_fp2_element_horner(p, cs, xa, xb):
+    m = modulus(p)
+    coeffs = [Fp2Element(a, b, m) for a, b in cs]
+    x = Fp2Element(xa, xb, m)
+    got = horner_ext2([components(c) for c in coeffs], x.a, x.b, m)
+    assert Fp2Element(*got, m) == horner_fp2(coeffs, x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((5, 7, 11)), st.lists(PAIRS, min_size=1, max_size=6))
+def test_horner_ext2_over_all_of_fp2(p, cs):
+    m = modulus(p)
+    coeffs = [Fp2Element(a, b, m) for a, b in cs]
+    A, B = ext2_elements(p)
+    va, vb = horner_ext2([components(c) for c in coeffs], A, B, m)
+    f = UniPoly([a for a, _ in cs], m)
+    fa, fb = eval_all_ext2(f)
+    assert len(va) == len(fa) == p * p
+    for i in range(p * p):
+        x = Fp2Element(*divmod(i, p), m)
+        assert (A[i], B[i]) == components(x)
+        assert Fp2Element(va[i], vb[i], m) == horner_fp2(coeffs, x)
+        assert Fp2Element(fa[i], fb[i], m) == f.eval(x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((5, 7, 11)),
+       st.lists(st.lists(PAIRS, min_size=1, max_size=5), min_size=1, max_size=6))
+def test_horner_ext2_broadcasts_a_column_against_a_row(p, rows):
+    """Column k of coefficient arrays against the row of all points
+    gives, in row k, the 1-D evaluation of the k-th coefficient list."""
+    m = modulus(p)
+    deg = max(len(r) for r in rows)
+    rows = [[(a % p, b % p) for a, b in r] + [(0, 0)] * (deg - len(r))
+            for r in rows]
+    column = [tuple(np.array([r[d][t] for r in rows], dtype=np.int64)[:, np.newaxis]
+                    for t in (0, 1)) for d in range(deg)]
+    X = ext2_elements(p)
+    va, vb = horner_ext2(column, *X, m)
+    assert va.shape == vb.shape == (len(rows), p * p)
+    for k, r in enumerate(rows):
+        ra, rb = horner_ext2(r, *X, m)
+        assert np.array_equal(va[k], ra) and np.array_equal(vb[k], rb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from((5, 7, 13)), st.integers(-200, 200), st.integers(-200, 200))
+def test_components_round_trip(p, a, b):
+    m = modulus(p)
+    x = Fp2Element(a, b, m)
+    assert components(x) == (x.a, x.b)
+    assert Fp2Element(*components(x), m) == x
+    y = FpElement(a, m)
+    assert components(y) == (a % p, 0)
+    assert FpElement(components(y)[0], m) == y
