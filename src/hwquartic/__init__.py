@@ -17,8 +17,8 @@ from .hwcore import (HWMatrix, QuarticForm, a_number,
 from .hypergeom import (ExpectationReport, RationalParam, TruncatedSeries,
                         expectation_check, gauss_truncated, pochhammer,
                         verify_euler, verify_gauss_lemma)
-from .unipoly import (UniPoly, derivative, divides, is_separable, poly_gcd,
-                      roots_over)
+from .unipoly import (UniPoly, derivative, divides, ext2_root_counts,
+                      is_separable, poly_gcd, roots_over)
 
 __version__ = "0.1.0"
 

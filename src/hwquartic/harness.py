@@ -28,7 +28,7 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
 from .ffield import Fp2Element, FpElement, components, is_prime, modulus
 from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, stable_rank)
-from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner_ext2, roots_over
+from .unipoly import ext2_elements, horner_ext2, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
@@ -488,23 +488,15 @@ def _suite_gauss_lemma(report, mod, explicit=False, **_kw):
                detail="series/coefficient congruences at all r")
 
 
-def _suite_expectation(report, mod, explicit=False, bound=None, **_kw):
+def _suite_expectation(report, mod, explicit=False, **_kw):
     p = mod.p
     if p % 6 != 5 or p < 17:
         _wrong_class(report, mod, explicit, "needs p = 5 mod 6 and p >= 17")
         return
-    limit = DEFAULT_ROOT_BOUND if bound is None else bound
-    if p * p > limit:
-        if explicit:
-            raise CapacityError(
-                f"p^2 = {p * p} exceeds exhaustion bound {limit}")
-        report.add(p=p, family="c6", status="SKIP",
-                   detail=f"p^2 = {p * p} exceeds exhaustion bound {limit}")
-        return
-    rep = hypergeom.expectation_check(mod, limit=limit)
+    rep = hypergeom.expectation_check(mod)
     ok = rep.all_square and rep.missing == 0
     report.add(p=p, family="c6", status="PASS" if ok else "FAIL",
-               detail=f"roots={len(rep.roots)} of deg={rep.degree} "
+               detail=f"roots={rep.found} of deg={rep.degree} "
                       f"all_square={rep.all_square}")
 
 
@@ -575,12 +567,14 @@ def run_suite(name: str, primes, explicit: bool = False,
 
     Returns (SweepReport, exit_status).  Preconditions not met by a prime
     give SKIP rows in range mode and hard errors when the prime was
-    requested explicitly.  bound is the capacity bound of the suites that
-    have one (maximality: prime cap; expectation: p^2 cap); c6_question
-    adds the maximal-C_r search to maximality.
+    requested explicitly.  bound (the prime cap of the point counts) and
+    c6_question (the maximal-C_r search) apply to maximality only.
     """
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name != "maximality" and (bound is not None or c6_question):
+        raise ValueError("--bound and --c6-question apply to the maximality "
+                         f"suite only, not {name}")
     fn = _SUITE_FUNCS[name]
     report = SweepReport()
     for p in primes:
@@ -613,22 +607,16 @@ def _resolve_primes(args):
     raise ParseError("one of --p or --p-range is required")
 
 
-def _resolve_family(args):
-    fam = args.family
-    if getattr(args, "quartic", None) is not None:
-        if fam not in (None, "general"):
-            raise ParseError("--quartic implies --family general")
-        return "general"
-    if fam is None:
-        fam = "c6" if getattr(args, "r", None) is not None else None
-    if fam is None:
-        raise ParseError("need --family (or --quartic / --r)")
-    return fam
-
-
 def _form_for(args, mod):
     """(family, param, r, F), r the C_r parameter (r != +-2) or None."""
-    fam = _resolve_family(args)
+    fam = args.family or ("general" if args.quartic is not None
+                          else "c6" if args.r is not None else None)
+    if fam is None:
+        raise ParseError("need --family (or --quartic / --r)")
+    if args.quartic is not None and fam != "general":
+        raise ParseError("--quartic implies --family general")
+    if args.r is not None and fam != "c6":
+        raise ParseError(f"--r applies to --family c6 only, not {fam}")
     if fam == "general":
         if args.quartic is None:
             raise ParseError("--family general needs --quartic")
@@ -774,9 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=SUITES)
     common(sp, family=False)
     sp.add_argument("--bound", type=int, default=None,
-                    help="capacity bound (points: prime cap; expectation: p^2 cap)")
+                    help="maximality only: prime cap for point counting "
+                         f"(default {DEFAULT_POINT_BOUND})")
     sp.add_argument("--c6-question", action="store_true",
-                    help="also search C6 parameters in F_{p^2} for maximal curves")
+                    help="maximality only: also search C6 parameters in "
+                         "F_{p^2} for maximal curves")
     sp.set_defaults(fn=_cmd_verify)
     return ap
 

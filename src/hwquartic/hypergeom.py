@@ -15,9 +15,8 @@ from math import gcd
 
 from .errors import ModulusError, PoleError
 from .families import c6_coeff_polys
-from .ffield import (FpElement, _as_modulus, binomial, embed, is_square_fp2,
-                     sqrt_fp2_of_fp)
-from .unipoly import UniPoly, roots_over
+from .ffield import FpElement, _as_modulus, binomial, embed, sqrt_fp2_of_fp
+from .unipoly import UniPoly, ext2_root_counts
 
 
 @dataclass(frozen=True)
@@ -191,25 +190,25 @@ def verify_gauss_lemma(mod) -> bool:
 class ExpectationReport:
     """Roots of G^((p-5)/6)(5/6, 2/3, (2p+7)/6; t) inside F_{p^2}.
 
-    all_square says whether every root found is a square in F_{p^2}^x;
-    missing counts roots of the truncation living outside F_{p^2}
-    (degree minus the number found; 0 means the polynomial splits there).
+    found counts the distinct roots in F_{p^2}, all_square says whether
+    each is a square in F_{p^2}^x, and missing = degree - found counts
+    the rest (outside F_{p^2} or repeated; 0 means g splits there).
     """
 
     p: int
     all_square: bool
-    roots: tuple
+    found: int
     degree: int
     missing: int
 
 
-def expectation_check(mod, limit: int | None = None) -> ExpectationReport:
+def expectation_check(mod) -> ExpectationReport:
     """Re-verification of the superspecial-parameter rationality expectation.
 
-    For p = 5 mod 6, p >= 17: find every root of the degree-(p-5)/6
-    truncated series in F_{p^2} by exhaustion and test each for being a
-    square in F_{p^2}^x.  This op reports; the statement remains a
-    conjecture and nothing here asserts it.
+    For p = 5 mod 6, p >= 17: count the roots of the degree-(p-5)/6
+    truncated series g in F_{p^2}, and the squares among them (g(0) = 1),
+    by one powmod.  This op reports; the statement remains a conjecture
+    and nothing here asserts it.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
@@ -218,8 +217,6 @@ def expectation_check(mod, limit: int | None = None) -> ExpectationReport:
             f"p = {p} < 17: the truncated series has no admissible roots")
     c = RationalParam(7, 6)
     g = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod).poly
-    roots = roots_over(g, 2, limit=limit)
-    ordered = tuple(sorted(roots, key=lambda z: (z.a, z.b)))
-    all_square = all(is_square_fp2(z) for z in ordered)
-    return ExpectationReport(p=p, all_square=all_square, roots=ordered,
-                             degree=g.degree, missing=g.degree - len(ordered))
+    found, squares = ext2_root_counts(g)
+    return ExpectationReport(p=p, all_square=squares == found, found=found,
+                             degree=g.degree, missing=g.degree - found)

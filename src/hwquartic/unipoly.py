@@ -2,10 +2,11 @@
 
 Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
-the representation canonical.  Root finding is exhaustive evaluation,
-which at desk scale (p^ext up to a configurable bound) is simple and
-certain.  ext2_elements and horner_ext2 are the one numpy evaluation
-kernel over F_{p^2}: the root scan and the point counts share it.
+the representation canonical.  ext2_root_counts counts the roots in
+F_{p^2} by one powmod; roots_over lists them by exhaustive evaluation
+(p^ext <= DEFAULT_ROOT_BOUND).  ext2_elements and horner_ext2 are the
+one numpy evaluation kernel over F_{p^2}: the root scan and the point
+counts share it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import CapacityError, ModulusError
 from .ffield import Fp2Element, FpElement, _as_modulus
 
-#: default cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
+#: cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
 DEFAULT_ROOT_BOUND = 250_000
 
 
@@ -43,10 +44,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> FpElement:
-        v = self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-        return FpElement(v, self.modulus)
 
     def leading(self) -> FpElement:
         if self.is_zero:
@@ -90,7 +87,8 @@ class UniPoly:
                 out[i + j] = (out[i + j] + a * b) % p
         return UniPoly(out, self.modulus)
 
-    def __pow__(self, e: int) -> "UniPoly":
+    def __pow__(self, e: int, m: "UniPoly | None" = None) -> "UniPoly":
+        """self**e; pow(self, e, m) reduces mod m at every step."""
         if e < 0:
             raise ValueError("negative polynomial power")
         out = UniPoly((1,), self.modulus)
@@ -99,8 +97,10 @@ class UniPoly:
             if e & 1:
                 out = out * base
             base = base * base
+            if m is not None:
+                out, base = out.divmod(m)[1], base.divmod(m)[1]
             e >>= 1
-        return out
+        return out if m is None else out.divmod(m)[1]
 
     def scale(self, c) -> "UniPoly":
         c = int(c) % self.modulus.p
@@ -246,23 +246,35 @@ def eval_all_ext2(f: UniPoly):
     return horner_ext2([(c, 0) for c in f.coeffs] or [(0, 0)], A, B, f.modulus)
 
 
-def roots_over(f: UniPoly, ext: int, limit: int | None = None):
+def ext2_root_counts(f: UniPoly):
+    """(found, squares): how many distinct roots f != 0 has in F_q, q = p^2,
+    and how many of those are squares in F_q (0 counts as one).
+
+    F_q and its squares are the roots of the squarefree t^q - t and
+    t^((q+1)/2) - t, which mod f are t*h^2 - t and t*h - t for
+    h = t^((q-1)/2) mod f; each count is the degree of a gcd with f.  One
+    powmod (Cantor-Zassenhaus, Math. Comp. 1981)."""
+    t = UniPoly((0, 1), f.modulus)
+    h = pow(t, (f.modulus.p ** 2 - 1) // 2, f)
+    return poly_gcd(f, t * h * h - t).degree, poly_gcd(f, t * h - t).degree
+
+
+def roots_over(f: UniPoly, ext: int):
     """All roots of f in F_p (ext=1) or F_{p^2} (ext=2), by exhaustion.
 
     Multiplicities are not reported; pair with is_separable when the
-    distinction matters.  Raises CapacityError when p**ext exceeds the
-    exhaustion bound (DEFAULT_ROOT_BOUND unless overridden).
+    distinction matters.  Raises CapacityError when p**ext exceeds
+    DEFAULT_ROOT_BOUND.
     """
     if f.is_zero:
         raise ValueError("every element is a root of the zero polynomial")
     if ext not in (1, 2):
         raise ValueError(f"ext must be 1 or 2, got {ext}")
-    bound = DEFAULT_ROOT_BOUND if limit is None else limit
     mod = f.modulus
     p = mod.p
-    if p ** ext > bound:
-        raise CapacityError(
-            f"root exhaustion over {p}^{ext} points exceeds bound {bound}")
+    if p ** ext > DEFAULT_ROOT_BOUND:
+        raise CapacityError(f"root exhaustion over {p}^{ext} points exceeds "
+                            f"bound {DEFAULT_ROOT_BOUND}")
     if ext == 1:
         vals = f.eval_all()
         return {FpElement(int(x), mod) for x in np.nonzero(vals == 0)[0]}

@@ -1,0 +1,69 @@
+"""Golden CLI outputs: exit code and sha256 of stdout and stderr per command.
+
+The digests in cli_golden.json pin the byte-identical output promise of
+the verify suites, enumerate and count-points.  A change that alters a
+report on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+and says why in its change notes.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from hwquartic.harness import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+COMMANDS = [
+    ["verify", "expectation", "--p-range", "5..500"],
+    ["verify", "expectation", "--p-range", "5..500", "--format", "json"],
+    ["verify", "maximality", "--p-range", "5..59", "--c6-question"],
+    ["verify", "counts", "--p-range", "5..1000"],
+    ["verify", "c9-table", "--p-range", "5..1000"],
+    ["verify", "euler", "--p-range", "5..1000"],
+    ["verify", "gauss-lemma", "--p-range", "5..300"],
+    ["verify", "c6-structure", "--p-range", "5..300"],
+    ["enumerate", "--p", "1009"],
+    ["count-points", "--family", "c9", "--p-range", "5..59"],
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv):
+    """The golden record of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout_sha256": _sha256(out.getvalue()),
+            "stderr_sha256": _sha256(err.getvalue()),
+            "stdout_lines": out.getvalue().count("\n")}
+
+
+def _golden():
+    return {" ".join(rec["argv"]): rec for rec in json.loads(GOLDEN.read_text())}
+
+
+def test_golden_covers_every_command():
+    assert sorted(_golden()) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    assert run(argv) == _golden()[" ".join(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.write_text(json.dumps([run(argv) for argv in COMMANDS], indent=1) + "\n")
+    print(f"wrote {len(COMMANDS)} records to {GOLDEN}")

@@ -10,7 +10,7 @@ import pytest
 from hwquartic import families
 from hwquartic.errors import CapacityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, modulus
-from hwquartic.harness import (SweepReport, _count_points_grid,
+from hwquartic.harness import (SUITES, SweepReport, _count_points_grid,
                                count_points_ext2, fermat_form,
                                hasse_weil_window, is_maximal_ext2, main,
                                oracle_corpus, parse_c6_param, parse_quartic,
@@ -347,6 +347,15 @@ def test_cli_usage_errors(capsys):
     assert main(["classify", "--p", "13", "--family", "c6"]) == 2  # no --r
     for cmd in ("hw", "classify", "count-points"):      # general, no --quartic
         assert main([cmd, "--p", "13", "--family", "general"]) == 2
+    # flags that cannot apply: --r outside c6, --bound / --c6-question
+    # outside verify maximality
+    assert main(["hw", "--p", "13", "--family", "c9", "--r", "5"]) == 2
+    assert main(["classify", "--p", "13", "--quartic", "x^3*y + y^3*z + z^4",
+                 "--r", "3"]) == 2
+    for suite in SUITES:
+        if suite != "maximality":
+            for flags in (["--bound", "60"], ["--c6-question"]):
+                assert main(["verify", suite, "--p-range", "5..13", *flags]) == 2
 
 
 @pytest.mark.parametrize("cmd", ["hw", "count-points", "classify"])
@@ -386,7 +395,9 @@ def test_python_dash_m_runs_the_cli():
 
 def test_cli_capacity_exit_code(capsys):
     assert main(["count-points", "--p", "67", "--family", "c9"]) == 3
-    assert main(["verify", "expectation", "--p", "503"]) == 3
+    code, out = run_cli(capsys, "verify", "expectation", "--p", "503")
+    assert code == 0
+    assert out.splitlines()[1:] == ["503,c6,,,,,,PASS,roots=83 of deg=83 all_square=True"]
 
 
 def test_cli_failure_exit_code(capsys, monkeypatch):

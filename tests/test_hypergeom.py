@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwquartic.errors import CapacityError, ModulusError, PoleError
+from hwquartic.errors import ModulusError, PoleError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import FpElement, embed, modulus
+from hwquartic.ffield import FpElement, embed, is_prime, is_square_fp2, modulus
 from hwquartic.hypergeom import (RationalParam, alpha_beta, expectation_check,
                                  gauss_truncated, pochhammer, verify_euler,
                                  verify_gauss_lemma)
-from hwquartic.unipoly import UniPoly
+from hwquartic.unipoly import UniPoly, roots_over
 
 
 def test_rational_param_reduction():
@@ -147,11 +147,17 @@ def test_verify_gauss_lemma_wrong_class():
         verify_gauss_lemma(modulus(13))
 
 
+def series(p):
+    """G^((p-5)/6)(5/6, 2/3, (2p+7)/6; t), the series expectation_check counts."""
+    return gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, modulus(p)).poly
+
+
 def test_expectation_check_p17():
     rep = expectation_check(modulus(17))
     assert rep.all_square is True
     assert rep.degree == 2 and rep.missing == 0
-    assert {(z.a, z.b) for z in rep.roots} == {(8, 0), (15, 0)}
+    assert {(z.a, z.b) for z in roots_over(series(17), 2)} == {(8, 0), (15, 0)}
+    assert rep.found == 2
 
 
 def test_expectation_check_p23():
@@ -165,8 +171,18 @@ def test_expectation_check_preconditions():
         expectation_check(modulus(11))  # p >= 17 required
     with pytest.raises(ModulusError):
         expectation_check(modulus(13))  # wrong residue class
-    with pytest.raises(CapacityError):
-        expectation_check(modulus(17), limit=100)
+
+
+def test_expectation_check_matches_exhaustion():
+    """The powmod count against root exhaustion at every p = 5 mod 6 in [17, 200]."""
+    primes = [p for p in range(17, 201) if p % 6 == 5 and is_prime(p)]
+    for p in primes:
+        roots = roots_over(series(p), 2)
+        rep = expectation_check(modulus(p))
+        assert rep.found == len(roots), p
+        assert rep.all_square == all(map(is_square_fp2, roots)), p
+        assert rep.missing == rep.degree - len(roots), p
+    assert len(primes) == 21
 
 
 @pytest.mark.parametrize("p", (17, 23, 29))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import Fp2Element, FpElement, components, modulus
+from hwquartic.ffield import (Fp2Element, FpElement, components, is_square_fp2,
+                              modulus)
 from hwquartic.unipoly import (UniPoly, derivative, divides, eval_all_ext2,
-                               ext2_elements, horner_ext2, is_separable,
-                               poly_gcd, roots_over)
+                               ext2_elements, ext2_root_counts, horner_ext2,
+                               is_separable, poly_gcd, roots_over)
 
 
 def P(coeffs, p):
@@ -131,8 +132,6 @@ def test_roots_over_capacity_and_zero():
     roots_over(f, 1)
     with pytest.raises(CapacityError):
         roots_over(f, 2)  # 521^2 > 250000
-    with pytest.raises(CapacityError):
-        roots_over(P([1, 1], 7), 2, limit=10)
     with pytest.raises(ValueError):
         roots_over(UniPoly.zero(modulus(7)), 1)
     with pytest.raises(ValueError):
@@ -151,6 +150,58 @@ def test_c2_divides_c1_at_23():
     polys = c6_coeff_polys(modulus(23))
     assert divides(polys.c2, polys.c1)
     assert divides(polys.d2, polys.d1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((5, 7, 11, 13)), st.lists(st.integers(0, 12), max_size=6),
+       st.lists(st.integers(0, 12), min_size=1, max_size=5), st.integers(0, 40))
+def test_pow_mod_matches_reduced_power(p, fc, gc, e):
+    f, g = P(fc, p), P(gc, p)
+    if g.is_zero:
+        g = P([1, 1], p)
+    assert pow(f, e, g) == (f ** e).divmod(g)[1]
+
+
+SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def factored_polys(draw):
+    """Products of factors whose roots reach every case of the count: F_p
+    roots (0 among them), F_{p^2} roots that are squares or not, roots
+    outside F_{p^2} (an irreducible cubic) and repeated roots."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    m = modulus(p)
+    coeff = st.integers(0, p - 1)
+    f = P([draw(st.integers(1, p - 1))], p)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("linear", "ext2", "cubic", "any")))
+        if kind == "linear":
+            factor = P([-draw(coeff), 1], p)
+        elif kind == "ext2":  # minimal polynomial of a + b*w, b != 0
+            a, b = draw(coeff), draw(st.integers(1, p - 1))
+            factor = P([a * a - m.nonresidue * b * b, -2 * a, 1], p)
+        elif kind == "cubic":  # no root in F_p, so irreducible
+            c = [draw(coeff), draw(coeff), draw(coeff), 1]
+            while roots_over(P(c, p), 1):
+                c[0] = (c[0] + 1) % p
+                c[1] = (c[1] + (c[0] == 0)) % p
+            factor = P(c, p)
+        else:
+            factor = P(draw(st.lists(coeff, min_size=1, max_size=5)), p)
+        if not factor.is_zero:
+            f = f * factor
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_polys())
+@example(P([3, 0, 1], 5))                  # t^2 - w^2: w is not a square in F_25
+@example(P([1, 1, 0, 1], 5))               # irreducible cubic, roots in F_125
+@example(P([0, 1], 5) * P([3, 0, 1], 5) * P([1, 1, 0, 1], 5) * P([1, 1], 5) ** 2)
+def test_ext2_root_counts_match_exhaustion(f):
+    roots = roots_over(f, 2)
+    assert ext2_root_counts(f) == (len(roots), sum(map(is_square_fp2, roots)))
 
 
 def test_separable_root_count_bound():
