@@ -26,8 +26,8 @@ from . import families, hypergeom
 from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .ffield import Fp2Element, FpElement, components, is_prime, modulus
-from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
-                     hw_matrix_oracle, stable_rank)
+from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
+                     hw_matrix, hw_matrix_oracle, stable_rank)
 from .unipoly import ext2_elements, horner_ext2, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
@@ -392,9 +392,9 @@ def _matrix_detail(M: HWMatrix) -> str:
 
 def _suite_oracle(report, mod, **_kw):
     p = mod.p
-    if p > 31:
+    if p > ORACLE_PRIME_BOUND:
         report.add(p=p, family="any", status="SKIP",
-                   detail="oracle expansion bound is p <= 31")
+                   detail=f"oracle expansion bound is p <= {ORACLE_PRIME_BOUND}")
         return
     bad = []
     forms = oracle_corpus(mod)

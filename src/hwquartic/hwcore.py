@@ -10,19 +10,20 @@ p*beta_b - beta_a, where beta_1 = (2,1,1), beta_2 = (1,2,1),
 beta_3 = (1,1,2).  This orientation is pinned by the expansion oracle in
 the test suite; do not transpose it.
 
-hw_matrix extracts a target coefficient WITHOUT expanding F^{p-1}: for a
-t-term form, the multinomial exponents (k_1, ..., k_t) of contributing
-terms solve the integer system
-
-    sum k_u = p - 1,    sum k_u * e_u = target   (componentwise),
-
-and the solver enumerates only the free parameters of that system
-(interval pruning collapses the search to a point or a short segment for
-the sparse forms that occur here).  hw_matrix_oracle expands F^{p-1}
-outright and is feasible for p <= 31; the two must agree everywhere.
+hw_matrix extracts a target coefficient WITHOUT expanding F^{p-1}: the
+multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
+(which forces sum k_u = p - 1) with k_u >= 0.  coefficient_in_power
+solves r = rank pivot terms exactly by an integer adjugate and enumerates
+the other multiplicities as numpy rows, about p^(t-3) of them, up to
+MAX_CANDIDATES.  hw_matrix_oracle expands F^{p-1} outright and is
+feasible for p <= 31; the two must agree everywhere.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
 
 from .errors import CapacityError, ModulusError
 from .ffield import (Fp2Element, FpElement, _as_modulus, binomial,
@@ -31,6 +32,10 @@ from .ffield import (Fp2Element, FpElement, _as_modulus, binomial,
 BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 ORACLE_PRIME_BOUND = 31
+
+#: most candidate rows the lattice enumerator of coefficient_in_power may
+#: hold; dense supports need more and raise CapacityError instead
+MAX_CANDIDATES = 1 << 20
 
 
 class QuarticForm:
@@ -132,136 +137,127 @@ class HWMatrix:
         return "HWMatrix(" + "; ".join(rows) + f", p={self.modulus.p})"
 
 
-def _solution_interval(term, others, target, n):
-    """[lo, hi] for the multiplicity of `term` given the remaining terms.
-
-    For each coordinate c the remaining n-k parts contribute between
-    (n-k)*m_c and (n-k)*M_c, which bounds k; an empty and cheap reject
-    happens here rather than deep in the recursion.
-    """
-    lo, hi = 0, n
-    for c in range(3):
-        e = term[c]
-        t = target[c]
-        if others:
-            mc = min(o[c] for o in others)
-            Mc = max(o[c] for o in others)
-        else:
-            mc = Mc = 0
-        # t - k*e <= (n-k)*Mc
-        d = e - Mc
-        num = t - n * Mc
-        if d > 0:
-            lo = max(lo, -(-num // d))
-        elif d < 0:
-            hi = min(hi, num // d)
-        elif num > 0:
-            return 1, 0
-        # t - k*e >= (n-k)*mc
-        d = e - mc
-        num = t - n * mc
-        if d > 0:
-            hi = min(hi, num // d)
-        elif d < 0:
-            lo = max(lo, -(-num // d))
-        elif num < 0:
-            return 1, 0
-    return lo, hi
+def _det(m):
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
-def _solve_pair(ta, tb, target, n):
-    """Exact multiplicities for the final two distinct terms, if any."""
-    for c in range(3):
-        if ta[c] != tb[c]:
-            num = target[c] - n * tb[c]
-            den = ta[c] - tb[c]
-            if num % den:
-                return None
-            ka = num // den
-            break
-    kb = n - ka
-    if ka < 0 or kb < 0:
-        return None
-    for c in range(3):
-        if ka * ta[c] + kb * tb[c] != target[c]:
-            return None
-    return ka, kb
+def _pivot_minor(exponents):
+    """(coords, pivots): a nonzero r x r minor of the 3 x t exponent matrix,
+    r its rank; the first such choice of terms in index order."""
+    for r in (3, 2, 1):
+        for pivots in combinations(range(len(exponents)), r):
+            for coords in combinations(range(3), r):
+                if _det([[exponents[v][c] for v in pivots] for c in coords]):
+                    return list(coords), list(pivots)
+    return [], []
 
 
-def _enumerate_compositions(exponents, target, n):
-    """Yield all (k_1, ..., k_t) >= 0 with sum n and sum k_u * e_u = target.
+def _mul(x, y, p, s):
+    """x*y on component tuples: (a,) over F_p, (a, b) for a + b*w, w^2 = s."""
+    if len(x) == 1:
+        return (x[0] * y[0] % p,)
+    (xa, xb), (ya, yb) = x, y
+    return (xa * ya + s * (xb * yb % p)) % p, (xa * yb + xb * ya) % p
 
-    Adaptive order: at each level the term with the tightest feasible
-    interval is branched on, so uniquely-determined multiplicities (for
-    instance a variable appearing in a single term) cost nothing.
-    """
-    t = len(exponents)
-    if t == 0:
-        if n == 0 and target == (0, 0, 0):
-            yield ()
-        return
-    if t == 1:
-        e = exponents[0]
-        if all(n * e[c] == target[c] for c in range(3)):
-            yield (n,)
-        return
-    if t == 2:
-        got = _solve_pair(exponents[0], exponents[1], target, n)
-        if got is not None:
-            yield got
-        return
-    # pick the branch variable with the narrowest interval
-    best = None
-    for u, term in enumerate(exponents):
-        others = exponents[:u] + exponents[u + 1:]
-        lo, hi = _solution_interval(term, others, target, n)
-        if hi < lo:
-            return
-        if best is None or hi - lo < best[0]:
-            best = (hi - lo, u, lo, hi, others)
-    _, u, lo, hi, others = best
-    term = exponents[u]
-    for k in range(lo, hi + 1):
-        rest = (target[0] - k * term[0], target[1] - k * term[1],
-                target[2] - k * term[2])
-        if rest[0] < 0 or rest[1] < 0 or rest[2] < 0:
-            continue
-        for sub in _enumerate_compositions(others, rest, n - k):
-            yield sub[:u] + (k,) + sub[u:]
+
+def _term_tables(coeffs, length, mod, width):
+    """Components of c^k / k! for 0 <= k < length, one row per coefficient
+    c; the powers by doubling."""
+    p = mod.p
+    s = mod.nonresidue if width == 2 else 0
+    step = tuple(np.array(v, np.int64)[:, None]
+                 for v in zip(*map(components, coeffs)))[:width]
+    tab = (np.ones_like(step[0]), np.zeros_like(step[0]))[:width]
+    while tab[0].shape[1] < length:  # step = c^(columns so far)
+        tab = tuple(np.concatenate(pair, axis=1)
+                    for pair in zip(tab, _mul(tab, step, p, s)))
+        step = _mul(step, step, p, s)
+    inverses = np.array(mod.factorials.inverses[:length], np.int64)
+    return tuple(v[:, :length] * inverses % p for v in tab)
+
+
+def _branch(lo, hi):
+    """(row, k): every row index once per multiplicity k in [lo, hi]."""
+    counts = np.maximum(hi - lo + 1, 0)
+    total = int(counts.sum())
+    if total > MAX_CANDIDATES:
+        raise CapacityError(
+            f"coefficient extraction needs {total} candidate rows, "
+            f"more than MAX_CANDIDATES = {MAX_CANDIDATES}")
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
 def coefficient_in_power(F: QuarticForm, target) -> "FpElement | Fp2Element":
-    """The coefficient of x^i y^j z^k in F^(p-1), without expanding."""
+    """The coefficient of x^i y^j z^k in F^(p-1), without expanding.
+
+    Zero when the target has a negative coordinate or does not have total
+    degree 4(p-1).  Raises CapacityError when the enumeration would hold
+    more than MAX_CANDIDATES rows.
+    """
     mod = F.modulus
     p = mod.p
-    n = p - 1
     items = sorted(F.terms.items())
-    exponents = [e for e, _ in items]
-    coeffs = [c for _, c in items]
-    tab = mod.factorials
-    ext = F.uses_ext_field()
-    acc_a = 0
-    acc_b = 0
-    target = tuple(int(v) for v in target)
-    for ks in _enumerate_compositions(exponents, target, n):
-        m = tab.values[n]
-        for k in ks:
-            m = m * tab.inverses[k] % p
-        if ext:
-            val = Fp2Element(m, 0, mod)
-            for c, k in zip(coeffs, ks):
-                if k:
-                    val = val * (c ** k)
-            acc_a = (acc_a + val.a) % p
-            acc_b = (acc_b + val.b) % p
-        else:
-            for c, k in zip(coeffs, ks):
-                if k:
-                    m = m * pow(c.value, k, p) % p
-            acc_a = (acc_a + m) % p
-    if ext:
-        return Fp2Element(acc_a, acc_b, mod)
-    return FpElement(acc_a, mod)
+    width = 2 if F.uses_ext_field() else 1
+    zero = Fp2Element(0, 0, mod) if width == 2 else FpElement(0, mod)
+    if min(target) < 0 or sum(target) != 4 * (p - 1):
+        return zero
+
+    exps = [e for e, _ in items]
+    E = np.array(exps, np.int64).reshape(-1, 3).T      # 3 x t
+    coords, pivots = _pivot_minor(exps)
+    free = [u for u in range(len(exps)) if u not in pivots]
+    B = [[exps[v][c] for v in pivots] for c in coords]
+    r = len(B)
+    det = _det(B)
+    sign = 1 if det > 0 else -1
+    det *= sign
+    # sign * adjugate of B, so that B @ adj = det * I with det > 0
+    adj = np.array([[sign * (-1) ** (i + j) * _det(
+        [row[:i] + row[i + 1:] for m, row in enumerate(B) if m != j])
+        for j in range(r)] for i in range(r)], np.int64).reshape(r, r)
+
+    ks = np.zeros((1, 0), np.int64)      # multiplicities of the free terms
+    rem = np.array([target], np.int64)   # the part of the target left
+    for u in free:
+        e = exps[u]
+        # rem sums to 4 times the degree left, so this also caps k by it
+        hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]], axis=0)
+        lo = np.zeros_like(hi)
+        if u == free[-1]:
+            # det * (pivot multiplicities) = a - k*b must stay >= 0
+            a = rem[:, coords] @ adj.T
+            b = adj @ E[coords, u]
+            for ai, bi in zip(a.T, b):
+                if bi > 0:
+                    hi = np.minimum(hi, ai // bi)
+                elif bi < 0:
+                    lo = np.maximum(lo, -(ai // -bi))
+                else:
+                    hi = np.where(ai < 0, -1, hi)
+        row, k = _branch(lo, hi)
+        ks = np.column_stack((ks[row], k))
+        rem = rem[row] - np.outer(k, e)
+
+    num = rem[:, coords] @ adj.T         # det * (pivot multiplicities)
+    keep = ((num % det == 0).all(axis=1) & (num >= 0).all(axis=1)
+            & (num @ E[:, pivots].T == det * rem).all(axis=1))
+    if not keep.any():
+        return zero
+    ks = np.column_stack((ks[keep], num[keep] // det))
+    s = mod.nonresidue if width == 2 else 0
+    val = (mod.factorials.values[p - 1], 0)[:width]
+    tab = _term_tables([c for _, c in items], int(ks.max()) + 1, mod, width)
+    for col, u in enumerate(free + pivots):
+        val = _mul(val, tuple(t[u, ks[:, col]] for t in tab), p, s)
+    acc = [int(v.sum() % p) for v in val]
+    return Fp2Element(*acc, mod) if width == 2 else FpElement(acc[0], mod)
 
 
 def _targets(p):

@@ -33,6 +33,11 @@ COMMANDS = [
     ["verify", "c6-structure", "--p-range", "5..300"],
     ["enumerate", "--p", "1009"],
     ["count-points", "--family", "c9", "--p-range", "5..59"],
+    ["hw", "--quartic", "x^3*y + y^3*z + z^3*x + 2*x^2*y*z + 3*x*y*z^2",
+     "--p-range", "5..300"],
+    ["classify", "--quartic",
+     "x^4 + y^4 + z^4 + x^2*y*z + 3*x*y^2*z + 5*x^3*y + 7*y*z^3",
+     "--p-range", "5..100"],
 ]
 
 

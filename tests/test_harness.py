@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,18 @@ def test_cli_capacity_exit_code(capsys):
     code, out = run_cli(capsys, "verify", "expectation", "--p", "503")
     assert code == 0
     assert out.splitlines()[1:] == ["503,c6,,,,,,PASS,roots=83 of deg=83 all_square=True"]
+
+
+def test_cli_dense_quartic_takes_the_capacity_exit(capsys):
+    dense = " + ".join(f"{n}*x^{i}*y^{j}*z^{4 - i - j}"
+                       for n, (i, j) in enumerate(
+                           ((i, j) for i in range(5) for j in range(5 - i)), 1))
+    start = time.perf_counter()
+    code = main(["classify", "--quartic", dense, "--p", "211"])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: coefficient extraction needs")
 
 
 def test_cli_failure_exit_code(capsys, monkeypatch):

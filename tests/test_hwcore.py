@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError
-from hwquartic.families import c6_form, c9_form
-from hwquartic.ffield import Fp2Element, FpElement, modulus
+from hwquartic.families import c6_form, c6_hw, c9_form, c9_hw
+from hwquartic.ffield import Fp2Element, FpElement, is_prime, modulus
 from hwquartic.harness import fermat_form, random_sparse_quartic
-from hwquartic.hwcore import (HWMatrix, QuarticForm, a_number,
-                              coefficient_in_power, elliptic_e0_supersingular,
-                              hw_matrix, hw_matrix_oracle, rank3, stable_rank)
+from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
+                              QuarticForm, a_number, coefficient_in_power,
+                              elliptic_e0_supersingular, hw_matrix,
+                              hw_matrix_oracle, rank3, stable_rank)
+
+MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+ORACLE_PRIMES = [p for p in range(5, ORACLE_PRIME_BOUND + 1) if is_prime(p)]
 
 
 def M(entries, p):
@@ -102,6 +108,100 @@ def test_coefficient_in_power_total_degree():
     F = QuarticForm({(4, 0, 0): 3, (0, 4, 0): 1}, m)
     c = coefficient_in_power(F, (4 * (p - 1), 0, 0))
     assert c == pow(3, p - 1, p)
+
+
+@st.composite
+def random_forms(draw):
+    """A quartic on 1-15 random monomials with nonzero int or F_{p^2}
+    coefficients, at p <= 31 (at most 8 terms above p = 13, where the
+    enumeration of a denser support outgrows MAX_CANDIDATES)."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    m = modulus(p)
+    support = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1,
+                            max_size=15 if p <= 13 else 8, unique=True))
+    if draw(st.booleans()):
+        coeff = st.builds(lambda a, b: Fp2Element(a, b, m),
+                          st.integers(0, p - 1), st.integers(0, p - 1))
+        coeff = coeff.filter(lambda c: not c.is_zero())
+    else:
+        coeff = st.integers(1, p - 1)
+    return QuarticForm({e: draw(coeff) for e in support}, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_forms())
+def test_hw_matrix_matches_oracle_on_random_supports(F):
+    assert hw_matrix(F) == hw_matrix_oracle(F)
+
+
+@pytest.mark.parametrize("support", [
+    [(4, 0, 0)],                                # rank 1
+    [(4, 0, 0), (2, 2, 0), (0, 4, 0)],          # rank 2, no z
+    [(3, 1, 0), (1, 3, 0), (2, 1, 1)],          # rank 3, pivot minor 8
+])
+@pytest.mark.parametrize("ext", [False, True])
+def test_hw_matrix_matches_oracle_on_degenerate_supports(support, ext):
+    rng = random.Random(11)
+    for p in ORACLE_PRIMES:
+        m = modulus(p)
+        coeff = ((lambda: Fp2Element(rng.randrange(1, p), rng.randrange(p), m))
+                 if ext else (lambda: rng.randrange(1, p)))
+        F = QuarticForm({e: coeff() for e in support}, m)
+        assert hw_matrix(F) == hw_matrix_oracle(F)
+
+
+def test_coefficient_in_power_off_range_targets_are_zero():
+    p = 13
+    n = p - 1
+    F = QuarticForm({(4, 0, 0): 3, (0, 4, 0): 5, (2, 1, 1): 7}, modulus(p))
+    assert coefficient_in_power(F, (4 * n, 0, 0)) == pow(3, n, p)
+    for target in [(4 * n + 4, -4, 0), (4 * n, 4, -4), (-2, 4 * n, 2),
+                   (4 * n, 0, 4), (4 * n - 4, 0, 0), (0, 0, 0)]:
+        assert coefficient_in_power(F, target).is_zero()
+    Fx = QuarticForm({(4, 0, 0): Fp2Element(1, 1, modulus(p))}, modulus(p))
+    zero = coefficient_in_power(Fx, (-4, 4 * n + 4, 0))
+    assert isinstance(zero, Fp2Element) and zero.is_zero()
+
+
+@pytest.mark.parametrize("p", [37, 101, 311, 997])
+def test_hw_matrix_matches_closed_forms_beyond_the_oracle(p):
+    m = modulus(p)
+    assert hw_matrix(c9_form(m)) == c9_hw(m)
+    for r in (FpElement(1, m), FpElement(p // 3, m), Fp2Element(3, 1, m),
+              Fp2Element(p - 5, 7, m)):
+        assert hw_matrix(c6_form(m, r)) == c6_hw(m, r)
+
+
+def _swap_xy(F):
+    return QuarticForm({(j, i, k): c for (i, j, k), c in F.terms.items()},
+                       F.modulus)
+
+
+CYCLIC5 = {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1, (2, 1, 1): 2, (1, 1, 2): 3}
+# every multiplicity is capped near p by the target alone, so only the
+# pivot interval of the last free term keeps the rows near p/2, not p^2/4
+SQUARES5 = {(0, 2, 2): 1, (1, 1, 2): 2, (2, 0, 2): 3, (2, 1, 1): 4, (2, 2, 0): 5}
+
+
+@pytest.mark.parametrize("p, terms", [(1009, CYCLIC5), (1321, CYCLIC5),
+                                      (2311, SQUARES5)])
+def test_swapping_x_and_y_permutes_the_matrix(p, terms):
+    # x <-> y swaps the first two basis vectors, so the matrix is
+    # conjugated by that permutation; the swapped form sorts its terms,
+    # and so picks its pivots, in another order
+    F = QuarticForm(terms, modulus(p))
+    G = hw_matrix(_swap_xy(F))
+    H = hw_matrix(F)
+    swap = {1: 2, 2: 1, 3: 3}
+    assert all(G[swap[a], swap[b]] == H[a, b]
+               for a in (1, 2, 3) for b in (1, 2, 3))
+    assert rank3(H) == 3
+
+
+def test_dense_support_hits_the_capacity_bound():
+    F = QuarticForm({e: 1 for e in MONOMIALS}, modulus(211))
+    with pytest.raises(CapacityError, match=str(MAX_CANDIDATES)):
+        hw_matrix(F)
 
 
 def test_rank3_and_a_number():
