@@ -13,10 +13,10 @@ from .harness import (ReportRow, SweepReport, count_points_ext2,
                       run_suite)
 from .hwcore import (HWMatrix, QuarticForm, a_number,
                      elliptic_e0_supersingular, hw_matrix, hw_matrix_oracle,
-                     rank3, stable_rank)
-from .hypergeom import (ExpectationReport, RationalParam, TruncatedSeries,
-                        expectation_check, gauss_truncated, pochhammer,
-                        verify_euler, verify_gauss_lemma)
+                     hw_targets, rank3, stable_rank)
+from .hypergeom import (ExpectationReport, RationalParam, expectation_check,
+                        gauss_truncated, pochhammer, verify_euler,
+                        verify_gauss_lemma)
 from .unipoly import (UniPoly, derivative, divides, ext2_root_counts,
                       is_separable, poly_gcd, roots_over)
 

@@ -4,11 +4,13 @@
   automorphism group cyclic of order 6 iff additionally r != 0.
 * C9 curve:   x^3 y + y^3 z + z^4 = 0, automorphism group cyclic of order 9.
 
-For the C6 family the nine coefficient-extraction targets reduce to a
-single binomial split: the x-exponent pins the multiplicity of the x^3*z
-term, and what remains is the y^m coefficient of (y^4 + r y^2 + 1)^s, a
-polynomial in r.  That reduction is coeff_of_power below; everything
-else in the C6 lane is built from it.
+Both fill the 3x3 grid of exponent targets that hwcore.hw_targets fixes.
+For C6 each target reduces to a single binomial split: the x-exponent
+pins the multiplicity of the x^3*z term, and what remains is the y^m
+coefficient of (y^4 + r y^2 + 1)^s (coeff_of_power), a polynomial in r.
+So the C6 closed form is a 3x3 grid of polynomials in r (C6CoeffPolys),
+and c6_hw evaluates it.  For C9 each target is hit by at most one
+multinomial term.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import IntegrityError
 from .ffield import Fp2Element, FpElement, _as_modulus, binomial, multinomial
-from .hwcore import BASIS, HWMatrix, QuarticForm, a_number, stable_rank
+from .hwcore import HWMatrix, QuarticForm, a_number, hw_targets, stable_rank
 from .unipoly import UniPoly, is_separable
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
@@ -110,16 +112,6 @@ def coeff_of_power(s: int, m: int, mod) -> UniPoly:
     return UniPoly(coeffs, mod)
 
 
-def _c6_entry_data(p: int, row: int, col: int):
-    """(x-multiplicity i/3, remaining exponent s, y-target j) for a slot,
-    or None when the slot vanishes identically (x-exponent not 0 mod 3)."""
-    target = tuple(p * BASIS[col - 1][t] - BASIS[row - 1][t] for t in range(3))
-    i, j, _ = target
-    if i % 3:
-        return None
-    return i // 3, p - 1 - i // 3, j
-
-
 def c6_entry_poly(mod, row: int, col: int) -> UniPoly:
     """Entry (row, col) of the C6 Hasse-Witt matrix as a polynomial in r.
 
@@ -129,22 +121,23 @@ def c6_entry_poly(mod, row: int, col: int) -> UniPoly:
     out identically zero.
     """
     mod = _as_modulus(mod)
-    data = _c6_entry_data(mod.p, row, col)
-    if data is None:
+    p = mod.p
+    i, j, _ = hw_targets(p)[row - 1][col - 1]
+    if i % 3:
         return UniPoly.zero(mod)
-    i3, s, j = data
-    return coeff_of_power(s, j, mod).scale(binomial(mod.p - 1, i3, mod))
+    return coeff_of_power(p - 1 - i // 3, j, mod).scale(binomial(p - 1, i // 3, mod))
 
 
 class C6CoeffPolys:
-    """Coefficient polynomials of the C6 Hasse-Witt matrix at p.
+    """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r.
 
-    For p = 5 mod 6 the matrix is anti-diagonal with entries c1 (slot
-    (1,3)) and c2 (slot (3,1)); for p = 1 mod 6 it is diagonal with
-    entries ct1, ct2, ct3.  Each is read off c6_entry_poly.  For p = 5
-    mod 6 the d-normalized forms d1, d2 (the raw y-coefficients of
-    (y^4 + r y^2 + 1)^s, before the binomial scalar) are kept alongside
-    for the hypergeometric cross-checks.
+    entries[a][b] is c6_entry_poly(mod, a + 1, b + 1).  Its named slots
+    are c1 = (1,3), c2 = (3,1) and ct1, ct2, ct3 on the diagonal.  The
+    matrix is anti-diagonal (only c1, c2 nonzero) for p = 5 mod 6 and
+    diagonal for p = 1 mod 6; the other slots come out as zero
+    polynomials.  For p = 5 mod 6, d1 and d2 are the raw y-coefficients
+    of (y^4 + r y^2 + 1)^s behind c1 and c2, before the binomial scalar,
+    kept for the hypergeometric cross-checks.
     """
 
     def __init__(self, mod):
@@ -152,19 +145,15 @@ class C6CoeffPolys:
         p = mod.p
         self.modulus = mod
         self.residue = p % 6
-        if self.residue == 5:
-            self.c1 = c6_entry_poly(mod, 1, 3)
-            self.c2 = c6_entry_poly(mod, 3, 1)
-            # d = c / binom(p-1, k); binom(p-1, k) = (-1)^k, and the two
-            # slots' k = (p-2)/3 and (2p-1)/3 differ by an even number
-            scalar = binomial(p - 1, (p - 2) // 3, mod).inverse()
-            self.d1 = self.c1.scale(scalar)
-            self.d2 = self.c2.scale(scalar)
-            self.ct1 = self.ct2 = self.ct3 = None
-        else:
-            self.ct1, self.ct2, self.ct3 = (c6_entry_poly(mod, k, k)
-                                            for k in (1, 2, 3))
-            self.c1 = self.c2 = self.d1 = self.d2 = None
+        self.entries = [[c6_entry_poly(mod, row, col) for col in (1, 2, 3)]
+                        for row in (1, 2, 3)]
+        self.c1, self.c2 = self.entries[0][2], self.entries[2][0]
+        self.ct1, self.ct2, self.ct3 = (self.entries[k][k] for k in range(3))
+        # d = c / binom(p-1, k); binom(p-1, k) = (-1)^k, and for p = 5 mod 6
+        # the two slots' k = (p-2)/3 and (2p-1)/3 differ by an even number
+        scalar = binomial(p - 1, (p - 2) // 3, mod).inverse()
+        self.d1 = self.c1.scale(scalar)
+        self.d2 = self.c2.scale(scalar)
 
     def root_locus_poly(self) -> UniPoly:
         """The polynomial whose roots are the maximal-a-number parameters."""
@@ -190,24 +179,12 @@ def _reject_singular(mod, r):
 
 
 def c6_hw(mod, r, polys: "C6CoeffPolys | None" = None) -> HWMatrix:
-    """Hasse-Witt matrix of C_r from the closed-form entry polynomials."""
+    """Hasse-Witt matrix of C_r: the grid of entry polynomials at r."""
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
     if polys is None:
         polys = c6_coeff_polys(mod)
-    if isinstance(r, Fp2Element):
-        zero = Fp2Element(0, 0, mod)
-    else:
-        zero = FpElement(0, mod)
-    rows = [[zero] * 3 for _ in range(3)]
-    if polys.residue == 5:
-        rows[0][2] = polys.c1.eval(r)
-        rows[2][0] = polys.c2.eval(r)
-    else:
-        rows[0][0] = polys.ct1.eval(r)
-        rows[1][1] = polys.ct2.eval(r)
-        rows[2][2] = polys.ct3.eval(r)
-    return HWMatrix(rows, mod)
+    return HWMatrix([[poly.eval(r) for poly in row] for row in polys.entries], mod)
 
 
 def c6_classify(mod, r, polys=None) -> Classification:
@@ -256,12 +233,13 @@ def c6_count_max_a(mod) -> int:
     return n // 2
 
 
-def _c9_solve_slot(p: int, row: int, col: int):
-    """Multinomial exponents (a, b, c) hitting the slot's target, if integral.
+def _c9_solve_slot(p: int, target):
+    """Multinomial exponents (a, b, c) hitting the exponent target (i, j, k),
+    if integral.
 
     x^(3a) y^(a+3b) z^(b+4c) = x^i y^j z^k with a + b + c = p - 1.
     """
-    i, j, k = (p * BASIS[col - 1][t] - BASIS[row - 1][t] for t in range(3))
+    i, j, k = target
     if i % 3:
         return None
     a = i // 3
@@ -282,13 +260,12 @@ def c9_hw(mod) -> HWMatrix:
     """
     mod = _as_modulus(mod)
     p = mod.p
-    rows = [[FpElement(0, mod) for _ in range(3)] for _ in range(3)]
-    for row in (1, 2, 3):
-        for col in (1, 2, 3):
-            abc = _c9_solve_slot(p, row, col)
-            if abc is not None:
-                rows[row - 1][col - 1] = multinomial(p - 1, abc, mod)
-    return HWMatrix(rows, mod)
+
+    def entry(target):
+        abc = _c9_solve_slot(p, target)
+        return FpElement(0, mod) if abc is None else multinomial(p - 1, abc, mod)
+
+    return HWMatrix([[entry(t) for t in row] for row in hw_targets(p)], mod)
 
 
 def c9_classify(mod) -> Classification:

@@ -18,14 +18,15 @@ import json
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import families, hypergeom
 from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
-from .ffield import Fp2Element, FpElement, components, is_prime, modulus
+from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
+                     modulus)
 from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
                      hw_matrix, hw_matrix_oracle, stable_rank)
 from .unipoly import ext2_elements, horner_ext2, roots_over
@@ -33,9 +34,6 @@ from .unipoly import ext2_elements, horner_ext2, roots_over
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
 DEFAULT_POINT_BOUND = 60
-
-SUITES = ("oracle", "c6-structure", "counts", "c9-table", "euler",
-          "gauss-lemma", "expectation", "maximality")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +71,7 @@ def parse_quartic(text: str, mod) -> QuarticForm:
     Every term must have total degree 4; coefficients are integers,
     reduced mod p, with '-' folding into the coefficient sign.
     """
-    if isinstance(mod, int):
-        mod = modulus(mod)
+    mod = _as_modulus(mod)
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty quartic expression", position=0)
@@ -146,8 +143,7 @@ _C6_PARAM_RE = re.compile(
 
 def parse_c6_param(text: str, mod):
     """Parse a C6 parameter: a decimal integer, or "a+b*w" for F_{p^2}."""
-    if isinstance(mod, int):
-        mod = modulus(mod)
+    mod = _as_modulus(mod)
     m = _C6_PARAM_RE.match(text)
     if m is None:
         raise ParseError(f"cannot parse parameter {text!r}: want N or a+b*w",
@@ -265,10 +261,6 @@ def is_maximal_ext2(F: QuarticForm, bound: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # reports
 
-_CSV_COLUMNS = ("p", "family", "param", "a_number", "p_rank",
-                "newton_polygon", "eo_type", "status", "detail")
-
-
 @dataclass(frozen=True)
 class ReportRow:
     p: int
@@ -280,6 +272,9 @@ class ReportRow:
     eo_type: str = ""
     status: str = "PASS"
     detail: str = ""
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass
@@ -411,24 +406,14 @@ def _suite_c6_structure(report, mod, **_kw):
     p = mod.p
     anti = p % 6 == 5
     live = {(1, 3), (3, 1)} if anti else {(1, 1), (2, 2), (3, 3)}
-    problems = []
-    for row in (1, 2, 3):
-        for col in (1, 2, 3):
-            poly = families.c6_entry_poly(mod, row, col)
-            if (row, col) not in live and not poly.is_zero:
-                problems.append(f"slot {(row, col)} nonzero")
     polys = families.c6_coeff_polys(mod)
-    attained = set()
-    vals_main = polys.root_locus_poly().eval_all()
-    vals_other = (polys.c1 if anti else polys.ct3).eval_all()
-    vals_mid = None if anti else polys.ct2.eval_all()
-    for r in range(p):
-        if r in (0, 2, p - 2):
-            continue
-        rk = int(vals_main[r] != 0) + int(vals_other[r] != 0)
-        if not anti:
-            rk += int(vals_mid[r] != 0)
-        attained.add(3 - rk)
+    problems = [f"slot {(row, col)} nonzero"
+                for row in (1, 2, 3) for col in (1, 2, 3)
+                if (row, col) not in live
+                and not polys.entries[row - 1][col - 1].is_zero]
+    # with the shape checked, the nonzero slots at r give the rank there
+    rank = sum(poly.eval_all() != 0 for row in polys.entries for poly in row)
+    attained = {3 - int(rank[r]) for r in range(p) if r not in (0, 2, p - 2)}
     forbidden = 2 if anti else 1
     if forbidden in attained:
         problems.append(f"a-number {forbidden} attained")
@@ -560,6 +545,8 @@ _SUITE_FUNCS = {
     "maximality": _suite_maximality,
 }
 
+SUITES = tuple(_SUITE_FUNCS)
+
 
 def run_suite(name: str, primes, explicit: bool = False,
               bound: int | None = None, c6_question: bool = False):
@@ -634,8 +621,9 @@ def _cmd_hw(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, _, F = _form_for(args, mod)
-        M = hw_matrix(F)
+        fam, param, r, F = _form_for(args, mod)
+        M = (families.c6_hw(mod, r) if fam == "c6"
+             else families.c9_hw(mod) if fam == "c9" else hw_matrix(F))
         report.add(p=p, family=fam, param=param,
                    a_number=a_number(M), p_rank=stable_rank(M),
                    detail=_matrix_detail(M))

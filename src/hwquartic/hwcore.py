@@ -7,8 +7,10 @@ The matrix of the p-power Frobenius on H^1(C, O_C), in the ordered basis
 consists of nine specific coefficients of F^{p-1}: the entry in row a,
 column b is the coefficient of the monomial with exponent vector
 p*beta_b - beta_a, where beta_1 = (2,1,1), beta_2 = (1,2,1),
-beta_3 = (1,1,2).  This orientation is pinned by the expansion oracle in
-the test suite; do not transpose it.
+beta_3 = (1,1,2).  hw_targets(p) is the one place that states this rule:
+hw_matrix, hw_matrix_oracle and the closed forms of the C6/C9 families
+all fill its 3x3 grid.  The orientation is pinned by the expansion
+oracle in the test suite; do not transpose it.
 
 hw_matrix extracts a target coefficient WITHOUT expanding F^{p-1}: the
 multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
@@ -260,16 +262,17 @@ def coefficient_in_power(F: QuarticForm, target) -> "FpElement | Fp2Element":
     return Fp2Element(*acc, mod) if width == 2 else FpElement(acc[0], mod)
 
 
-def _targets(p):
-    return [[tuple(p * BASIS[b][t] - BASIS[a][t] for t in range(3))
-             for b in range(3)] for a in range(3)]
+def hw_targets(p):
+    """The exponent targets p*beta_b - beta_a of the nine entries, as a
+    3x3 grid: row a, column b (0-indexed)."""
+    return [[(p * b0 - a0, p * b1 - a1, p * b2 - a2) for b0, b1, b2 in BASIS]
+            for a0, a1, a2 in BASIS]
 
 
 def hw_matrix(F: QuarticForm) -> HWMatrix:
     """Hasse-Witt matrix via constrained coefficient extraction."""
-    tg = _targets(F.modulus.p)
-    return HWMatrix([[coefficient_in_power(F, tg[a][b]) for b in range(3)]
-                     for a in range(3)], F.modulus)
+    return HWMatrix([[coefficient_in_power(F, t) for t in row]
+                     for row in hw_targets(F.modulus.p)], F.modulus)
 
 
 def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
@@ -299,8 +302,7 @@ def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
             return Fp2Element(v[0], v[1], mod)
         return FpElement(v[0], mod)
 
-    tg = _targets(p)
-    return HWMatrix([[fetch(tg[a][b]) for b in range(3)] for a in range(3)], mod)
+    return HWMatrix([[fetch(t) for t in row] for row in hw_targets(p)], mod)
 
 
 def rank3(M: HWMatrix) -> int:

@@ -69,16 +69,7 @@ def pochhammer(x, n: int, mod) -> FpElement:
     return FpElement(out, mod)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """G^d(a,b,c;t) mod p: params, truncation degree, and the polynomial."""
-
-    poly: UniPoly
-    params: tuple
-    truncation: int
-
-
-def gauss_truncated(a, b, c, d: int, mod) -> TruncatedSeries:
+def gauss_truncated(a, b, c, d: int, mod) -> UniPoly:
     """Truncation of G(a,b,c;t) mod p to degree d.
 
     Term ratios are accumulated incrementally; a vanishing denominator
@@ -100,7 +91,7 @@ def gauss_truncated(a, b, c, d: int, mod) -> TruncatedSeries:
         num = (a0 + n - 1) % p * ((b0 + n - 1) % p) % p
         term = term * num % p * pow(den, p - 2, p) % p
         coeffs.append(term)
-    return TruncatedSeries(UniPoly(coeffs, mod), (a, b, c), d)
+    return UniPoly(coeffs, mod)
 
 
 def _require_residue_5_mod_6(mod):
@@ -128,8 +119,8 @@ def verify_euler(mod) -> bool:
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
     c = RationalParam(7, 6)
-    lhs = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod).poly
-    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod).poly
+    lhs = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
+    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
     rhs = one_minus_t_power((p + 1) // 3, mod) * g2
     return lhs == rhs
 
@@ -166,8 +157,8 @@ def verify_gauss_lemma(mod) -> bool:
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
     c = RationalParam(7, 6)
-    g1 = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod).poly
-    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod).poly
+    g1 = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
+    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
     polys = c6_coeff_polys(mod)
     bin1 = embed(binomial((2 * p - 1) // 3, (p + 1) // 6, mod))
     bin2 = embed(binomial((p - 2) // 3, (p + 1) // 6, mod))
@@ -216,7 +207,7 @@ def expectation_check(mod) -> ExpectationReport:
         raise ValueError(
             f"p = {p} < 17: the truncated series has no admissible roots")
     c = RationalParam(7, 6)
-    g = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod).poly
+    g = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
     found, squares = ext2_root_counts(g)
     return ExpectationReport(p=p, all_square=squares == found, found=found,
                              degree=g.degree, missing=g.degree - found)

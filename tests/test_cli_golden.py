@@ -38,6 +38,11 @@ COMMANDS = [
     ["classify", "--quartic",
      "x^4 + y^4 + z^4 + x^2*y*z + 3*x*y^2*z + 5*x^3*y + 7*y*z^3",
      "--p-range", "5..100"],
+    ["hw", "--family", "c6", "--r", "1", "--p-range", "5..300"],
+    ["hw", "--family", "c6", "--r", "1+2*w", "--p-range", "5..150"],
+    ["hw", "--family", "c9", "--p-range", "5..1000"],
+    ["classify", "--family", "c6", "--r", "3+5*w", "--p-range", "7..100"],
+    ["classify", "--family", "c9", "--p-range", "5..1000", "--format", "json"],
 ]
 
 

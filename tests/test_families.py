@@ -7,8 +7,8 @@ from hwquartic.families import (Classification, TABLE_C6, TABLE_C9,
                                 c9_classify, c9_form, c9_hw, coeff_of_power)
 from hwquartic.ffield import Fp2Element, FpElement, modulus, multinomial
 from hwquartic.harness import primes_in
-from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, rank3,
-                              stable_rank)
+from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
+                              rank3, stable_rank)
 from hwquartic.unipoly import UniPoly, divides, is_separable, roots_over
 
 
@@ -75,6 +75,12 @@ def test_c6_entry_poly_structure():
                 poly = c6_entry_poly(m, row, col)
                 assert poly.is_zero == ((row, col) not in live)
         polys = c6_coeff_polys(m)
+        for row in (1, 2, 3):
+            for col in (1, 2, 3):
+                assert polys.entries[row - 1][col - 1] == c6_entry_poly(m, row, col)
+        E = polys.entries
+        assert (polys.c1, polys.c2) == (E[0][2], E[2][0])
+        assert (polys.ct1, polys.ct2, polys.ct3) == (E[0][0], E[1][1], E[2][2])
         if p % 6 == 5:
             assert c6_entry_poly(m, 1, 3) == polys.c1
             assert c6_entry_poly(m, 3, 1) == polys.c2
@@ -279,15 +285,17 @@ def test_c9_hw_matches_slot_tables():
     for p in primes_in(5, 2999):
         m = modulus(p)
         H = c9_hw(m)
+        tg = hw_targets(p)
         for row in (1, 2, 3):
             for col in (1, 2, 3):
+                target = tg[row - 1][col - 1]
                 if (row, col) in _C9_ACTIVE[p % 9]:
                     abc = _C9_ABC[(row, col)](p)
-                    assert _c9_solve_slot(p, row, col) == abc, (p, row, col)
+                    assert _c9_solve_slot(p, target) == abc, (p, row, col)
                     assert H[row, col] == multinomial(p - 1, abc, m), (p, row, col)
                     assert not H[row, col].is_zero(), (p, row, col)
                 else:
-                    assert _c9_solve_slot(p, row, col) is None, (p, row, col)
+                    assert _c9_solve_slot(p, target) is None, (p, row, col)
                     assert H[row, col].is_zero(), (p, row, col)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hwquartic import families
-from hwquartic.errors import CapacityError, ParseError
+from hwquartic.errors import CapacityError, IntegrityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, modulus
 from hwquartic.harness import (SUITES, SweepReport, _count_points_grid,
                                count_points_ext2, fermat_form,
@@ -321,6 +321,20 @@ def test_cli_hw_general(capsys):
     assert code == 0
     rep = SweepReport.from_csv(out)
     assert rep.rows[0].a_number == 0 and rep.rows[0].p_rank == 3
+
+
+def test_cli_hw_family_uses_closed_form(capsys, monkeypatch):
+    from hwquartic import harness
+
+    def no_extractor(F):
+        raise IntegrityError("hw_matrix called")
+
+    monkeypatch.setattr(harness, "hw_matrix", no_extractor)
+    assert run_cli(capsys, "hw", "--p", "13", "--family", "c9")[0] == 0
+    assert run_cli(capsys, "hw", "--p", "13", "--family", "c6", "--r", "5")[0] == 0
+    code, _ = run_cli(capsys, "hw", "--p", "13", "--quartic",
+                      "x^3*z + y^4 + 5*y^2*z^2 + z^4")
+    assert code == 1
 
 
 def test_cli_classify_c9_json(capsys):
