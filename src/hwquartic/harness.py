@@ -594,8 +594,9 @@ def _resolve_primes(args):
     raise ParseError("one of --p or --p-range is required")
 
 
-def _form_for(args, mod):
-    """(family, param, r, F), r the C_r parameter (r != +-2) or None."""
+def _family_for(args, mod):
+    """(family, param, r, F): r the C_r parameter (r != +-2) or None, F the
+    parsed --quartic or None (count-points builds a family's form)."""
     fam = args.family or ("general" if args.quartic is not None
                           else "c6" if args.r is not None else None)
     if fam is None:
@@ -609,11 +610,11 @@ def _form_for(args, mod):
             raise ParseError("--family general needs --quartic")
         return fam, args.quartic, None, parse_quartic(args.quartic, mod)
     if fam == "c9":
-        return fam, "", None, families.c9_form(mod)
+        return fam, "", None, None
     if args.r is None:
         raise ParseError("--family c6 needs --r")
     r = families._reject_singular(mod, parse_c6_param(args.r, mod))
-    return fam, str(r), r, families.c6_form(mod, r)
+    return fam, str(r), r, None
 
 
 def _cmd_hw(args) -> int:
@@ -621,7 +622,7 @@ def _cmd_hw(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, r, F = _form_for(args, mod)
+        fam, param, r, F = _family_for(args, mod)
         M = (families.c6_hw(mod, r) if fam == "c6"
              else families.c9_hw(mod) if fam == "c9" else hw_matrix(F))
         report.add(p=p, family=fam, param=param,
@@ -636,7 +637,7 @@ def _cmd_classify(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, r, F = _form_for(args, mod)
+        fam, param, r, F = _family_for(args, mod)
         if fam == "general":
             M = hw_matrix(F)
             report.add(p=p, family=fam, param=param,
@@ -687,7 +688,9 @@ def _cmd_count_points(args) -> int:
     report = SweepReport()
     for p in primes:
         mod = modulus(p)
-        fam, param, _, F = _form_for(args, mod)
+        fam, param, r, F = _family_for(args, mod)
+        if F is None:
+            F = families.c9_form(mod) if fam == "c9" else families.c6_form(mod, r)
         n = count_points_ext2(F, bound=args.bound)
         lo, hi = hasse_weil_window(p)
         report.add(p=p, family=fam, param=param,

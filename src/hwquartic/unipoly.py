@@ -2,11 +2,12 @@
 
 Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
-the representation canonical.  ext2_root_counts counts the roots in
-F_{p^2} by one powmod; roots_over lists them by exhaustive evaluation
-(p^ext <= DEFAULT_ROOT_BOUND).  ext2_elements and horner_ext2 are the
-one numpy evaluation kernel over F_{p^2}: the root scan and the point
-counts share it.
+the representation canonical.  Kronecker-substitution products; powmod
+by a precomputed inverse of rev(m); divmod and gcd schoolbook.
+ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
+lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
+ext2_elements and horner_ext2 are the one numpy evaluation kernel over
+F_{p^2}: the root scan and the point counts share it.
 """
 
 from __future__ import annotations
@@ -75,32 +76,35 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs], self.modulus)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
+        """Kronecker substitution: one int product of the factors packed
+        into k-byte slots, wide enough for any coefficient of the result."""
         self._check(other)
-        if self.is_zero or other.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UniPoly.zero(self.modulus)
         p = self.modulus.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-        return UniPoly(out, self.modulus)
+        k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+        n = k * (len(a) + len(b) - 1)
+        prod = (_pack(a, k) * _pack(b, k)).to_bytes(n, "little")
+        return UniPoly([int.from_bytes(prod[i:i + k], "little")
+                        for i in range(0, n, k)], self.modulus)
 
     def __pow__(self, e: int, m: "UniPoly | None" = None) -> "UniPoly":
-        """self**e; pow(self, e, m) reduces mod m at every step."""
+        """self**e; pow(self, e, m) reduces mod m at every step, each
+        reduction two products with the inverse of rev(m) (_Reducer)."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = UniPoly((1,), self.modulus)
-        base = self
+        base, reduce = self, lambda f: f
+        if m is not None:
+            base, reduce = self.divmod(m)[1], _Reducer(m)
+        out = None
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
-            if m is not None:
-                out, base = out.divmod(m)[1], base.divmod(m)[1]
+                out = base if out is None else reduce(out * base)
             e >>= 1
-        return out if m is None else out.divmod(m)[1]
+            if e:
+                base = reduce(base * base)
+        return reduce(UniPoly((1,), self.modulus)) if out is None else out
 
     def scale(self, c) -> "UniPoly":
         c = int(c) % self.modulus.p
@@ -178,6 +182,41 @@ class UniPoly:
             if c:
                 terms.append(f"{c}" if k == 0 else (f"r^{k}" if c == 1 else f"{c}*r^{k}"))
         return "UniPoly(" + " + ".join(terms) + f", p={self.modulus.p})"
+
+
+def _pack(coeffs, k: int) -> int:
+    """The int with coeffs[i] in little-endian byte slot i of k bytes."""
+    return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in coeffs]),
+                          "little")
+
+
+class _Reducer:
+    """f mod m for deg f < 2 deg m, by two products.
+
+    With n = deg m and rev_d(f) = t^d f(1/t), the quotient of f (degree
+    D) by m is rev_{D-n}(rev_D(f) / rev_n(m) mod t^(D-n+1)) (von zur
+    Gathen-Gerhard, Modern Computer Algebra, 9.1).  The power series
+    1/rev_n(m) is computed once, to precision n, by Newton iteration
+    g <- g (2 - rev_n(m) g)."""
+
+    def __init__(self, m: UniPoly):
+        self.m, self.n, mod = m, m.degree, m.modulus
+        rev = m.coeffs[::-1]
+        g, prec = UniPoly((pow(rev[0], mod.p - 2, mod.p),), mod), 1
+        while prec < self.n:
+            prec = min(2 * prec, self.n)
+            e = UniPoly(rev[:prec], mod) * g
+            g = UniPoly((g * (UniPoly((2,), mod) - e)).coeffs[:prec], mod)
+        self.inv = g.coeffs
+
+    def __call__(self, f: UniPoly) -> UniPoly:
+        d = len(f.coeffs) - self.n
+        if d <= 0:
+            return f
+        mod = f.modulus
+        qrev = (UniPoly(f.coeffs[:-d - 1:-1], mod)
+                * UniPoly(self.inv[:d], mod)).coeffs[:d]
+        return f - UniPoly((0,) * (d - len(qrev)) + qrev[::-1], mod) * self.m
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:

@@ -25,10 +25,12 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 COMMANDS = [
     ["verify", "expectation", "--p-range", "5..500"],
     ["verify", "expectation", "--p-range", "5..500", "--format", "json"],
+    ["verify", "expectation", "--p-range", "500..1100"],
     ["verify", "maximality", "--p-range", "5..59", "--c6-question"],
     ["verify", "counts", "--p-range", "5..1000"],
     ["verify", "c9-table", "--p-range", "5..1000"],
     ["verify", "euler", "--p-range", "5..1000"],
+    ["verify", "euler", "--p-range", "2500..3000"],
     ["verify", "gauss-lemma", "--p-range", "5..300"],
     ["verify", "c6-structure", "--p-range", "5..300"],
     ["enumerate", "--p", "1009"],

@@ -396,6 +396,21 @@ def test_cli_verify_maximality_c6_question(capsys, p, rows):
     assert out.splitlines()[1:] == rows
 
 
+@pytest.mark.parametrize("cmd", ["hw", "classify"])
+@pytest.mark.parametrize("family", [["c6", "--r", "4"], ["c9"]])
+def test_cli_family_matrices_build_no_form(monkeypatch, capsys, cmd, family):
+    """hw and classify read a family's matrix from its closed form; only
+    count-points needs the quartic itself."""
+    def unused(*args):
+        raise ValueError("family form built")
+
+    monkeypatch.setattr(families, "c6_form", unused)
+    monkeypatch.setattr(families, "c9_form", unused)
+    code, out = run_cli(capsys, cmd, "--family", *family, "--p-range", "5..40")
+    assert code == 0
+    assert len(SweepReport.from_csv(out).rows) == 10
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(families.__file__).resolve().parents[1])
     env = dict(os.environ,

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import (Fp2Element, FpElement, components, is_square_fp2,
-                              modulus)
+from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
+                              is_square_fp2, modulus)
 from hwquartic.unipoly import (UniPoly, derivative, divides, eval_all_ext2,
                                ext2_elements, ext2_root_counts, horner_ext2,
                                is_separable, poly_gcd, roots_over)
@@ -160,6 +162,128 @@ def test_pow_mod_matches_reduced_power(p, fc, gc, e):
     if g.is_zero:
         g = P([1, 1], p)
     assert pow(f, e, g) == (f ** e).divmod(g)[1]
+
+
+# ---------------------------------------------------------------------------
+# products and powmod against the schoolbook oracles
+
+def schoolbook_mul(f, g):
+    """Reference: the quadratic product loop."""
+    p = f.modulus.p
+    if f.is_zero or g.is_zero:
+        return UniPoly.zero(f.modulus)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = (out[i + j] + a * b) % p
+    return UniPoly(out, f.modulus)
+
+
+def divmod_powmod(f, e, m):
+    """Reference: square and multiply, each step reduced by divmod."""
+    out, base = UniPoly((1,), f.modulus), f
+    while e:
+        if e & 1:
+            out = schoolbook_mul(out, base).divmod(m)[1]
+        base = schoolbook_mul(base, base).divmod(m)[1]
+        e >>= 1
+    return out.divmod(m)[1]
+
+
+MERSENNE_61 = 2 ** 61 - 1
+PRIMES = st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]
+                         + [MERSENNE_61])
+
+
+@st.composite
+def polys(draw, p, max_len):
+    """Coefficient lists biased to p - 1, where the product slots fill up."""
+    c = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
+    return P(draw(st.lists(c, max_size=max_len)), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES, st.data())
+def test_mul_matches_schoolbook(p, data):
+    f, g = data.draw(polys(p, 40)), data.draw(polys(p, 40))
+    assert f * g == schoolbook_mul(f, g)
+    assert g * f == f * g
+    e = data.draw(st.integers(0, 5))
+    assert f ** e == reduce(schoolbook_mul, [f] * e, P([1], p))
+
+
+@pytest.mark.parametrize("p", (7, 127, 9973, MERSENNE_61))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128))
+def test_mul_at_slot_width_steps(p, n):
+    """All coefficients p - 1 fill every slot of the product to its
+    largest value n (p-1)^2; the slot width steps up where the shorter
+    length n crosses a power of 2."""
+    f = P([p - 1] * n, p)
+    for g in (f, P([p - 1] * (n + 5), p), P([p - 1], p), P([3], p)):
+        assert f * g == schoolbook_mul(f, g)
+
+
+def test_mul_zero_and_constants():
+    for p in (5, MERSENNE_61):
+        z, one, c = UniPoly.zero(modulus(p)), P([1], p), P([p - 2], p)
+        f = P(range(1, 9), p)
+        assert (z * f).is_zero and (f * z).is_zero and (z * z).is_zero
+        assert one * f == f == f * one
+        assert c * c == P([4], p)
+        assert c * f == f.scale(p - 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES, st.data(), st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6)))
+def test_pow_mod_matches_divmod_oracle(p, data, e):
+    f = data.draw(polys(p, 20))
+    m = data.draw(polys(p, 9).filter(lambda m: not m.is_zero))
+    assert pow(f, e, m) == divmod_powmod(f, e, m)
+
+
+@pytest.mark.parametrize("p", (5, 9973, MERSENNE_61))
+@pytest.mark.parametrize("m", ([3], [1, 1], [2, 0, 1], [1, 2, 3, 4, 5, 6]))
+@pytest.mark.parametrize("e", (0, 1, 2, 3, 17, 1000))
+def test_pow_mod_edge_cases(p, m, e):
+    """deg m in {0, 1}, e in {0, 1} and bases of degree above 2 deg m."""
+    m = P(m, p)
+    for f in (UniPoly.zero(modulus(p)), P([7], p), P([0, 1], p),
+              P([0, 0, 0, 1], p),                 # r^3 mod 1 + r at e = 2
+              P(range(1, 4 * m.degree + 4), p)):
+        assert pow(f, e, m) == divmod_powmod(f, e, m)
+        if e <= 3:
+            assert pow(f, e, m) == (f ** e).divmod(m)[1]
+
+
+def test_pow_zero_modulus():
+    with pytest.raises(ZeroDivisionError):
+        pow(P([1, 1], 5), 3, UniPoly.zero(modulus(5)))
+
+
+def test_pow_uses_one_product_per_squaring(monkeypatch):
+    """f ** 2**k is k squarings, with no square after the top bit; with a
+    modulus the base is reduced by the one divmod of the powmod."""
+    counts = {"mul": 0, "divmod": 0}
+    mul, dm = UniPoly.__mul__, UniPoly.divmod
+
+    def counting_mul(f, g):
+        counts["mul"] += 1
+        return mul(f, g)
+
+    def counting_divmod(f, g):
+        counts["divmod"] += 1
+        return dm(f, g)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(UniPoly, "divmod", counting_divmod)
+    f, m = P([1, 2, 3], 11), P([1, 0, 0, 0, 5, 1], 11)
+    for k in range(6):
+        counts.update(mul=0, divmod=0)
+        f ** 2 ** k
+        assert counts == {"mul": k, "divmod": 0}
+        counts.update(mul=0, divmod=0)
+        pow(f, 2 ** k, m)
+        assert counts["divmod"] == 1
 
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
