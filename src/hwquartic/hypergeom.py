@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import ModulusError, PoleError
 from .families import c6_coeff_polys
-from .ffield import FpElement, _as_modulus, binomial, embed, sqrt_fp2_of_fp
-from .unipoly import UniPoly, ext2_root_counts
+from .ffield import (FpElement, _as_modulus, binomial, components, embed,
+                     sqrt_fp2_of_fp)
+from .unipoly import UniPoly, ext2_root_counts, horner_ext2
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,8 @@ def verify_gauss_lemma(mod) -> bool:
 
     (alpha*beta = 1, so the (alpha*beta)^(-(p+1)/6) factor is 1).
     Pointwise evaluation at all p - 2 parameters is a complete identity
-    test: both sides are polynomial of degree < p in r.
+    test: both sides are polynomial of degree < p in r.  The series are
+    evaluated at every t = alpha/beta at once by horner_ext2.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
@@ -162,17 +166,17 @@ def verify_gauss_lemma(mod) -> bool:
     polys = c6_coeff_polys(mod)
     bin1 = embed(binomial((2 * p - 1) // 3, (p + 1) // 6, mod))
     bin2 = embed(binomial((p - 2) // 3, (p + 1) // 6, mod))
-    for rv in range(p):
-        if rv in (2, p - 2):
-            continue
-        r = FpElement(rv, mod)
-        alpha, beta = alpha_beta(r, mod)
-        t = alpha / beta
-        lhs1 = bin1 * beta ** ((p - 1) // 2) * g1.eval(t)
-        if lhs1 != embed(polys.d1.eval(r)):
-            return False
-        lhs2 = bin2 * beta ** ((p - 5) // 6) * g2.eval(t)
-        if lhs2 != embed(polys.d2.eval(r)):
+    rs = [rv for rv in range(p) if rv not in (2, p - 2)]
+    cols = []
+    for rv in rs:
+        alpha, beta = alpha_beta(FpElement(rv, mod), mod)
+        cols.append([components(x) for x in (alpha / beta, bin1 * beta ** ((p - 1) // 2),
+                                             bin2 * beta ** ((p - 5) // 6))])
+    t, *factors = np.array(cols, dtype=np.int64).transpose(1, 2, 0)
+    for g, factor, d in zip((g1, g2), factors, (polys.d1, polys.d2)):
+        series = horner_ext2([(k, 0) for k in g.coeffs], *t, mod)
+        va, vb = horner_ext2([(0, 0), factor], *series, mod)  # factor * series
+        if vb.any() or not np.array_equal(va, d.eval_all()[rs]):
             return False
     return True
 

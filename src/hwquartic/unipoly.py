@@ -3,7 +3,8 @@
 Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
 the representation canonical.  Kronecker-substitution products; powmod
-by a precomputed inverse of rev(m); divmod and gcd schoolbook.
+by a precomputed inverse of rev(m); divmod and gcd by long division on
+int64 arrays (object dtype at p >= 2^31, where int64 products overflow).
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 ext2_elements and horner_ext2 are the one numpy evaluation kernel over
@@ -120,19 +121,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus.p
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dn = len(dv) - 1
-        lead_inv = pow(dv[-1], p - 2, p)
-        q = [0] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            f = rem[i + dn] * lead_inv % p
-            if f:
-                q[i] = f
-                for j, c in enumerate(dv):
-                    rem[i + j] = (rem[i + j] - f * c) % p
-        return UniPoly(q, self.modulus), UniPoly(rem[:dn], self.modulus)
+        q, r = _divmod_arrays(self.coeffs, other.coeffs, self.modulus.p)
+        return UniPoly(q, self.modulus), UniPoly(r, self.modulus)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -184,6 +174,24 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + f", p={self.modulus.p})"
 
 
+def _divmod_arrays(a, b, p: int):
+    """Long division of trimmed coefficient sequences (low degree first, b
+    nonzero): arrays (q, r) with a = q*b + r and r trimmed.  int64 holds
+    every product of two residues while p < 2^31; object dtype above."""
+    dtype = np.int64 if p < 2 ** 31 else object
+    r, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+    db = len(b) - 1
+    q = np.zeros(max(len(r) - db, 0), dtype=dtype)
+    inv = pow(int(b[-1]), p - 2, p)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] * inv % p
+        if c:
+            q[i] = c
+            r[i:i + db + 1] = (r[i:i + db + 1] - c * b) % p
+    nz = np.flatnonzero(r[:db])
+    return q, r[:nz[-1] + 1 if len(nz) else 0]
+
+
 def _pack(coeffs, k: int) -> int:
     """The int with coeffs[i] in little-endian byte slot i of k bytes."""
     return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in coeffs]),
@@ -223,10 +231,11 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd; rejects gcd(0, 0)."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    f._check(g)
+    a, b = f.coeffs, g.coeffs
+    while len(b):
+        a, b = b, _divmod_arrays(a, b, f.modulus.p)[1]
+    return UniPoly(a, f.modulus).monic()
 
 
 def derivative(f: UniPoly) -> UniPoly:

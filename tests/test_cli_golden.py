@@ -28,12 +28,15 @@ COMMANDS = [
     ["verify", "expectation", "--p-range", "500..1100"],
     ["verify", "maximality", "--p-range", "5..59", "--c6-question"],
     ["verify", "counts", "--p-range", "5..1000"],
+    ["verify", "counts", "--p-range", "2900..3000"],
     ["verify", "c9-table", "--p-range", "5..1000"],
     ["verify", "euler", "--p-range", "5..1000"],
     ["verify", "euler", "--p-range", "2500..3000"],
     ["verify", "gauss-lemma", "--p-range", "5..300"],
+    ["verify", "gauss-lemma", "--p-range", "600..700"],
     ["verify", "c6-structure", "--p-range", "5..300"],
     ["enumerate", "--p", "1009"],
+    ["enumerate", "--p", "1999"],
     ["count-points", "--family", "c9", "--p-range", "5..59"],
     ["hw", "--quartic", "x^3*y + y^3*z + z^3*x + 2*x^2*y*z + 3*x*y*z^2",
      "--p-range", "5..300"],

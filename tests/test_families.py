@@ -1,12 +1,12 @@
 import pytest
 
 from hwquartic.errors import IntegrityError
-from hwquartic.families import (Classification, TABLE_C6, TABLE_C9,
+from hwquartic.families import (Classification, C6CoeffPolys, TABLE_C6, TABLE_C9,
                                 _c9_solve_slot, c6_classify, c6_coeff_polys,
                                 c6_count_max_a, c6_entry_poly, c6_form, c6_hw,
                                 c9_classify, c9_form, c9_hw, coeff_of_power)
 from hwquartic.ffield import Fp2Element, FpElement, modulus, multinomial
-from hwquartic.harness import primes_in
+from hwquartic.harness import main, primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
                               rank3, stable_rank)
 from hwquartic.unipoly import UniPoly, divides, is_separable, roots_over
@@ -218,6 +218,18 @@ def test_c6_count_max_a_examples():
     assert c6_count_max_a(modulus(37)) == 3
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
         assert c6_count_max_a(modulus(p)) == p // 12
+
+
+def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
+    """A squared root locus has every root twice: the count would double,
+    so the separability guard must stop it, and verify counts exits 1."""
+    locus = C6CoeffPolys.root_locus_poly
+    monkeypatch.setattr(C6CoeffPolys, "root_locus_poly",
+                        lambda polys: locus(polys) * locus(polys))
+    with pytest.raises(IntegrityError, match="inseparable"):
+        c6_count_max_a(modulus(17))
+    assert main(["verify", "counts", "--p", "17"]) == 1
+    assert "inseparable" in capsys.readouterr().err
 
 
 def test_attained_a_numbers_skip_middle_value():

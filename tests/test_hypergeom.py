@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwquartic import hypergeom
 from hwquartic.errors import ModulusError, PoleError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import FpElement, embed, is_prime, is_square_fp2, modulus
+from hwquartic.ffield import (Fp2Element, FpElement, embed, is_prime,
+                              is_square_fp2, modulus)
 from hwquartic.hypergeom import (RationalParam, alpha_beta, expectation_check,
                                  gauss_truncated, pochhammer, verify_euler,
                                  verify_gauss_lemma)
@@ -147,6 +149,65 @@ def test_verify_gauss_lemma_wrong_class():
         verify_gauss_lemma(modulus(13))
 
 
+def scalar_gauss_lemma(mod):
+    """Reference: both congruences one r at a time, with Fp2Element
+    arithmetic and scalar UniPoly.eval.  Reads the series, the binomials
+    and the coefficient polynomials through the hypergeom module, so that
+    a monkeypatched perturbation reaches it too."""
+    p = mod.p
+    c = RationalParam(7, 6)
+    g1 = hypergeom.gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
+    g2 = hypergeom.gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
+    polys = hypergeom.c6_coeff_polys(mod)
+    bin1 = embed(hypergeom.binomial((2 * p - 1) // 3, (p + 1) // 6, mod))
+    bin2 = embed(hypergeom.binomial((p - 2) // 3, (p + 1) // 6, mod))
+    for rv in range(p):
+        if rv in (2, p - 2):
+            continue
+        r = FpElement(rv, mod)
+        alpha, beta = alpha_beta(r, mod)
+        t = alpha / beta
+        if bin1 * beta ** ((p - 1) // 2) * g1.eval(t) != embed(polys.d1.eval(r)):
+            return False
+        if bin2 * beta ** ((p - 5) // 6) * g2.eval(t) != embed(polys.d2.eval(r)):
+            return False
+    return True
+
+
+def test_gauss_lemma_matches_scalar_oracle():
+    primes = [p for p in range(5, 200) if p % 6 == 5 and is_prime(p)]
+    for p in primes:
+        assert verify_gauss_lemma(modulus(p)) is scalar_gauss_lemma(modulus(p)) is True
+    assert len(primes) == 23
+
+
+def bump_top(f):
+    """f + t^deg f: a different polynomial, changed at every t != 0."""
+    return f + UniPoly([0] * f.degree + [1], f.modulus)
+
+
+@pytest.mark.parametrize("p", (11, 17, 29))
+@pytest.mark.parametrize("which", ("d1", "d2", "g1", "g2"))
+def test_gauss_lemma_fails_on_a_perturbed_side(monkeypatch, p, which):
+    series, coeff_polys = hypergeom.gauss_truncated, hypergeom.c6_coeff_polys
+    degree = {"g1": (p - 1) // 2, "g2": (p - 5) // 6}.get(which)
+
+    def perturbed_series(a, b, c, d, mod):
+        g = series(a, b, c, d, mod)
+        return bump_top(g) if d == degree else g
+
+    def perturbed_polys(mod):
+        polys = coeff_polys(mod)
+        if which in ("d1", "d2"):
+            setattr(polys, which, bump_top(getattr(polys, which)))
+        return polys
+
+    monkeypatch.setattr(hypergeom, "gauss_truncated", perturbed_series)
+    monkeypatch.setattr(hypergeom, "c6_coeff_polys", perturbed_polys)
+    assert verify_gauss_lemma(modulus(p)) is False
+    assert scalar_gauss_lemma(modulus(p)) is False
+
+
 def series(p):
     """G^((p-5)/6)(5/6, 2/3, (2p+7)/6; t), the series expectation_check counts."""
     return gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, modulus(p))
@@ -197,3 +258,14 @@ def test_c2_roots_match_series_roots(p):
         r = FpElement(rv, m)
         alpha, beta = alpha_beta(r, m)
         assert c2.eval(r).is_zero() == g.eval(alpha / beta).is_zero()
+
+
+@pytest.mark.parametrize("p", (11, 17, 29))
+def test_gauss_lemma_checks_the_w_component(monkeypatch, p):
+    """Binomials scaled by 1 + w turn each left side d(r) into d(r) + d(r)*w:
+    the F_p components all still match, so only the w components can fail."""
+    binomial = hypergeom.binomial
+    monkeypatch.setattr(hypergeom, "binomial", lambda n, k, mod:
+                        embed(binomial(n, k, mod)) * Fp2Element(1, 1, mod))
+    assert verify_gauss_lemma(modulus(p)) is False
+    assert scalar_gauss_lemma(modulus(p)) is False

@@ -9,9 +9,9 @@ from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_coeff_polys
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
-from hwquartic.unipoly import (UniPoly, derivative, divides, eval_all_ext2,
-                               ext2_elements, ext2_root_counts, horner_ext2,
-                               is_separable, poly_gcd, roots_over)
+from hwquartic.unipoly import (UniPoly, _divmod_arrays, derivative, divides,
+                               eval_all_ext2, ext2_elements, ext2_root_counts,
+                               horner_ext2, is_separable, poly_gcd, roots_over)
 
 
 def P(coeffs, p):
@@ -179,20 +179,51 @@ def schoolbook_mul(f, g):
     return UniPoly(out, f.modulus)
 
 
+def schoolbook_divmod(f, g):
+    """Reference: long division one coefficient at a time on Python ints."""
+    p = f.modulus.p
+    rem, dv = list(f.coeffs), g.coeffs
+    dn = len(dv) - 1
+    lead_inv = pow(dv[-1], p - 2, p)
+    q = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = rem[i + dn] * lead_inv % p
+        if c:
+            q[i] = c
+            for j, b in enumerate(dv):
+                rem[i + j] = (rem[i + j] - c * b) % p
+    return UniPoly(q, f.modulus), UniPoly(rem[:dn], f.modulus)
+
+
+def schoolbook_gcd(f, g):
+    """Reference: Euclid's remainder sequence by schoolbook_divmod."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, schoolbook_divmod(a, b)[1]
+    return a.monic()
+
+
 def divmod_powmod(f, e, m):
-    """Reference: square and multiply, each step reduced by divmod."""
+    """Reference: square and multiply, each step reduced by schoolbook_divmod."""
     out, base = UniPoly((1,), f.modulus), f
     while e:
         if e & 1:
-            out = schoolbook_mul(out, base).divmod(m)[1]
-        base = schoolbook_mul(base, base).divmod(m)[1]
+            out = schoolbook_divmod(schoolbook_mul(out, base), m)[1]
+        base = schoolbook_divmod(schoolbook_mul(base, base), m)[1]
         e >>= 1
-    return out.divmod(m)[1]
+    return schoolbook_divmod(out, m)[1]
 
 
 MERSENNE_61 = 2 ** 61 - 1
 PRIMES = st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]
                          + [MERSENNE_61])
+
+
+#: the division kernel runs on int64 below 2^31 and on Python ints above
+WIDE_PRIMES = (2 ** 31 - 1, 2 ** 31 + 11, MERSENNE_61)
+DIVISION_PRIMES = st.one_of(
+    st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]),
+    st.sampled_from(WIDE_PRIMES))
 
 
 @st.composite
@@ -253,6 +284,85 @@ def test_pow_mod_edge_cases(p, m, e):
         assert pow(f, e, m) == divmod_powmod(f, e, m)
         if e <= 3:
             assert pow(f, e, m) == (f ** e).divmod(m)[1]
+
+
+# ---------------------------------------------------------------------------
+# division and gcd against the schoolbook oracles
+
+def nonzero(p, max_len):
+    return polys(p, max_len).filter(lambda f: not f.is_zero)
+
+
+def check_kernel(f, g):
+    """The array kernel returns reduced, trimmed arrays of the oracle's
+    quotient and remainder, in the dtype the prime calls for."""
+    p = f.modulus.p
+    q, r = _divmod_arrays(f.coeffs, g.coeffs, p)
+    sq, sr = schoolbook_divmod(f, g)
+    assert (tuple(q.tolist()), tuple(r.tolist())) == (sq.coeffs, sr.coeffs)
+    assert r.dtype == q.dtype == (np.int64 if p < 2 ** 31 else object)
+    assert f.divmod(g) == (sq, sr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DIVISION_PRIMES, st.data())
+def test_divmod_matches_schoolbook(p, data):
+    f, g = data.draw(polys(p, 30)), data.draw(nonzero(p, 12))
+    check_kernel(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIVISION_PRIMES, st.data())
+def test_gcd_matches_schoolbook(p, data):
+    """A common factor h makes the gcd nontrivial most of the time."""
+    f, g = data.draw(polys(p, 12)), data.draw(polys(p, 12))
+    h = data.draw(nonzero(p, 6))
+    f, g = f * h, g * h
+    if f.is_zero and g.is_zero:
+        return
+    d = poly_gcd(f, g)
+    assert d == schoolbook_gcd(f, g)
+    assert d.leading().value == 1
+    assert divides(d, f) and divides(d, g) and divides(h.monic(), d)
+
+
+@pytest.mark.parametrize("p", (5, 9973) + WIDE_PRIMES)
+def test_divmod_edge_cases(p):
+    m = modulus(p)
+    z = UniPoly.zero(m)
+    f = P([p - 1, 3, 0, 7, p - 2, 1, 5], p)
+    c = P([p - 3], p)
+    # a divisor of degree 0: exact, the quotient is f / c
+    assert f.divmod(c) == (f.scale(pow(p - 3, p - 2, p)), z)
+    # a dividend shorter than the divisor, and a zero dividend
+    g = P([1, 2, 3], p)
+    assert g.divmod(f) == (z, g)
+    assert z.divmod(f) == (z, z)
+    # f = q*g + r with deg r = 1 < deg g - 1: the top coefficients of the
+    # remainder cancel and must be trimmed
+    g, q, r = P([2, 0, 1, 4, 1], p), P([1, p - 1, 6], p), P([p - 5, 8], p)
+    assert (q * g + r).divmod(g) == (q, r)
+    for a, b in ((f, c), (g, f), (z, f), (q * g + r, g), (q * g, g), (f, g)):
+        check_kernel(a, b)
+
+
+@pytest.mark.parametrize("p", (7, 9973) + WIDE_PRIMES)
+def test_gcd_of_products_with_a_known_factor(p):
+    """gcd(f*g, g*h) = monic g for coprime f, h; f*g^2 is inseparable.
+    The roots 1, 7 | 3, 5 | 2, -2, 11 of f | h | g are distinct mod p."""
+    f = P([7, -8, 1], p)
+    h = P([15, -8, 1], p)
+    g = P([-4, 0, 1], p) * P([-11 * 3, 3], p)
+    assert poly_gcd(f * g, g * h) == g.monic() == schoolbook_gcd(f * g, g * h)
+    assert poly_gcd(f * g, g * h).degree == 3
+    assert is_separable(f * g)
+    assert not is_separable(f * g * g)
+    assert poly_gcd(f * g * g, derivative(f * g * g)) == g.monic()
+
+
+def test_gcd_mixed_moduli():
+    with pytest.raises(ModulusError):
+        poly_gcd(P([1, 1], 5), P([1, 1], 7))
 
 
 def test_pow_zero_modulus():
