@@ -19,6 +19,7 @@ import random
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -249,8 +250,9 @@ def _count_points_grid(F: QuarticForm) -> int:
     return count
 
 
-def hasse_weil_window(p: int, g: int = 3):
-    return p * p + 1 - 2 * g * p, p * p + 1 + 2 * g * p
+def hasse_weil_window(p: int):
+    """The Hasse-Weil bounds p^2 + 1 -+ 6p on the F_{p^2}-points of genus 3."""
+    return p * p + 1 - 6 * p, p * p + 1 + 6 * p
 
 
 def is_maximal_ext2(F: QuarticForm, bound: int | None = None) -> bool:
@@ -266,15 +268,37 @@ class ReportRow:
     p: int
     family: str = ""
     param: str = ""
-    a_number: "int | None" = None
-    p_rank: "int | None" = None
+    a_number: int | None = None
+    p_rank: int | None = None
     newton_polygon: str = ""
     eo_type: str = ""
     status: str = "PASS"
     detail: str = ""
 
 
-_CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+_FIELDS = fields(ReportRow)
+_CSV_COLUMNS = tuple(f.name for f in _FIELDS)
+
+
+def _cell(f, value):
+    """value, CSV text or a JSON value, as field f holds it."""
+    if value in ("", None) and f.default is None:
+        return None
+    is_int = f.type.startswith("int")
+    if isinstance(value, (int, str) if is_int else str):
+        return int(value) if is_int else value
+    raise ValueError(f"{f.name} = {value!r} is not {f.type}")
+
+
+def _report_row(values, where: str) -> ReportRow:
+    """A ReportRow from column -> value; a malformed record is a ParseError."""
+    try:
+        if not isinstance(values, dict) or values.keys() - set(_CSV_COLUMNS):
+            raise ValueError(f"want the fields {_CSV_COLUMNS}")
+        return ReportRow(**{f.name: _cell(f, values[f.name])
+                            for f in _FIELDS if f.name in values})
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}; got {values!r}") from None
 
 
 @dataclass
@@ -285,62 +309,46 @@ class SweepReport:
         self.rows.append(ReportRow(**kw))
 
     @property
-    def failed(self) -> bool:
-        return any(r.status == "FAIL" for r in self.rows)
-
-    @property
     def exit_status(self) -> int:
-        return 1 if self.failed else 0
+        return 1 if any(r.status == "FAIL" for r in self.rows) else 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow([
-                r.p, r.family, r.param,
-                "" if r.a_number is None else r.a_number,
-                "" if r.p_rank is None else r.p_rank,
-                r.newton_polygon, r.eo_type, r.status, r.detail,
-            ])
+        # the csv module writes None, an empty a_number or p_rank, as ""
+        w.writerows(map(attrgetter(*_CSV_COLUMNS), self.rows))
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepReport":
-        rows = []
         rd = csv.reader(io.StringIO(text))
-        header = next(rd)
-        if tuple(header) != _CSV_COLUMNS:
+        header = next(rd, None)
+        if header is None or tuple(header) != _CSV_COLUMNS:
             raise ParseError(f"unexpected CSV header {header}")
-        for rec in rd:
-            rows.append(ReportRow(
-                p=int(rec[0]), family=rec[1], param=rec[2],
-                a_number=None if rec[3] == "" else int(rec[3]),
-                p_rank=None if rec[4] == "" else int(rec[4]),
-                newton_polygon=rec[5], eo_type=rec[6],
-                status=rec[7], detail=rec[8]))
-        return cls(rows)
+        return cls([_report_row(dict(zip(_CSV_COLUMNS, rec))
+                                if len(rec) == len(_CSV_COLUMNS) else rec,
+                                f"CSV line {rd.line_num}") for rec in rd])
 
     def to_json(self) -> str:
         return json.dumps([asdict(r) for r in self.rows], indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SweepReport":
-        return cls([ReportRow(**obj) for obj in json.loads(text)])
+        objs = json.loads(text)
+        if not isinstance(objs, list):
+            raise ParseError("want a JSON array of report rows")
+        return cls([_report_row(obj, f"JSON row {i}")
+                    for i, obj in enumerate(objs)])
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        return self.to_csv()
-
-
-def format_eo(eo) -> str:
-    return "(" + ",".join(str(v) for v in eo) + ")"
+        return self.to_json() if fmt == "json" else self.to_csv()
 
 
 def _classification_columns(cls: families.Classification) -> dict:
     return dict(a_number=cls.a_number, p_rank=cls.p_rank,
-                newton_polygon=cls.newton_polygon, eo_type=format_eo(cls.eo_type))
+                newton_polygon=cls.newton_polygon,
+                eo_type="(" + ",".join(map(str, cls.eo_type)) + ")")
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +374,9 @@ def oracle_corpus(mod):
     rng = random.Random(f"hw-oracle-{p}")
     forms = [("c6 r=%d" % r, families.c6_form(mod, r))
              for r in range(p) if r not in (2, p - 2)]
-    forms.append(("c9", families.c9_form(mod)))
-    forms.append(("fermat", fermat_form(mod)))
-    for t in range(50):
-        forms.append((f"random#{t}", random_sparse_quartic(rng, mod)))
-    return forms
+    forms += [("c9", families.c9_form(mod)), ("fermat", fermat_form(mod))]
+    return forms + [(f"random#{t}", random_sparse_quartic(rng, mod))
+                    for t in range(50)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +397,9 @@ def _suite_oracle(report, mod, **_kw):
         report.add(p=p, family="any", status="SKIP",
                    detail=f"oracle expansion bound is p <= {ORACLE_PRIME_BOUND}")
         return
-    bad = []
     forms = oracle_corpus(mod)
-    for name, F in forms:
-        if hw_matrix(F) != hw_matrix_oracle(F):
-            bad.append(name)
-    report.add(p=p, family="any",
-               status="FAIL" if bad else "PASS",
+    bad = [name for name, F in forms if hw_matrix(F) != hw_matrix_oracle(F)]
+    report.add(p=p, family="any", status="FAIL" if bad else "PASS",
                detail=(f"{len(forms)} forms agree" if not bad
                        else "disagreement on " + ", ".join(bad[:5])))
 
@@ -449,34 +451,34 @@ def _suite_c9_table(report, mod, **_kw):
                detail=f"p mod 9 = {p % 9}", **_classification_columns(cls))
 
 
-def _wrong_class(report, mod, explicit, what):
+def _wrong_class(report, mod, explicit, least=5) -> bool:
+    """Unless p = 5 mod 6, p >= least: a SKIP row and True, or ModulusError."""
+    if mod.p % 6 == 5 and mod.p >= least:
+        return False
+    what = "needs p = 5 mod 6" + (f" and p >= {least}" if least > 5 else "")
     if explicit:
         raise ModulusError(f"p = {mod.p}: {what}")
     report.add(p=mod.p, family="c6", status="SKIP", detail=what)
+    return True
 
 
 def _suite_euler(report, mod, explicit=False, **_kw):
-    if mod.p % 6 != 5:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
-        return
-    ok = hypergeom.verify_euler(mod)
-    report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
-               detail="truncated Euler transformation")
+    if not _wrong_class(report, mod, explicit):
+        ok = hypergeom.verify_euler(mod)
+        report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
+                   detail="truncated Euler transformation")
 
 
 def _suite_gauss_lemma(report, mod, explicit=False, **_kw):
-    if mod.p % 6 != 5:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
-        return
-    ok = hypergeom.verify_gauss_lemma(mod)
-    report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
-               detail="series/coefficient congruences at all r")
+    if not _wrong_class(report, mod, explicit):
+        ok = hypergeom.verify_gauss_lemma(mod)
+        report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
+                   detail="series/coefficient congruences at all r")
 
 
 def _suite_expectation(report, mod, explicit=False, **_kw):
     p = mod.p
-    if p % 6 != 5 or p < 17:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6 and p >= 17")
+    if _wrong_class(report, mod, explicit, least=17):
         return
     rep = hypergeom.expectation_check(mod)
     ok = rep.all_square and rep.missing == 0
@@ -573,203 +575,171 @@ def run_suite(name: str, primes, explicit: bool = False,
 # ---------------------------------------------------------------------------
 # CLI
 
-def _parse_range(text: str):
-    m = re.match(r"^(\d+)\.\.(\d+)$", text)
-    if m is None:
-        raise ParseError(f"bad range {text!r}: want A..B")
-    return int(m.group(1)), int(m.group(2))
-
-
 def _resolve_primes(args):
     """(primes, explicit) from --p / --p-range."""
-    if args.p is not None and args.p_range is not None:
-        raise ParseError("--p and --p-range are mutually exclusive")
+    if (args.p is None) == (args.p_range is None):
+        raise ParseError("give one of --p and --p-range")
     if args.p is not None:
         if not is_prime(args.p) or args.p < 5:
             raise ModulusError(f"{args.p} is not a prime >= 5")
         return [args.p], True
-    if args.p_range is not None:
-        lo, hi = _parse_range(args.p_range)
-        return primes_in(lo, hi), False
-    raise ParseError("one of --p or --p-range is required")
+    m = re.match(r"^(\d+)\.\.(\d+)$", args.p_range)
+    if m is None or int(m[1]) > int(m[2]):
+        raise ParseError(f"bad range {args.p_range!r}: want A..B, A <= B")
+    return primes_in(int(m[1]), int(m[2])), False
 
 
-def _family_for(args, mod):
-    """(family, param, r, F): r the C_r parameter (r != +-2) or None, F the
-    parsed --quartic or None (count-points builds a family's form)."""
-    fam = args.family or ("general" if args.quartic is not None
-                          else "c6" if args.r is not None else None)
-    if fam is None:
-        raise ParseError("need --family (or --quartic / --r)")
-    if args.quartic is not None and fam != "general":
-        raise ParseError("--quartic implies --family general")
-    if args.r is not None and fam != "c6":
-        raise ParseError(f"--r applies to --family c6 only, not {fam}")
-    if fam == "general":
-        if args.quartic is None:
-            raise ParseError("--family general needs --quartic")
-        return fam, args.quartic, None, parse_quartic(args.quartic, mod)
-    if fam == "c9":
-        return fam, "", None, None
-    if args.r is None:
-        raise ParseError("--family c6 needs --r")
+def _family_at(args, mod):
+    """(param, r, F) at p: r the C_r parameter (r != +-2), F the --quartic."""
+    if args.family == "general":
+        return args.quartic, None, parse_quartic(args.quartic, mod)
+    if args.family == "c9":
+        return "", None, None
     r = families._reject_singular(mod, parse_c6_param(args.r, mod))
-    return fam, str(r), r, None
+    return str(r), r, None
 
 
-def _cmd_hw(args) -> int:
-    primes, _ = _resolve_primes(args)
-    report = SweepReport()
-    for p in primes:
-        mod = modulus(p)
-        fam, param, r, F = _family_for(args, mod)
-        M = (families.c6_hw(mod, r) if fam == "c6"
-             else families.c9_hw(mod) if fam == "c9" else hw_matrix(F))
-        report.add(p=p, family=fam, param=param,
-                   a_number=a_number(M), p_rank=stable_rank(M),
-                   detail=_matrix_detail(M))
-    print(report.render(args.format), end="")
-    return report.exit_status
+def _hw_row(report, mod, args, detail=None):
+    param, r, F = _family_at(args, mod)
+    M = (families.c6_hw(mod, r) if args.family == "c6"
+         else families.c9_hw(mod) if args.family == "c9" else hw_matrix(F))
+    report.add(p=mod.p, family=args.family, param=param,
+               a_number=a_number(M), p_rank=stable_rank(M),
+               detail=detail or _matrix_detail(M))
 
 
-def _cmd_classify(args) -> int:
-    primes, _ = _resolve_primes(args)
-    report = SweepReport()
-    for p in primes:
-        mod = modulus(p)
-        fam, param, r, F = _family_for(args, mod)
-        if fam == "general":
-            M = hw_matrix(F)
-            report.add(p=p, family=fam, param=param,
-                       a_number=a_number(M), p_rank=stable_rank(M),
-                       detail="NP/EO lookup applies to c6/c9 families only")
-            continue
-        cls = (families.c6_classify(mod, r) if fam == "c6"
-               else families.c9_classify(mod))
-        report.add(p=p, family=fam, param=param, **_classification_columns(cls))
-    print(report.render(args.format), end="")
-    return report.exit_status
+def _classify_row(report, mod, args):
+    if args.family == "general":
+        return _hw_row(report, mod, args,
+                       "NP/EO lookup applies to c6/c9 families only")
+    param, r, _ = _family_at(args, mod)
+    cls = (families.c6_classify(mod, r) if args.family == "c6"
+           else families.c9_classify(mod))
+    report.add(p=mod.p, family=args.family, param=param,
+               **_classification_columns(cls))
 
 
-def _cmd_enumerate(args) -> int:
+def _enumerate_rows(report, mod, args):
     """One row per F_p-rational isomorphism class {r, -r}, plus a summary.
 
     The closure count (the floor(p/12) statement) includes parameters
     living in extensions, so the rational sweep may find fewer.
     """
-    primes, _ = _resolve_primes(args)
-    report = SweepReport()
-    for p in primes:
-        mod = modulus(p)
-        polys = families.c6_coeff_polys(mod)
-        max_a = 3 if p % 6 == 5 else 2
-        rational = 0
-        for r in range(1, (p - 1) // 2 + 1):
-            if r == 2:
-                continue
-            cls = families.c6_classify(mod, r, polys)
-            if cls.a_number == max_a:
-                rational += 1
-            report.add(p=p, family="c6", param=f"{r}",
-                       **_classification_columns(cls),
-                       detail=f"isomorphism class {{{r}, {p - r}}}")
-        closure = families.c6_count_max_a(mod)
-        expected = p // 12
-        report.add(p=p, family="c6", param="max-a-count",
-                   status="PASS" if closure == expected else "FAIL",
-                   detail=f"classes over the closure with a={max_a}: {closure} "
-                          f"(floor(p/12)={expected}), {rational} with r in F_p")
-    print(report.render(args.format), end="")
-    return report.exit_status
+    p = mod.p
+    polys = families.c6_coeff_polys(mod)
+    max_a = 3 if p % 6 == 5 else 2
+    rational = 0
+    for r in range(1, (p - 1) // 2 + 1):
+        if r == 2:
+            continue
+        cls = families.c6_classify(mod, r, polys)
+        rational += cls.a_number == max_a
+        report.add(p=p, family="c6", param=f"{r}",
+                   **_classification_columns(cls),
+                   detail=f"isomorphism class {{{r}, {p - r}}}")
+    closure = families.c6_count_max_a(mod)
+    expected = p // 12
+    report.add(p=p, family="c6", param="max-a-count",
+               status="PASS" if closure == expected else "FAIL",
+               detail=f"classes over the closure with a={max_a}: {closure} "
+                      f"(floor(p/12)={expected}), {rational} with r in F_p")
 
 
-def _cmd_count_points(args) -> int:
-    primes, _ = _resolve_primes(args)
-    report = SweepReport()
-    for p in primes:
-        mod = modulus(p)
-        fam, param, r, F = _family_for(args, mod)
-        if F is None:
-            F = families.c9_form(mod) if fam == "c9" else families.c6_form(mod, r)
-        n = count_points_ext2(F, bound=args.bound)
-        lo, hi = hasse_weil_window(p)
-        report.add(p=p, family=fam, param=param,
-                   detail=f"points={n} maximal={n == hi} window=[{lo},{hi}]")
-    print(report.render(args.format), end="")
-    return report.exit_status
+def _count_points_row(report, mod, args):
+    param, r, F = _family_at(args, mod)
+    if F is None:
+        F = (families.c9_form(mod) if args.family == "c9"
+             else families.c6_form(mod, r))
+    n = count_points_ext2(F, bound=args.bound)
+    lo, hi = hasse_weil_window(mod.p)
+    report.add(p=mod.p, family=args.family, param=param,
+               detail=f"points={n} maximal={n == hi} window=[{lo},{hi}]")
 
 
-def _cmd_verify(args) -> int:
-    primes, explicit = _resolve_primes(args)
-    report, status = run_suite(args.suite, primes, explicit=explicit,
-                               bound=args.bound,
-                               c6_question=args.c6_question)
-    print(report.render(args.format), end="")
-    return status
+_FAMILY_FLAGS = ("--family", "--r", "--quartic")
+
+#: command -> (rows at one prime, flags beyond --p, --p-range, --format)
+COMMANDS = {
+    "hw": (_hw_row, _FAMILY_FLAGS),
+    "classify": (_classify_row, _FAMILY_FLAGS),
+    "enumerate": (_enumerate_rows, ()),
+    "count-points": (_count_points_row, _FAMILY_FLAGS + ("--bound",)),
+    "verify": (None, ("SUITE", "--bound", "--c6-question")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hwquartic",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Hasse-Witt matrices and invariants of the C6/C9 "
-                    "genus-3 quartic families over prime fields.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, family=True):
-        sp.add_argument("--p", type=int, default=None, help="a single prime >= 5")
-        sp.add_argument("--p-range", default=None, metavar="A..B",
-                        help="sweep all primes in [A, B]")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if family:
-            sp.add_argument("--family", choices=("c6", "c9", "general"),
-                            default=None)
-            sp.add_argument("--r", default=None,
-                            help="C6 parameter: integer or a+b*w")
-            sp.add_argument("--quartic", default=None, metavar="EXPR",
-                            help='general quartic, e.g. "x^3*z + y^4 + z^4"')
-
-    sp = sub.add_parser("hw", help="print the Hasse-Witt matrix")
-    common(sp)
-    sp.set_defaults(fn=_cmd_hw)
-
-    sp = sub.add_parser("classify",
-                        help="a-number, p-rank, Newton polygon, EO type")
-    common(sp)
-    sp.set_defaults(fn=_cmd_classify)
-
-    sp = sub.add_parser("enumerate",
-                        help="classify every C6 isomorphism class at p")
-    common(sp, family=False)
-    sp.set_defaults(fn=_cmd_enumerate)
-
-    sp = sub.add_parser("count-points",
-                        help="exact projective point count over F_{p^2}")
-    common(sp)
-    sp.add_argument("--bound", type=int, default=None,
-                    help=f"prime cap for counting (default {DEFAULT_POINT_BOUND})")
-    sp.set_defaults(fn=_cmd_count_points)
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("suite", choices=SUITES)
-    common(sp, family=False)
-    sp.add_argument("--bound", type=int, default=None,
-                    help="maximality only: prime cap for point counting "
-                         f"(default {DEFAULT_POINT_BOUND})")
-    sp.add_argument("--c6-question", action="store_true",
-                    help="maximality only: also search C6 parameters in "
-                         "F_{p^2} for maximal curves")
-    sp.set_defaults(fn=_cmd_verify)
+                    "genus-3 quartic families\nover prime fields.",
+        epilog="flags each command takes beyond --p, --p-range, --format:\n"
+               + "\n".join(f"  {cmd:<13} {' '.join(flags) or '-'}"
+                           for cmd, (_, flags) in COMMANDS.items()))
+    ap.add_argument("command", choices=COMMANDS,
+                    help="hw: Hasse-Witt matrix; classify: invariants; enumerate"
+                         ": C6 classes; count-points: F_p2 points; verify: SUITE")
+    ap.add_argument("suite", nargs="?", choices=SUITES,
+                    help="SUITE, the verification suite verify runs")
+    ap.add_argument("--p", type=int, help="a single prime >= 5")
+    ap.add_argument("--p-range", metavar="A..B",
+                    help="sweep all primes in [A, B]")
+    ap.add_argument("--format", choices=("csv", "json"), default="csv")
+    ap.add_argument("--family", choices=("c6", "c9", "general"))
+    ap.add_argument("--r", help="C6 parameter: integer or a+b*w")
+    ap.add_argument("--quartic", metavar="EXPR",
+                    help='general quartic, e.g. "x^3*z + y^4 + z^4"')
+    ap.add_argument("--bound", type=int,
+                    help=f"point-count prime cap (default {DEFAULT_POINT_BOUND})"
+                         "; verify: maximality only")
+    ap.add_argument("--c6-question", action="store_true",
+                    help="verify maximality: also seek a maximal C_r, r in F_p2")
     return ap
 
 
+def _check_flags(argv, args):
+    """Reject what the command cannot take; settle --family, --r, --quartic."""
+    if argv[0] != args.command:
+        raise ParseError(f"the command must come first, not {argv[0]!r}")
+    takes = COMMANDS[args.command][1]
+    for flag in ("SUITE",) + _FAMILY_FLAGS + ("--bound", "--c6-question"):
+        # the attribute argparse stores the flag under, "suite" for SUITE
+        given = getattr(args, flag.lstrip("-").replace("-", "_").lower())
+        if given not in (None, False) and flag not in takes:
+            raise ParseError(f"{args.command} does not take {flag}")
+    if "--family" not in takes:
+        return
+    fam = args.family or ("general" if args.quartic is not None
+                          else "c6" if args.r is not None else None)
+    if fam is None:
+        raise ParseError("need --family (or --quartic / --r)")
+    for flag, value, owner in (("--quartic", args.quartic, "general"),
+                               ("--r", args.r, "c6")):
+        if (value is None) == (fam == owner):
+            raise ParseError(f"--family {owner} needs {flag}, and {flag} "
+                             f"needs --family {owner} (got {fam})")
+    args.family = fam
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_intermixed_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        _check_flags(argv, args)
+        primes, explicit = _resolve_primes(args)
+        if args.command == "verify":
+            report, _ = run_suite(args.suite, primes, explicit, args.bound,
+                                  args.c6_question)
+        else:
+            report = SweepReport()
+            for p in primes:
+                COMMANDS[args.command][0](report, modulus(p), args)
+        print(report.render(args.format), end="")
+        return report.exit_status
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

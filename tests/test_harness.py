@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,11 +12,11 @@ import pytest
 from hwquartic import families
 from hwquartic.errors import CapacityError, IntegrityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, modulus
-from hwquartic.harness import (SUITES, SweepReport, _count_points_grid,
-                               count_points_ext2, fermat_form,
-                               hasse_weil_window, is_maximal_ext2, main,
-                               oracle_corpus, parse_c6_param, parse_quartic,
-                               primes_in, run_suite)
+from hwquartic.harness import (COMMANDS, SUITES, SweepReport,
+                               _count_points_grid, count_points_ext2,
+                               fermat_form, hasse_weil_window, is_maximal_ext2,
+                               main, oracle_corpus, parse_c6_param,
+                               parse_quartic, primes_in, run_suite)
 from hwquartic.hwcore import QuarticForm
 
 
@@ -269,6 +270,40 @@ def test_json_round_trip():
     assert objs[0]["a_number"] == 0 and objs[1]["a_number"] is None
 
 
+_HEADER = "p,family,param,a_number,p_rank,newton_polygon,eo_type,status,detail\n"
+
+
+@pytest.mark.parametrize("text", [
+    _HEADER + "13,c6,3\n",                       # short record
+    _HEADER + "13,c6,,,,,,PASS,,extra\n",        # long record
+    _HEADER + "x,c6,,,,,,PASS,\n",               # p = x
+    _HEADER + ",c6,,,,,,PASS,\n",                # p empty
+    _HEADER + "13,c6,,two,,,,PASS,\n",           # a_number not an integer
+    "",                                          # no header
+])
+def test_from_csv_rejects_malformed_records(text):
+    with pytest.raises(ParseError):
+        SweepReport.from_csv(text)
+
+
+@pytest.mark.parametrize("text", [
+    '[{"p": 13, "colour": "red"}]',     # unknown key
+    '[{"family": "c6"}]',               # no p
+    '[{"p": "x"}]',                     # p not an integer
+    '[{"p": 13.5}]',                    # p not a whole number
+    '[{"p": 13, "detail": null}]',      # text column holding null
+    '[13]',                             # row not an object
+    '{"p": 13}',                        # not an array
+])
+def test_from_json_rejects_malformed_records(text):
+    with pytest.raises(ParseError):
+        SweepReport.from_json(text)
+
+
+def test_hasse_weil_window_is_genus_three():
+    assert hasse_weil_window(13) == (170 - 78, 170 + 78)
+
+
 def test_primes_in():
     assert primes_in(5, 20) == [5, 7, 11, 13, 17, 19]
     assert primes_in(1, 6) == [5]
@@ -371,6 +406,101 @@ def test_cli_usage_errors(capsys):
         if suite != "maximality":
             for flags in (["--bound", "60"], ["--c6-question"]):
                 assert main(["verify", suite, "--p-range", "5..13", *flags]) == 2
+
+
+#: the flags each command takes beyond --p, --p-range and --format
+_TAKES = {
+    "hw": {"--family", "--r", "--quartic"},
+    "classify": {"--family", "--r", "--quartic"},
+    "enumerate": set(),
+    "count-points": {"--family", "--r", "--quartic", "--bound"},
+    "verify": {"SUITE", "--bound", "--c6-question"},
+}
+
+_FLAG_ARGS = {
+    "SUITE": ["maximality"],
+    "--family": ["--family", "c9"],
+    "--r": ["--r", "5"],
+    "--quartic": ["--quartic", "x^3*z + y^4 + z^4"],
+    "--bound": ["--bound", "60"],
+    "--c6-question": ["--c6-question"],
+}
+
+
+def test_flag_table_matches_the_cli():
+    assert {cmd: set(flags) for cmd, (_, flags) in COMMANDS.items()} == _TAKES
+
+
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+@pytest.mark.parametrize("cmd", _TAKES)
+def test_cli_flag_table(capsys, cmd, flag):
+    """Exit 2 exactly where the flag does not apply to the command."""
+    argv = [cmd, "--p", "17"]
+    if cmd == "verify" and flag != "SUITE":
+        argv.append("maximality")
+    if "--family" in _TAKES[cmd] and flag not in ("--family", "--r", "--quartic"):
+        argv += ["--family", "c9"]
+    code = main(argv + _FLAG_ARGS[flag])
+    out, err = capsys.readouterr()
+    if flag in _TAKES[cmd]:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "13"],                        # verify with no suite
+    ["verify", "--p-range", "5..13"],
+    ["--p", "13", "verify", "counts"],              # a flag before the command
+    ["enumerate", "counts", "--p", "13"],           # a suite given to enumerate
+])
+def test_cli_suite_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_intermixed_suite_and_negative_r(capsys):
+    assert run_cli(capsys, "verify", "--p", "13", "counts") == \
+        run_cli(capsys, "verify", "counts", "--p", "13")
+    code, out = run_cli(capsys, "hw", "--family", "c6", "--r", "-7", "--p", "13")
+    assert code == 0
+    assert SweepReport.from_csv(out).rows[0].param == "6"
+
+
+def test_cli_help_names_every_command_and_suite(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name in list(_TAKES) + list(SUITES):
+        assert re.search(rf"(?<![\w-]){name}(?![\w-])", out), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["hw", "--p-range", "24..28"],                     # no family
+    ["classify", "--family", "c6", "--p-range", "24..28"],   # no --r
+    ["count-points", "--family", "c9", "--r", "3", "--p-range", "24..28"],
+    ["verify", "counts", "--p-range", "30..10"],       # reversed range
+    ["hw", "--family", "c9", "--p-range", "30..10"],
+])
+def test_cli_usage_errors_without_primes(capsys, argv):
+    """Flags and ranges are checked once, before the first prime, so a
+    range with no prime in it still rejects them."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "counts", "--p-range", "24..28"],
+    ["hw", "--family", "c9", "--p-range", "24..28"],
+])
+def test_cli_range_without_primes_is_an_empty_sweep(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, _HEADER)
+
+
+def test_cli_range_of_one_prime(capsys):
+    code, out = run_cli(capsys, "verify", "counts", "--p-range", "29..29")
+    assert code == 0 and [r.p for r in SweepReport.from_csv(out).rows] == [29]
 
 
 @pytest.mark.parametrize("cmd", ["hw", "count-points", "classify"])
