@@ -268,8 +268,8 @@ class ReportRow:
     p: int
     family: str = ""
     param: str = ""
-    a_number: int | None = None
-    p_rank: int | None = None
+    a_number: "int | None" = None
+    p_rank: "int | None" = None
     newton_polygon: str = ""
     eo_type: str = ""
     status: str = "PASS"
@@ -278,16 +278,19 @@ class ReportRow:
 
 _FIELDS = fields(ReportRow)
 _CSV_COLUMNS = tuple(f.name for f in _FIELDS)
+#: the integer columns; a_number and p_rank may be empty (None)
+_INT_COLUMNS = ("p", "a_number", "p_rank")
 
 
 def _cell(f, value):
     """value, CSV text or a JSON value, as field f holds it."""
     if value in ("", None) and f.default is None:
         return None
-    is_int = f.type.startswith("int")
+    is_int = f.name in _INT_COLUMNS
     if isinstance(value, (int, str) if is_int else str):
         return int(value) if is_int else value
-    raise ValueError(f"{f.name} = {value!r} is not {f.type}")
+    raise ValueError(f"{f.name} = {value!r} is not "
+                     + ("an integer" if is_int else "text"))
 
 
 def _report_row(values, where: str) -> ReportRow:
@@ -309,8 +312,12 @@ class SweepReport:
         self.rows.append(ReportRow(**kw))
 
     @property
+    def failed(self) -> bool:
+        return any(r.status == "FAIL" for r in self.rows)
+
+    @property
     def exit_status(self) -> int:
-        return 1 if any(r.status == "FAIL" for r in self.rows) else 0
+        return 1 if self.failed else 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -342,13 +349,18 @@ class SweepReport:
                     for i, obj in enumerate(objs)])
 
     def render(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_csv()
+        if fmt == "json":
+            return self.to_json()
+        return self.to_csv()
+
+
+def format_eo(eo) -> str:
+    return "(" + ",".join(str(v) for v in eo) + ")"
 
 
 def _classification_columns(cls: families.Classification) -> dict:
     return dict(a_number=cls.a_number, p_rank=cls.p_rank,
-                newton_polygon=cls.newton_polygon,
-                eo_type="(" + ",".join(map(str, cls.eo_type)) + ")")
+                newton_polygon=cls.newton_polygon, eo_type=format_eo(cls.eo_type))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +386,11 @@ def oracle_corpus(mod):
     rng = random.Random(f"hw-oracle-{p}")
     forms = [("c6 r=%d" % r, families.c6_form(mod, r))
              for r in range(p) if r not in (2, p - 2)]
-    forms += [("c9", families.c9_form(mod)), ("fermat", fermat_form(mod))]
-    return forms + [(f"random#{t}", random_sparse_quartic(rng, mod))
-                    for t in range(50)]
+    forms.append(("c9", families.c9_form(mod)))
+    forms.append(("fermat", fermat_form(mod)))
+    for t in range(50):
+        forms.append((f"random#{t}", random_sparse_quartic(rng, mod)))
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +411,13 @@ def _suite_oracle(report, mod, **_kw):
         report.add(p=p, family="any", status="SKIP",
                    detail=f"oracle expansion bound is p <= {ORACLE_PRIME_BOUND}")
         return
+    bad = []
     forms = oracle_corpus(mod)
-    bad = [name for name, F in forms if hw_matrix(F) != hw_matrix_oracle(F)]
-    report.add(p=p, family="any", status="FAIL" if bad else "PASS",
+    for name, F in forms:
+        if hw_matrix(F) != hw_matrix_oracle(F):
+            bad.append(name)
+    report.add(p=p, family="any",
+               status="FAIL" if bad else "PASS",
                detail=(f"{len(forms)} forms agree" if not bad
                        else "disagreement on " + ", ".join(bad[:5])))
 
@@ -451,34 +469,34 @@ def _suite_c9_table(report, mod, **_kw):
                detail=f"p mod 9 = {p % 9}", **_classification_columns(cls))
 
 
-def _wrong_class(report, mod, explicit, least=5) -> bool:
-    """Unless p = 5 mod 6, p >= least: a SKIP row and True, or ModulusError."""
-    if mod.p % 6 == 5 and mod.p >= least:
-        return False
-    what = "needs p = 5 mod 6" + (f" and p >= {least}" if least > 5 else "")
+def _wrong_class(report, mod, explicit, what):
     if explicit:
         raise ModulusError(f"p = {mod.p}: {what}")
     report.add(p=mod.p, family="c6", status="SKIP", detail=what)
-    return True
 
 
 def _suite_euler(report, mod, explicit=False, **_kw):
-    if not _wrong_class(report, mod, explicit):
-        ok = hypergeom.verify_euler(mod)
-        report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
-                   detail="truncated Euler transformation")
+    if mod.p % 6 != 5:
+        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
+        return
+    ok = hypergeom.verify_euler(mod)
+    report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
+               detail="truncated Euler transformation")
 
 
 def _suite_gauss_lemma(report, mod, explicit=False, **_kw):
-    if not _wrong_class(report, mod, explicit):
-        ok = hypergeom.verify_gauss_lemma(mod)
-        report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
-                   detail="series/coefficient congruences at all r")
+    if mod.p % 6 != 5:
+        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
+        return
+    ok = hypergeom.verify_gauss_lemma(mod)
+    report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
+               detail="series/coefficient congruences at all r")
 
 
 def _suite_expectation(report, mod, explicit=False, **_kw):
     p = mod.p
-    if _wrong_class(report, mod, explicit, least=17):
+    if p % 6 != 5 or p < 17:
+        _wrong_class(report, mod, explicit, "needs p = 5 mod 6 and p >= 17")
         return
     rep = hypergeom.expectation_check(mod)
     ok = rep.all_square and rep.missing == 0
@@ -575,18 +593,25 @@ def run_suite(name: str, primes, explicit: bool = False,
 # ---------------------------------------------------------------------------
 # CLI
 
+def _parse_range(text: str):
+    m = re.match(r"^(\d+)\.\.(\d+)$", text)
+    if m is None or int(m.group(1)) > int(m.group(2)):
+        raise ParseError(f"bad range {text!r}: want A..B with A <= B")
+    return int(m.group(1)), int(m.group(2))
+
+
 def _resolve_primes(args):
     """(primes, explicit) from --p / --p-range."""
-    if (args.p is None) == (args.p_range is None):
-        raise ParseError("give one of --p and --p-range")
+    if args.p is not None and args.p_range is not None:
+        raise ParseError("--p and --p-range are mutually exclusive")
     if args.p is not None:
         if not is_prime(args.p) or args.p < 5:
             raise ModulusError(f"{args.p} is not a prime >= 5")
         return [args.p], True
-    m = re.match(r"^(\d+)\.\.(\d+)$", args.p_range)
-    if m is None or int(m[1]) > int(m[2]):
-        raise ParseError(f"bad range {args.p_range!r}: want A..B, A <= B")
-    return primes_in(int(m[1]), int(m[2])), False
+    if args.p_range is not None:
+        lo, hi = _parse_range(args.p_range)
+        return primes_in(lo, hi), False
+    raise ParseError("one of --p or --p-range is required")
 
 
 def _family_at(args, mod):
@@ -633,7 +658,8 @@ def _enumerate_rows(report, mod, args):
         if r == 2:
             continue
         cls = families.c6_classify(mod, r, polys)
-        rational += cls.a_number == max_a
+        if cls.a_number == max_a:
+            rational += 1
         report.add(p=p, family="c6", param=f"{r}",
                    **_classification_columns(cls),
                    detail=f"isomorphism class {{{r}, {p - r}}}")
@@ -658,58 +684,53 @@ def _count_points_row(report, mod, args):
 
 _FAMILY_FLAGS = ("--family", "--r", "--quartic")
 
-#: command -> (rows at one prime, flags beyond --p, --p-range, --format)
+#: command -> (rows at one prime, arguments beyond --p, --p-range, --format)
 COMMANDS = {
     "hw": (_hw_row, _FAMILY_FLAGS),
     "classify": (_classify_row, _FAMILY_FLAGS),
     "enumerate": (_enumerate_rows, ()),
     "count-points": (_count_points_row, _FAMILY_FLAGS + ("--bound",)),
-    "verify": (None, ("SUITE", "--bound", "--c6-question")),
+    "verify": (None, ("suite", "--bound", "--c6-question")),
+}
+
+#: every argument after the command, declared once
+_ARGUMENTS = {
+    "suite": dict(choices=SUITES, help="the suite verify runs"),
+    "--p": dict(type=int, help="a single prime >= 5"),
+    "--p-range": dict(metavar="A..B", help="sweep all primes in [A, B]"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--family": dict(choices=("c6", "c9", "general")),
+    "--r": dict(help="C6 parameter: integer or a+b*w"),
+    "--quartic": dict(metavar="EXPR",
+                      help='general quartic, e.g. "x^3*z + y^4 + z^4"'),
+    "--bound": dict(type=int, help="point-count prime cap (default "
+                    f"{DEFAULT_POINT_BOUND}); verify: maximality only"),
+    "--c6-question": dict(action="store_true", help="verify maximality: "
+                          "also seek a maximal C_r, r in F_p2"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of command, holding the arguments COMMANDS gives it (all
+    of them when command is not one), so a flag the command does not take
+    is unrecognized and abbreviations resolve among its own flags."""
+    takes = (("--p", "--p-range", "--format") + COMMANDS[command][1]
+             if command in COMMANDS else _ARGUMENTS)
     ap = argparse.ArgumentParser(
         prog="hwquartic",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Hasse-Witt matrices and invariants of the C6/C9 "
-                    "genus-3 quartic families\nover prime fields.",
-        epilog="flags each command takes beyond --p, --p-range, --format:\n"
-               + "\n".join(f"  {cmd:<13} {' '.join(flags) or '-'}"
-                           for cmd, (_, flags) in COMMANDS.items()))
+                    "genus-3 quartic families over prime fields.")
     ap.add_argument("command", choices=COMMANDS,
                     help="hw: Hasse-Witt matrix; classify: invariants; enumerate"
-                         ": C6 classes; count-points: F_p2 points; verify: SUITE")
-    ap.add_argument("suite", nargs="?", choices=SUITES,
-                    help="SUITE, the verification suite verify runs")
-    ap.add_argument("--p", type=int, help="a single prime >= 5")
-    ap.add_argument("--p-range", metavar="A..B",
-                    help="sweep all primes in [A, B]")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--family", choices=("c6", "c9", "general"))
-    ap.add_argument("--r", help="C6 parameter: integer or a+b*w")
-    ap.add_argument("--quartic", metavar="EXPR",
-                    help='general quartic, e.g. "x^3*z + y^4 + z^4"')
-    ap.add_argument("--bound", type=int,
-                    help=f"point-count prime cap (default {DEFAULT_POINT_BOUND})"
-                         "; verify: maximality only")
-    ap.add_argument("--c6-question", action="store_true",
-                    help="verify maximality: also seek a maximal C_r, r in F_p2")
+                         ": C6 classes; count-points: F_p2 points; verify: suite")
+    for name, kw in _ARGUMENTS.items():
+        if name in takes:
+            ap.add_argument(name, **kw)
     return ap
 
 
-def _check_flags(argv, args):
-    """Reject what the command cannot take; settle --family, --r, --quartic."""
-    if argv[0] != args.command:
-        raise ParseError(f"the command must come first, not {argv[0]!r}")
-    takes = COMMANDS[args.command][1]
-    for flag in ("SUITE",) + _FAMILY_FLAGS + ("--bound", "--c6-question"):
-        # the attribute argparse stores the flag under, "suite" for SUITE
-        given = getattr(args, flag.lstrip("-").replace("-", "_").lower())
-        if given not in (None, False) and flag not in takes:
-            raise ParseError(f"{args.command} does not take {flag}")
-    if "--family" not in takes:
-        return
+def _settle_family(args):
+    """--family from --quartic or --r when not given; reject a mismatch."""
     fam = args.family or ("general" if args.quartic is not None
                           else "c6" if args.r is not None else None)
     if fam is None:
@@ -724,20 +745,25 @@ def _check_flags(argv, args):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = build_parser().parse_intermixed_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_flags(argv, args)
+        if args.command != command:
+            raise ParseError(f"the command must come first, not {command!r}")
+        rows, takes = COMMANDS[command]
+        if "--family" in takes:
+            _settle_family(args)
         primes, explicit = _resolve_primes(args)
-        if args.command == "verify":
+        if command == "verify":
             report, _ = run_suite(args.suite, primes, explicit, args.bound,
                                   args.c6_question)
         else:
             report = SweepReport()
             for p in primes:
-                COMMANDS[args.command][0](report, modulus(p), args)
+                rows(report, modulus(p), args)
         print(report.render(args.format), end="")
         return report.exit_status
     except CapacityError as exc:

@@ -408,22 +408,25 @@ def test_cli_usage_errors(capsys):
                 assert main(["verify", suite, "--p-range", "5..13", *flags]) == 2
 
 
-#: the flags each command takes beyond --p, --p-range and --format
+#: the arguments each command takes beyond --p, --p-range and --format
 _TAKES = {
     "hw": {"--family", "--r", "--quartic"},
     "classify": {"--family", "--r", "--quartic"},
     "enumerate": set(),
     "count-points": {"--family", "--r", "--quartic", "--bound"},
-    "verify": {"SUITE", "--bound", "--c6-question"},
+    "verify": {"suite", "--bound", "--c6-question"},
 }
 
+#: label (the argument, then a value if it matters) -> argv; the exit code
+#: where the argument applies (at p = 17, with --family c9 or maximality)
 _FLAG_ARGS = {
-    "SUITE": ["maximality"],
-    "--family": ["--family", "c9"],
-    "--r": ["--r", "5"],
-    "--quartic": ["--quartic", "x^3*z + y^4 + z^4"],
-    "--bound": ["--bound", "60"],
-    "--c6-question": ["--c6-question"],
+    "suite": (["maximality"], 0),
+    "--family": (["--family", "c9"], 0),
+    "--r": (["--r", "5"], 0),
+    "--quartic": (["--quartic", "x^3*z + y^4 + z^4"], 0),
+    "--bound": (["--bound", "60"], 0),
+    "--bound 0": (["--bound", "0"], 3),       # a falsy value is still given
+    "--c6-question": (["--c6-question"], 0),
 }
 
 
@@ -431,22 +434,40 @@ def test_flag_table_matches_the_cli():
     assert {cmd: set(flags) for cmd, (_, flags) in COMMANDS.items()} == _TAKES
 
 
-@pytest.mark.parametrize("flag", _FLAG_ARGS)
+@pytest.mark.parametrize("label", _FLAG_ARGS)
 @pytest.mark.parametrize("cmd", _TAKES)
-def test_cli_flag_table(capsys, cmd, flag):
-    """Exit 2 exactly where the flag does not apply to the command."""
+def test_cli_flag_table(capsys, cmd, label):
+    """Exit 2 exactly where the argument does not apply to the command."""
+    flag = label.split()[0]
+    extra, applies_code = _FLAG_ARGS[label]
     argv = [cmd, "--p", "17"]
-    if cmd == "verify" and flag != "SUITE":
+    if cmd == "verify" and flag != "suite":
         argv.append("maximality")
     if "--family" in _TAKES[cmd] and flag not in ("--family", "--r", "--quartic"):
         argv += ["--family", "c9"]
-    code = main(argv + _FLAG_ARGS[flag])
+    code = main(argv + extra)
     out, err = capsys.readouterr()
     if flag in _TAKES[cmd]:
-        assert code == 0 and err == ""
+        assert code == applies_code and "usage" not in err
     else:
         assert code == 2 and out == ""
-        assert err.startswith("usage error: ")
+        assert "unrecognized arguments: " + " ".join(extra) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--p", "13"],
+    ["verify", "counts", "--p", "13"],
+])
+def test_cli_format_abbreviation(capsys, argv):
+    """--f abbreviates --format where the command takes no --family."""
+    assert run_cli(capsys, *argv, "--f", "json") == \
+        run_cli(capsys, *argv, "--format", "json")
+
+
+def test_cli_ambiguous_abbreviation(capsys):
+    """--f is --format or --family under hw: a usage error, as argparse has it."""
+    assert main(["hw", "--p", "13", "--family", "c9", "--f", "json"]) == 2
+    assert "ambiguous option: --f" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
