@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IntegrityError
 from .ffield import Fp2Element, FpElement, _as_modulus, binomial, multinomial
-from .hwcore import HWMatrix, QuarticForm, a_number, hw_targets, stable_rank
+from .hwcore import (HWMatrix, QuarticForm, a_number, grid_rank,
+                     grid_stable_rank, hw_targets, stable_rank)
 from .unipoly import UniPoly, is_separable
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
@@ -187,6 +190,27 @@ def c6_hw(mod, r, polys: "C6CoeffPolys | None" = None) -> HWMatrix:
     return HWMatrix([[poly.eval(r) for poly in row] for row in polys.entries], mod)
 
 
+def c6_stack(polys: C6CoeffPolys, rs):
+    """The C6 Hasse-Witt matrices at the parameters rs (an int array of
+    residues), as a grid of (values,) arrays: one eval_all per entry."""
+    return [[(poly.eval_all()[rs],) for poly in row] for row in polys.entries]
+
+
+def _c6_lookup(p, a, f):
+    """The Classification of each (a[i], f[i]) (int arrays), after checking
+    every distinct pair against TABLE_C6."""
+    for av, fv in np.unique(np.stack([a, f]), axis=1).T.tolist():
+        if (p % 6, av) not in TABLE_C6:
+            raise IntegrityError(
+                f"a-number {av} not admissible for p = {p % 6} mod 6")
+        table_f = TABLE_C6[p % 6, av][0]
+        if fv != table_f:
+            raise IntegrityError(f"computed p-rank {fv} disagrees with the "
+                                 f"table value {table_f}")
+    found = {av: Classification(av, *TABLE_C6[p % 6, av]) for av in set(a.tolist())}
+    return [found[av] for av in a.tolist()]
+
+
 def c6_classify(mod, r, polys=None) -> Classification:
     """a-number and p-rank from the matrix; NP and EO from the lookup table."""
     mod = _as_modulus(mod)
@@ -194,17 +218,15 @@ def c6_classify(mod, r, polys=None) -> Classification:
     if (r.b == 0 and r.a == 0) if isinstance(r, Fp2Element) else r.value == 0:
         raise ValueError("r = 0 has automorphism group of order 48, not 6")
     M = c6_hw(mod, r, polys)
-    a = a_number(M)
-    f = stable_rank(M)
-    key = (mod.p % 6, a)
-    if key not in TABLE_C6:
-        raise IntegrityError(
-            f"a-number {a} not admissible for p = {mod.p % 6} mod 6")
-    table_f, np_tag, eo = TABLE_C6[key]
-    if f != table_f:
-        raise IntegrityError(
-            f"computed p-rank {f} disagrees with the table value {table_f}")
-    return Classification(a, f, np_tag, eo)
+    return _c6_lookup(mod.p, np.array([a_number(M)]), np.array([stable_rank(M)]))[0]
+
+
+def c6_classify_all(mod, rs, polys=None) -> list:
+    """c6_classify at each r of the int array rs (r in F_p, r != 0, +-2),
+    from one stack."""
+    mod = _as_modulus(mod)
+    M = c6_stack(c6_coeff_polys(mod) if polys is None else polys, rs)
+    return _c6_lookup(mod.p, 3 - grid_rank(M, mod), grid_stable_rank(M, mod))
 
 
 def c6_count_max_a(mod) -> int:

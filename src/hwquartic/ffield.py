@@ -352,13 +352,6 @@ class Fp2Element:
             return NotImplemented
         return Fp2Element(c[0], c[1], self.modulus) * self.inverse()
 
-    def frobenius(self) -> "Fp2Element":
-        """x -> x^p; fixes exactly the subfield F_p."""
-        return Fp2Element(self.a, -self.b % self.modulus.p, self.modulus)
-
-    def in_base_field(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         c = self._coerce(other)
         if c is None:

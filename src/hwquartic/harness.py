@@ -29,7 +29,7 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
                      modulus)
 from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
-                     hw_matrix, hw_matrix_oracle, stable_rank)
+                     grid_rank, hw_matrix, hw_matrix_oracle, stable_rank)
 from .unipoly import ext2_elements, horner_ext2, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
@@ -431,9 +431,8 @@ def _suite_c6_structure(report, mod, **_kw):
                 for row in (1, 2, 3) for col in (1, 2, 3)
                 if (row, col) not in live
                 and not polys.entries[row - 1][col - 1].is_zero]
-    # with the shape checked, the nonzero slots at r give the rank there
-    rank = sum(poly.eval_all() != 0 for row in polys.entries for poly in row)
-    attained = {3 - int(rank[r]) for r in range(p) if r not in (0, 2, p - 2)}
+    rs = np.array([r for r in range(p) if r not in (0, 2, p - 2)])
+    attained = set((3 - grid_rank(families.c6_stack(polys, rs), mod)).tolist())
     forbidden = 2 if anti else 1
     if forbidden in attained:
         problems.append(f"a-number {forbidden} attained")
@@ -654,10 +653,8 @@ def _enumerate_rows(report, mod, args):
     polys = families.c6_coeff_polys(mod)
     max_a = 3 if p % 6 == 5 else 2
     rational = 0
-    for r in range(1, (p - 1) // 2 + 1):
-        if r == 2:
-            continue
-        cls = families.c6_classify(mod, r, polys)
+    rs = [r for r in range(1, (p - 1) // 2 + 1) if r != 2]
+    for r, cls in zip(rs, families.c6_classify_all(mod, np.array(rs), polys)):
         if cls.a_number == max_a:
             rational += 1
         report.add(p=p, family="c6", param=f"{r}",

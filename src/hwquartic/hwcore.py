@@ -19,10 +19,18 @@ solves r = rank pivot terms exactly by an integer adjugate and enumerates
 the other multiplicities as numpy rows, about p^(t-3) of them, up to
 MAX_CANDIDATES.  hw_matrix_oracle expands F^{p-1} outright and is
 feasible for p <= 31; the two must agree everywhere.
+
+Ranks come from one kernel on a 3x3 grid of component tuples, (a,) over
+F_p or (a, b) for a + b*w, each an int (one matrix) or an array (a
+stack): int64 while p < 2^31, where every residue product fits, object
+dtype above.  rank M = [M != 0] + [adj M != 0] + [det M != 0], exact as
+the conditions are nested; M^(p) is the conjugate (a, -b) of M.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -114,16 +122,6 @@ class HWMatrix:
         r, c = rc
         return self.entries[r - 1][c - 1]
 
-    def power_entrywise(self, q: int) -> "HWMatrix":
-        return HWMatrix([[e ** q for e in row] for row in self.entries], self.modulus)
-
-    def __mul__(self, other: "HWMatrix") -> "HWMatrix":
-        a, b = self.entries, other.entries
-        out = [[sum((a[i][k] * b[k][j] for k in range(3)),
-                    start=FpElement(0, self.modulus)) for j in range(3)]
-               for i in range(3)]
-        return HWMatrix(out, self.modulus)
-
     def __eq__(self, other):
         if not isinstance(other, HWMatrix):
             return NotImplemented
@@ -168,6 +166,20 @@ def _mul(x, y, p, s):
     return (xa * ya + s * (xb * yb % p)) % p, (xa * yb + xb * ya) % p
 
 
+def _sub(x, y, p):
+    if len(x) == 1:
+        return ((x[0] - y[0]) % p,)
+    return (x[0] - y[0]) % p, (x[1] - y[1]) % p
+
+
+def _dot(xs, ys, p, s):
+    """sum x*y over three pairs of component tuples."""
+    a, b, c = map(_mul, xs, ys, (p,) * 3, (s,) * 3)
+    if len(a) == 1:
+        return ((a[0] + b[0] + c[0]) % p,)
+    return (a[0] + b[0] + c[0]) % p, (a[1] + b[1] + c[1]) % p
+
+
 def _term_tables(coeffs, length, mod, width):
     """Components of c^k / k! for 0 <= k < length, one row per coefficient
     c; the powers by doubling."""
@@ -196,21 +208,19 @@ def _branch(lo, hi):
     return row, np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def coefficient_in_power(F: QuarticForm, target) -> "FpElement | Fp2Element":
+def coefficient_in_power(F: QuarticForm, target):
     """The coefficient of x^i y^j z^k in F^(p-1), without expanding.
 
-    Zero when the target has a negative coordinate or does not have total
-    degree 4(p-1).  Raises CapacityError when the enumeration would hold
-    more than MAX_CANDIDATES rows.
+    target is a triple, or a list of them (then the result is a list, and
+    the setup that depends on F alone is made once).  Zero when a target
+    has a negative coordinate or not total degree 4(p-1).  Raises
+    CapacityError when the enumeration would hold more than
+    MAX_CANDIDATES rows.
     """
     mod = F.modulus
     p = mod.p
     items = sorted(F.terms.items())
     width = 2 if F.uses_ext_field() else 1
-    zero = Fp2Element(0, 0, mod) if width == 2 else FpElement(0, mod)
-    if min(target) < 0 or sum(target) != 4 * (p - 1):
-        return zero
-
     exps = [e for e, _ in items]
     E = np.array(exps, np.int64).reshape(-1, 3).T      # 3 x t
     coords, pivots = _pivot_minor(exps)
@@ -225,41 +235,53 @@ def coefficient_in_power(F: QuarticForm, target) -> "FpElement | Fp2Element":
         [row[:i] + row[i + 1:] for m, row in enumerate(B) if m != j])
         for j in range(r)] for i in range(r)], np.int64).reshape(r, r)
 
-    ks = np.zeros((1, 0), np.int64)      # multiplicities of the free terms
-    rem = np.array([target], np.int64)   # the part of the target left
-    for u in free:
-        e = exps[u]
-        # rem sums to 4 times the degree left, so this also caps k by it
-        hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]], axis=0)
-        lo = np.zeros_like(hi)
-        if u == free[-1]:
-            # det * (pivot multiplicities) = a - k*b must stay >= 0
-            a = rem[:, coords] @ adj.T
-            b = adj @ E[coords, u]
-            for ai, bi in zip(a.T, b):
-                if bi > 0:
-                    hi = np.minimum(hi, ai // bi)
-                elif bi < 0:
-                    lo = np.maximum(lo, -(ai // -bi))
-                else:
-                    hi = np.where(ai < 0, -1, hi)
-        row, k = _branch(lo, hi)
-        ks = np.column_stack((ks[row], k))
-        rem = rem[row] - np.outer(k, e)
+    def solutions(tgt):  # rows of free, then pivot multiplicities
+        if min(tgt) < 0 or sum(tgt) != 4 * (p - 1):
+            return np.zeros((0, len(exps)), np.int64)
+        ks = np.zeros((1, 0), np.int64)      # multiplicities of the free terms
+        rem = np.array([tgt], np.int64)      # the part of the target left
+        for u in free:
+            e = exps[u]
+            # rem sums to 4 times the degree left, so this also caps k by it
+            hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]], axis=0)
+            lo = np.zeros_like(hi)
+            if u == free[-1]:
+                # det * (pivot multiplicities) = a - k*b must stay >= 0
+                a = rem[:, coords] @ adj.T
+                b = adj @ E[coords, u]
+                for ai, bi in zip(a.T, b):
+                    if bi > 0:
+                        hi = np.minimum(hi, ai // bi)
+                    elif bi < 0:
+                        lo = np.maximum(lo, -(ai // -bi))
+                    else:
+                        hi = np.where(ai < 0, -1, hi)
+            row, k = _branch(lo, hi)
+            ks = np.column_stack((ks[row], k))
+            rem = rem[row] - np.outer(k, e)
+        num = rem[:, coords] @ adj.T         # det * (pivot multiplicities)
+        keep = ((num % det == 0).all(axis=1) & (num >= 0).all(axis=1)
+                & (num @ E[:, pivots].T == det * rem).all(axis=1))
+        return np.column_stack((ks[keep], num[keep] // det))
 
-    num = rem[:, coords] @ adj.T         # det * (pivot multiplicities)
-    keep = ((num % det == 0).all(axis=1) & (num >= 0).all(axis=1)
-            & (num @ E[:, pivots].T == det * rem).all(axis=1))
-    if not keep.any():
-        return zero
-    ks = np.column_stack((ks[keep], num[keep] // det))
     s = mod.nonresidue if width == 2 else 0
-    val = (mod.factorials.values[p - 1], 0)[:width]
-    tab = _term_tables([c for _, c in items], int(ks.max()) + 1, mod, width)
-    for col, u in enumerate(free + pivots):
-        val = _mul(val, tuple(t[u, ks[:, col]] for t in tab), p, s)
-    acc = [int(v.sum() % p) for v in val]
-    return Fp2Element(*acc, mod) if width == 2 else FpElement(acc[0], mod)
+    tab = (np.zeros((len(items), 0), np.int64),) * width
+
+    def value(ks):
+        nonlocal tab
+        if ks.max(initial=-1) >= tab[0].shape[1]:  # grow the tables
+            tab = _term_tables([c for _, c in items],
+                               min(2 * int(ks.max()) + 2, p), mod, width)
+        val = (np.full(len(ks), mod.factorials.values[p - 1]),
+               np.zeros(len(ks), np.int64))[:width]
+        for col, u in enumerate(free + pivots):
+            val = _mul(val, tuple(t[u, ks[:, col]] for t in tab), p, s)
+        acc = [int(v.sum() % p) for v in val]
+        return Fp2Element(*acc, mod) if width == 2 else FpElement(acc[0], mod)
+
+    if np.ndim(target) == 1:
+        return value(solutions(target))
+    return [value(solutions(t)) for t in target]
 
 
 def hw_targets(p):
@@ -271,8 +293,9 @@ def hw_targets(p):
 
 def hw_matrix(F: QuarticForm) -> HWMatrix:
     """Hasse-Witt matrix via constrained coefficient extraction."""
-    return HWMatrix([[coefficient_in_power(F, t) for t in row]
-                     for row in hw_targets(F.modulus.p)], F.modulus)
+    values = coefficient_in_power(
+        F, [t for row in hw_targets(F.modulus.p) for t in row])
+    return HWMatrix([values[k:k + 3] for k in (0, 3, 6)], F.modulus)
 
 
 def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
@@ -305,36 +328,56 @@ def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
     return HWMatrix([[fetch(t) for t in row] for row in hw_targets(p)], mod)
 
 
+def _grid(M: HWMatrix):
+    """The component grid of M: (a,) entries, or (a, b) if any entry lies
+    in F_{p^2}."""
+    width = 1 + any(isinstance(e, Fp2Element) for row in M.entries for e in row)
+    return [[components(e)[:width] for e in row] for row in M.entries]
+
+
+def _nonzero(entries):
+    """Whether any of the component tuples is nonzero, per matrix."""
+    return 1 * reduce(operator.or_, (c != 0 for e in entries for c in e))
+
+
+def grid_rank(M, mod):
+    """Rank of each matrix of the grid M, as
+    [M != 0] + [adj M != 0] + [det M != 0]."""
+    p = mod.p
+    s = mod.nonresidue if len(M[0][0]) == 2 else 0
+    # cof[i][j]: the cofactor of entry (i, j), its sign from the cyclic order
+    cof = [[_sub(_mul(M[i - 2][j - 2], M[i - 1][j - 1], p, s),
+                 _mul(M[i - 2][j - 1], M[i - 1][j - 2], p, s), p)
+            for j in range(3)] for i in range(3)]
+    return (_nonzero(sum(M, [])) + _nonzero(sum(cof, []))
+            + _nonzero([_dot(M[0], cof[0], p, s)]))
+
+
+def grid_stable_rank(M, mod):
+    """Rank of each M * M^(p) * M of the grid M, M^(p) its conjugate."""
+    p = mod.p
+    s = mod.nonresidue if len(M[0][0]) == 2 else 0
+    conj = [[e[:1] + tuple(-b % p for b in e[1:]) for e in row] for row in M]
+    for B in (conj, M):
+        M = [[_dot(row, col, p, s) for col in zip(*B)] for row in M]
+    return grid_rank(M, mod)
+
+
 def rank3(M: HWMatrix) -> int:
-    """Rank over the coefficient field by Gaussian elimination."""
-    rows = [list(r) for r in M.entries]
-    rank = 0
-    for col in range(3):
-        pivot = None
-        for r in range(rank, 3):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for r in range(3):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over the coefficient field; grid_rank on one matrix."""
+    return grid_rank(_grid(M), M.modulus)
 
 
 def stable_rank(M: HWMatrix) -> int:
     """Rank of M * M^(p) * M^(p^2); equals the p-rank for genus 3.
 
     M^(q) raises entries to the q-th power (the matrix of the iterated
-    p-linear Frobenius).  Entries lie in F_{p^2}, so M^(p^2) = M.
+    p-linear Frobenius).  Entries lie in F_{p^2}, so M^(p^2) = M and M^(p)
+    is the conjugate (a, -b) of M (M itself over F_p).  grid_stable_rank
+    on one matrix: the rank rule on int components (on a stack, int64
+    arrays while p < 2^31, object dtype above).
     """
-    return rank3(M * M.power_entrywise(M.modulus.p) * M)
+    return grid_stable_rank(_grid(M), M.modulus)
 
 
 def a_number(M: HWMatrix) -> int:

@@ -170,8 +170,10 @@ def verify_gauss_lemma(mod) -> bool:
     cols = []
     for rv in rs:
         alpha, beta = alpha_beta(FpElement(rv, mod), mod)
-        cols.append([components(x) for x in (alpha / beta, bin1 * beta ** ((p - 1) // 2),
-                                             bin2 * beta ** ((p - 5) // 6))])
+        low = beta ** ((p - 5) // 6)   # low^3 * beta^2 = beta^((p-1)/2)
+        cols.append([components(x) for x in (alpha / beta,
+                                             bin1 * low * low * low * beta * beta,
+                                             bin2 * low)])
     t, *factors = np.array(cols, dtype=np.int64).transpose(1, 2, 0)
     for g, factor, d in zip((g1, g2), factors, (polys.d1, polys.d2)):
         series = horner_ext2([(k, 0) for k in g.coeffs], *t, mod)

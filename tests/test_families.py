@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from hwquartic.errors import IntegrityError
 from hwquartic.families import (Classification, C6CoeffPolys, TABLE_C6, TABLE_C9,
-                                _c9_solve_slot, c6_classify, c6_coeff_polys,
-                                c6_count_max_a, c6_entry_poly, c6_form, c6_hw,
-                                c9_classify, c9_form, c9_hw, coeff_of_power)
+                                _c9_solve_slot, c6_classify, c6_classify_all,
+                                c6_coeff_polys, c6_count_max_a, c6_entry_poly,
+                                c6_form, c6_hw, c9_classify, c9_form, c9_hw,
+                                coeff_of_power)
 from hwquartic.ffield import Fp2Element, FpElement, modulus, multinomial
 from hwquartic.harness import main, primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
@@ -169,7 +171,7 @@ def test_c6_classify_ext2_max_a_parameters():
     ct1 = c6_coeff_polys(m).ct1
     roots = roots_over(ct1, 2)
     assert len(roots) == 2
-    assert all(not z.in_base_field() for z in roots)
+    assert all(z.b != 0 for z in roots)
     for r in roots:
         assert r * r == Fp2Element(8, 0, m)
         cls = c6_classify(m, r)
@@ -193,7 +195,7 @@ def test_c6_superspecial_member():
     # p = 17: c2 has roots; any root r gives the zero matrix and a = 3
     m = modulus(17)
     c2 = c6_coeff_polys(m).c2
-    roots = [z for z in roots_over(c2, 2) if z.in_base_field()]
+    roots = [z for z in roots_over(c2, 2) if z.b == 0]
     assert roots, "no F_p-rational superspecial parameter at p = 17"
     r = FpElement(roots[0].a, m)
     cls = c6_classify(m, r)
@@ -230,6 +232,15 @@ def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
         c6_count_max_a(modulus(17))
     assert main(["verify", "counts", "--p", "17"]) == 1
     assert "inseparable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [1009, 1013])  # 1 and 5 mod 6
+def test_batched_classes_match_c6_classify(p):
+    m = modulus(p)
+    polys = c6_coeff_polys(m)
+    rs = [r for r in range(1, (p - 1) // 2 + 1) if r != 2]
+    assert c6_classify_all(m, np.array(rs), polys) == [
+        c6_classify(m, r, polys) for r in rs]
 
 
 def test_attained_a_numbers_skip_middle_value():

@@ -603,6 +603,18 @@ def test_cli_failure_exit_code(capsys, monkeypatch):
     assert main(["verify", "counts", "--p", "13"]) == 1
 
 
+@pytest.mark.parametrize("a_number", [0, 2])
+def test_enumerate_checks_every_class_against_the_table(a_number, capsys,
+                                                        monkeypatch):
+    # 1009 = 1 mod 6: classes have a = 0 (p-rank 3) or a = 2 (p-rank 1);
+    # a table p-rank that disagrees with the batch must fail the call
+    table_f, np_tag, eo = families.TABLE_C6[1, a_number]
+    monkeypatch.setitem(families.TABLE_C6, (1, a_number),
+                        (table_f - 1, np_tag, eo))
+    assert main(["enumerate", "--p", "1009"]) == 1
+    assert f"table value {table_f - 1}" in capsys.readouterr().err
+
+
 def test_cli_enumerate(capsys):
     code, out = run_cli(capsys, "enumerate", "--p", "29")
     assert code == 0

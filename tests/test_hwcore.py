@@ -1,17 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError
 from hwquartic.families import c6_form, c6_hw, c9_form, c9_hw
-from hwquartic.ffield import Fp2Element, FpElement, is_prime, modulus
+from hwquartic.ffield import Fp2Element, FpElement, components, is_prime, modulus
 from hwquartic.harness import fermat_form, random_sparse_quartic
 from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
                               QuarticForm, a_number, coefficient_in_power,
-                              elliptic_e0_supersingular, hw_matrix,
-                              hw_matrix_oracle, rank3, stable_rank)
+                              elliptic_e0_supersingular, grid_rank,
+                              grid_stable_rank, hw_matrix, hw_matrix_oracle,
+                              hw_targets, rank3, stable_rank)
 
 MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
 ORACLE_PRIMES = [p for p in range(5, ORACLE_PRIME_BOUND + 1) if is_prime(p)]
@@ -20,6 +22,39 @@ ORACLE_PRIMES = [p for p in range(5, ORACLE_PRIME_BOUND + 1) if is_prime(p)]
 def M(entries, p):
     m = modulus(p)
     return HWMatrix([[FpElement(v, m) for v in row] for row in entries], m)
+
+
+def rank_by_elimination(entries):
+    """Rank of a 3x3 matrix of field elements by Gaussian elimination: the
+    oracle of the rank rule."""
+    rows = [list(r) for r in entries]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, 3) if not rows[r][col].is_zero()),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [e * inv for e in rows[rank]]
+        for r in range(3):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def product(A, B):
+    """A @ B on 3x3 lists of field elements."""
+    return [[sum((A[i][k] * B[k][j] for k in range(3)), start=A[0][0] * 0)
+             for j in range(3)] for i in range(3)]
+
+
+def frobenius_cube(A):
+    """A * A^(p) * A, A^(p) raising every entry to the p-th power."""
+    p = A[0][0].modulus.p
+    return product(product(A, [[e ** p for e in row] for row in A]), A)
 
 
 def test_quartic_form_validation():
@@ -240,7 +275,8 @@ def test_stable_rank():
     one = Fp2Element(1, 0, m)
     twisted = HWMatrix([[one, 3 * w, zero], [w, one, zero],
                         [zero, zero, zero]], m)
-    assert rank3(twisted) == rank3(twisted * twisted * twisted) == 1
+    cube = product(product(twisted.entries, twisted.entries), twisted.entries)
+    assert rank3(twisted) == rank3(HWMatrix(cube, m)) == 1
     assert stable_rank(twisted) == 0
 
 
@@ -252,6 +288,59 @@ def test_stable_rank_at_most_rank():
             A = M([[rng.randrange(p) for _ in range(3)] for _ in range(3)], p)
             assert stable_rank(A) <= rank3(A)
             assert a_number(A) + rank3(A) == 3
+
+
+#: both sides of the int64 bound 2^31 of the stacks, up to 2^61 - 1
+KERNEL_PRIMES = [5, 7, 11, 13, 1009, 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 61 - 1]
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(modulus, width, matrices): 1-4 random 3x3 matrices over F_p (width
+    1) or F_{p^2} (width 2), each U @ V for random 3 x k and k x 3 factors,
+    k = 0..3, with entries often 0, 1 or -1 so that ranks drop."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    m = modulus(p)
+    width = draw(st.sampled_from((1, 2)))
+    residue = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+
+    def element():
+        if width == 1:
+            return FpElement(draw(residue), m)
+        return Fp2Element(draw(residue), draw(residue), m)
+
+    zero = element() * 0
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, 3))
+        U = [[element() for _ in range(k)] for _ in range(3)]
+        V = [[element() for _ in range(3)] for _ in range(k)]
+        mats.append([[sum((U[i][t] * V[t][j] for t in range(k)), start=zero)
+                      for j in range(3)] for i in range(3)])
+    return m, width, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_stacks())
+def test_rank_kernel_matches_elimination(case):
+    m, width, mats = case
+    dtype = np.int64 if m.p < 2 ** 31 else object
+    grid = [[tuple(np.array([components(A[i][j])[c] for A in mats], dtype)
+                   for c in range(width)) for j in range(3)] for i in range(3)]
+    ranks = [rank_by_elimination(A) for A in mats]
+    stable = [rank_by_elimination(frobenius_cube(A)) for A in mats]
+    assert grid_rank(grid, m).tolist() == ranks
+    assert grid_stable_rank(grid, m).tolist() == stable
+    for A, r, f in zip(mats, ranks, stable):
+        H = HWMatrix(A, m)
+        assert (rank3(H), stable_rank(H), a_number(H)) == (r, f, 3 - r)
+
+
+def test_one_setup_serves_every_target():
+    F = QuarticForm(CYCLIC5, modulus(101))
+    targets = [t for row in hw_targets(101) for t in row] + [(-1, 0, 401)]
+    assert coefficient_in_power(F, targets) == [
+        coefficient_in_power(F, t) for t in targets]
 
 
 def test_elliptic_e0_supersingular():
