@@ -198,16 +198,19 @@ def c6_stack(polys: C6CoeffPolys, rs):
 
 def _c6_lookup(p, a, f):
     """The Classification of each (a[i], f[i]) (int arrays), after checking
-    every distinct pair against TABLE_C6."""
-    for av, fv in np.unique(np.stack([a, f]), axis=1).T.tolist():
+    every pair that occurs (a, f in 0..3, so 4a + f tells them apart)
+    against TABLE_C6."""
+    found = {}
+    for key in np.flatnonzero(np.bincount(4 * a + f)).tolist():
+        av, fv = divmod(key, 4)
         if (p % 6, av) not in TABLE_C6:
             raise IntegrityError(
                 f"a-number {av} not admissible for p = {p % 6} mod 6")
-        table_f = TABLE_C6[p % 6, av][0]
+        table_f, np_tag, eo = TABLE_C6[p % 6, av]
         if fv != table_f:
             raise IntegrityError(f"computed p-rank {fv} disagrees with the "
                                  f"table value {table_f}")
-    found = {av: Classification(av, *TABLE_C6[p % 6, av]) for av in set(a.tolist())}
+        found[av] = Classification(av, fv, np_tag, eo)
     return [found[av] for av in a.tolist()]
 
 
