@@ -9,8 +9,10 @@ For C6 each target reduces to a single binomial split: the x-exponent
 pins the multiplicity of the x^3*z term, and what remains is the y^m
 coefficient of (y^4 + r y^2 + 1)^s (coeff_of_power), a polynomial in r.
 So the C6 closed form is a 3x3 grid of polynomials in r (C6CoeffPolys),
-and c6_hw evaluates it.  For C9 each target is hit by at most one
-multinomial term.
+and c6_stack evaluates it by unipoly.horner at r given as a component
+tuple: ints for one matrix (c6_hw, c6_classify) or int arrays for a
+stack (c6_classify_all).  c6_count_max_a builds only the root-locus entry.
+For C9 each target is hit by at most one multinomial term.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import IntegrityError
 from .ffield import Fp2Element, FpElement, _as_modulus, binomial, multinomial
 from .hwcore import (HWMatrix, QuarticForm, a_number, grid_rank,
                      grid_stable_rank, hw_targets, stable_rank)
-from .unipoly import UniPoly, is_separable
+from .unipoly import UniPoly, horner, is_separable
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
 # triples are literal theory data, never derived here.
@@ -40,6 +42,9 @@ TABLE_C6 = {
     (5, 1): (2, NP_RANK2, (1, 2, 2)),
     (5, 3): (0, NP_SUPERSINGULAR, (0, 0, 0)),
 }
+
+#: p mod 6 -> the (row, col) entry whose roots are the maximal-a parameters
+LOCUS_SLOT = {1: (1, 1), 5: (3, 1)}
 
 #: p mod 9 -> (a-number, p-rank, Newton polygon, EO type) for the C9 curve
 TABLE_C9 = {
@@ -160,7 +165,8 @@ class C6CoeffPolys:
 
     def root_locus_poly(self) -> UniPoly:
         """The polynomial whose roots are the maximal-a-number parameters."""
-        return self.c2 if self.residue == 5 else self.ct1
+        row, col = LOCUS_SLOT[self.residue]
+        return self.entries[row - 1][col - 1]
 
 
 def c6_coeff_polys(mod) -> C6CoeffPolys:
@@ -168,32 +174,35 @@ def c6_coeff_polys(mod) -> C6CoeffPolys:
 
 
 def _reject_singular(mod, r):
+    """The parameter r != +-2 as a component tuple: (a,) for r in F_p (an
+    int or FpElement), (a, b) for an Fp2Element r = a + b*w."""
     p = mod.p
     if isinstance(r, Fp2Element):
         if r.modulus.p != p:
             raise ValueError("parameter modulus mismatch")
-        bad = r.b == 0 and r.a in (2, p - 2)
+        r = (r.a, r.b)
     else:
-        r = r if isinstance(r, FpElement) else FpElement(r, mod)
-        bad = r.value in (2, p - 2)
-    if bad:
+        r = (int(r) % p,)
+    if r[0] in (2, p - 2) and not any(r[1:]):
         raise ValueError("r = 2 or -2 gives a singular quartic")
     return r
 
 
 def c6_hw(mod, r, polys: "C6CoeffPolys | None" = None) -> HWMatrix:
-    """Hasse-Witt matrix of C_r: the grid of entry polynomials at r."""
+    """Hasse-Witt matrix of C_r: c6_stack at the one parameter r."""
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
-    if polys is None:
-        polys = c6_coeff_polys(mod)
-    return HWMatrix([[poly.eval(r) for poly in row] for row in polys.entries], mod)
+    grid = c6_stack(c6_coeff_polys(mod) if polys is None else polys, r)
+    make = Fp2Element if len(r) == 2 else FpElement
+    return HWMatrix([[make(*v, mod) for v in row] for row in grid], mod)
 
 
-def c6_stack(polys: C6CoeffPolys, rs):
-    """The C6 Hasse-Witt matrices at the parameters rs (an int array of
-    residues), as a grid of (values,) arrays: one eval_all per entry."""
-    return [[(poly.eval_all()[rs],) for poly in row] for row in polys.entries]
+def c6_stack(polys: C6CoeffPolys, r):
+    """The C6 Hasse-Witt matrices at r, a component tuple of ints (one
+    matrix) or int arrays (a stack): a grid of component tuples."""
+    mod = polys.modulus
+    return [[horner(poly.coeffs if len(r) == 1 else [(c, 0) for c in poly.coeffs],
+                    r, mod) for poly in row] for row in polys.entries]
 
 
 def _c6_lookup(p, a, f):
@@ -218,18 +227,18 @@ def c6_classify(mod, r, polys=None) -> Classification:
     """a-number and p-rank from the matrix; NP and EO from the lookup table."""
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
-    if (r.b == 0 and r.a == 0) if isinstance(r, Fp2Element) else r.value == 0:
+    if not any(r):
         raise ValueError("r = 0 has automorphism group of order 48, not 6")
-    M = c6_hw(mod, r, polys)
-    return _c6_lookup(mod.p, np.array([a_number(M)]), np.array([stable_rank(M)]))[0]
+    return c6_classify_all(mod, r, polys)[0]
 
 
-def c6_classify_all(mod, rs, polys=None) -> list:
-    """c6_classify at each r of the int array rs (r in F_p, r != 0, +-2),
-    from one stack."""
+def c6_classify_all(mod, r, polys=None) -> list:
+    """c6_classify at each parameter of the component tuple r (ints, or
+    int arrays for a batch; r != 0, +-2), from one stack."""
     mod = _as_modulus(mod)
-    M = c6_stack(c6_coeff_polys(mod) if polys is None else polys, rs)
-    return _c6_lookup(mod.p, 3 - grid_rank(M, mod), grid_stable_rank(M, mod))
+    M = c6_stack(c6_coeff_polys(mod) if polys is None else polys, r)
+    return _c6_lookup(mod.p, np.ravel(3 - grid_rank(M, mod)),
+                      np.ravel(grid_stable_rank(M, mod)))
 
 
 def c6_count_max_a(mod) -> int:
@@ -243,8 +252,7 @@ def c6_count_max_a(mod) -> int:
     implementation bug, not an input error.
     """
     mod = _as_modulus(mod)
-    polys = c6_coeff_polys(mod)
-    locus = polys.root_locus_poly()
+    locus = c6_entry_poly(mod, *LOCUS_SLOT[mod.p % 6])
     if not is_separable(locus):
         raise IntegrityError(
             f"root locus polynomial unexpectedly inseparable at p={mod.p}")

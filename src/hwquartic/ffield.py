@@ -4,6 +4,10 @@ F_{p^2} is realized as F_p[w] with w^2 = s, where s is the smallest
 positive quadratic non-residue mod p.  Fixing s this way keeps the
 representation deterministic across runs, so elements can be printed,
 parsed and compared reproducibly.
+
+Vectorized code works on component tuples, (a,) over F_p or (a, b) for
+a + b*w, of ints or int64 arrays: mul is the one F_{p^2} product, also
+behind Fp2Element's, and power its square-and-multiply.
 """
 
 from __future__ import annotations
@@ -302,11 +306,7 @@ class Fp2Element:
         c = self._coerce(other)
         if c is None:
             return NotImplemented
-        p = self.modulus.p
-        s = self.modulus.nonresidue
-        a, b = self.a, self.b
-        return Fp2Element((a * c[0] + s * b * c[1]) % p,
-                          (a * c[1] + b * c[0]) % p, self.modulus)
+        return Fp2Element(*mul((self.a, self.b), c, self.modulus), self.modulus)
 
     __rmul__ = __mul__
 
@@ -317,14 +317,7 @@ class Fp2Element:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = Fp2Element(1, 0, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return Fp2Element(*power((self.a, self.b), e, self.modulus), self.modulus)
 
     def norm(self) -> FpElement:
         """Norm to F_p: (a + b*w)(a - b*w) = a^2 - s*b^2."""
@@ -373,6 +366,35 @@ class Fp2Element:
         if self.b == 0:
             return f"{self.a}"
         return f"{self.a}+{self.b}*w"
+
+
+def mul(x, y, mod):
+    """x*y on component tuples: (a,) over F_p, (a, b) for a + b*w, w^2 = s.
+
+    Components are ints or int64 arrays (which broadcast); int64 holds
+    every intermediate while p < 2^31."""
+    p = mod.p
+    if len(x) == 1:
+        return (x[0] * y[0] % p,)
+    (xa, xb), (ya, yb) = x, y
+    return (xa * ya + mod.nonresidue * (xb * yb % p)) % p, (xa * yb + xb * ya) % p
+
+
+def power(x, e: int, mod):
+    """x^e (e >= 0) on a component tuple, by square-and-multiply."""
+    out = (1, 0)[:len(x)]
+    while e:
+        if e & 1:
+            out = mul(out, x, mod)
+        e >>= 1
+        if e:
+            x = mul(x, x, mod)
+    return out
+
+
+def element(c, mod):
+    """The field element with component tuple c, (a,) or (a, b)."""
+    return Fp2Element(*c, mod) if len(c) == 2 else FpElement(*c, mod)
 
 
 def components(x):

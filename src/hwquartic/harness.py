@@ -27,10 +27,10 @@ from . import families, hypergeom
 from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
-                     modulus)
+                     modulus, power)
 from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
                      grid_rank, hw_matrix, hw_matrix_oracle, stable_rank)
-from .unipoly import ext2_elements, horner_ext2, roots_over
+from .unipoly import ext2_elements, horner, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
@@ -200,10 +200,10 @@ def _count_points_cover(F: QuarticForm, x_term) -> int:
     for expo, coeff in F.terms.items():
         if expo != x_term:
             u[expo[m]] = components(coeff * minus_inv_c)
-    A, B = ext2_elements(p)
-    ua, ub = horner_ext2(u, A, B, mod)
+    X = ext2_elements(p)
+    ua, ub = horner(u, X, mod)
     # cube_roots[v] = #{x : x^3 = v}, from x^3 at every x
-    xa, xb = horner_ext2([(0, 0)] * 3 + [(1, 0)], A, B, mod)
+    xa, xb = power(X, 3, mod)
     cube_roots = np.bincount(xa * p + xb, minlength=q)
     count = int(cube_roots[ua * p + ub].sum())
     # the line l = 0: the point (1:0:0) alone, or the whole line
@@ -229,7 +229,7 @@ def _count_points_grid(F: QuarticForm) -> int:
         cd[j][i] = components(coeff)
         if not k:
             g[i] = cd[j][i]
-    cd = [horner_ext2(c, *X, mod) for c in cd]
+    cd = [horner(c, X, mod) for c in cd]
 
     count = 0
     chunk = max(1, 1_000_000 // q)
@@ -237,10 +237,10 @@ def _count_points_grid(F: QuarticForm) -> int:
         # Horner in y: a column of cd_j(x) against the row of all y
         rows = [(ca[lo:lo + chunk, np.newaxis], cb[lo:lo + chunk, np.newaxis])
                 for ca, cb in cd]
-        va, vb = horner_ext2(rows, *X, mod)
+        va, vb = horner(rows, X, mod)
         count += int(np.count_nonzero((va == 0) & (vb == 0)))
 
-    ga, gb = horner_ext2(g, *X, mod)
+    ga, gb = horner(g, X, mod)
     count += int(np.count_nonzero((ga == 0) & (gb == 0)))
 
     # the remaining point (1:0:0)
@@ -432,7 +432,7 @@ def _suite_c6_structure(report, mod, **_kw):
                 if (row, col) not in live
                 and not polys.entries[row - 1][col - 1].is_zero]
     rs = np.array([r for r in range(p) if r not in (0, 2, p - 2)])
-    attained = set((3 - grid_rank(families.c6_stack(polys, rs), mod)).tolist())
+    attained = set((3 - grid_rank(families.c6_stack(polys, (rs,)), mod)).tolist())
     forbidden = 2 if anti else 1
     if forbidden in attained:
         problems.append(f"a-number {forbidden} attained")
@@ -619,7 +619,8 @@ def _family_at(args, mod):
         return args.quartic, None, parse_quartic(args.quartic, mod)
     if args.family == "c9":
         return "", None, None
-    r = families._reject_singular(mod, parse_c6_param(args.r, mod))
+    r = parse_c6_param(args.r, mod)
+    families._reject_singular(mod, r)
     return str(r), r, None
 
 
@@ -650,11 +651,10 @@ def _enumerate_rows(report, mod, args):
     living in extensions, so the rational sweep may find fewer.
     """
     p = mod.p
-    polys = families.c6_coeff_polys(mod)
     max_a = 3 if p % 6 == 5 else 2
     rational = 0
     rs = [r for r in range(1, (p - 1) // 2 + 1) if r != 2]
-    for r, cls in zip(rs, families.c6_classify_all(mod, np.array(rs), polys)):
+    for r, cls in zip(rs, families.c6_classify_all(mod, (np.array(rs),))):
         if cls.a_number == max_a:
             rational += 1
         report.add(p=p, family="c6", param=f"{r}",

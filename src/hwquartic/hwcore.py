@@ -24,7 +24,8 @@ Ranks come from one kernel on a 3x3 grid of component tuples, (a,) over
 F_p or (a, b) for a + b*w, each an int (one matrix) or an array (a
 stack): int64 while p < 2^31, where every residue product fits, object
 dtype above.  rank M = [M != 0] + [adj M != 0] + [det M != 0], exact as
-the conditions are nested; M^(p) is the conjugate (a, -b) of M.
+the conditions are nested; M^(p) is the conjugate (a, -b) of M.  Its
+products, and those of the extractor's term tables, are ffield.mul.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import CapacityError, ModulusError
 from .ffield import (Fp2Element, FpElement, _as_modulus, binomial,
-                     components)
+                     components, element, mul)
 
 BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
@@ -158,23 +159,16 @@ def _pivot_minor(exponents):
     return [], []
 
 
-def _mul(x, y, p, s):
-    """x*y on component tuples: (a,) over F_p, (a, b) for a + b*w, w^2 = s."""
-    if len(x) == 1:
-        return (x[0] * y[0] % p,)
-    (xa, xb), (ya, yb) = x, y
-    return (xa * ya + s * (xb * yb % p)) % p, (xa * yb + xb * ya) % p
-
-
 def _sub(x, y, p):
     if len(x) == 1:
         return ((x[0] - y[0]) % p,)
     return (x[0] - y[0]) % p, (x[1] - y[1]) % p
 
 
-def _dot(xs, ys, p, s):
+def _dot(xs, ys, mod):
     """sum x*y over three pairs of component tuples."""
-    a, b, c = map(_mul, xs, ys, (p,) * 3, (s,) * 3)
+    p = mod.p
+    a, b, c = map(mul, xs, ys, (mod,) * 3)
     if len(a) == 1:
         return ((a[0] + b[0] + c[0]) % p,)
     return (a[0] + b[0] + c[0]) % p, (a[1] + b[1] + c[1]) % p
@@ -184,14 +178,13 @@ def _term_tables(coeffs, length, mod, width):
     """Components of c^k / k! for 0 <= k < length, one row per coefficient
     c; the powers by doubling."""
     p = mod.p
-    s = mod.nonresidue if width == 2 else 0
     step = tuple(np.array(v, np.int64)[:, None]
                  for v in zip(*map(components, coeffs)))[:width]
     tab = (np.ones_like(step[0]), np.zeros_like(step[0]))[:width]
     while tab[0].shape[1] < length:  # step = c^(columns so far)
         tab = tuple(np.concatenate(pair, axis=1)
-                    for pair in zip(tab, _mul(tab, step, p, s)))
-        step = _mul(step, step, p, s)
+                    for pair in zip(tab, mul(tab, step, mod)))
+        step = mul(step, step, mod)
     inverses = np.array(mod.factorials.inverses[:length], np.int64)
     return tuple(v[:, :length] * inverses % p for v in tab)
 
@@ -264,7 +257,6 @@ def coefficient_in_power(F: QuarticForm, target):
                 & (num @ E[:, pivots].T == det * rem).all(axis=1))
         return np.column_stack((ks[keep], num[keep] // det))
 
-    s = mod.nonresidue if width == 2 else 0
     tab = (np.zeros((len(items), 0), np.int64),) * width
 
     def value(ks):
@@ -275,9 +267,8 @@ def coefficient_in_power(F: QuarticForm, target):
         val = (np.full(len(ks), mod.factorials.values[p - 1]),
                np.zeros(len(ks), np.int64))[:width]
         for col, u in enumerate(free + pivots):
-            val = _mul(val, tuple(t[u, ks[:, col]] for t in tab), p, s)
-        acc = [int(v.sum() % p) for v in val]
-        return Fp2Element(*acc, mod) if width == 2 else FpElement(acc[0], mod)
+            val = mul(val, tuple(t[u, ks[:, col]] for t in tab), mod)
+        return element([int(v.sum() % p) for v in val], mod)
 
     if np.ndim(target) == 1:
         return value(solutions(target))
@@ -319,13 +310,8 @@ def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
                             (c1 + a0 * b1 + a1 * b0) % p)
         acc = {k: v for k, v in nxt.items() if v != (0, 0)}
 
-    def fetch(tgt):
-        v = acc.get(tgt, (0, 0))
-        if ext:
-            return Fp2Element(v[0], v[1], mod)
-        return FpElement(v[0], mod)
-
-    return HWMatrix([[fetch(t) for t in row] for row in hw_targets(p)], mod)
+    return HWMatrix([[element(acc.get(t, (0, 0))[:1 + ext], mod) for t in row]
+                     for row in hw_targets(p)], mod)
 
 
 def _grid(M: HWMatrix):
@@ -343,23 +329,19 @@ def _nonzero(entries):
 def grid_rank(M, mod):
     """Rank of each matrix of the grid M, as
     [M != 0] + [adj M != 0] + [det M != 0]."""
-    p = mod.p
-    s = mod.nonresidue if len(M[0][0]) == 2 else 0
     # cof[i][j]: the cofactor of entry (i, j), its sign from the cyclic order
-    cof = [[_sub(_mul(M[i - 2][j - 2], M[i - 1][j - 1], p, s),
-                 _mul(M[i - 2][j - 1], M[i - 1][j - 2], p, s), p)
+    cof = [[_sub(mul(M[i - 2][j - 2], M[i - 1][j - 1], mod),
+                 mul(M[i - 2][j - 1], M[i - 1][j - 2], mod), mod.p)
             for j in range(3)] for i in range(3)]
     return (_nonzero(sum(M, [])) + _nonzero(sum(cof, []))
-            + _nonzero([_dot(M[0], cof[0], p, s)]))
+            + _nonzero([_dot(M[0], cof[0], mod)]))
 
 
 def grid_stable_rank(M, mod):
     """Rank of each M * M^(p) * M of the grid M, M^(p) its conjugate."""
-    p = mod.p
-    s = mod.nonresidue if len(M[0][0]) == 2 else 0
-    conj = [[e[:1] + tuple(-b % p for b in e[1:]) for e in row] for row in M]
+    conj = [[e[:1] + tuple(-b % mod.p for b in e[1:]) for e in row] for row in M]
     for B in (conj, M):
-        M = [[_dot(row, col, p, s) for col in zip(*B)] for row in M]
+        M = [[_dot(row, col, mod) for col in zip(*B)] for row in M]
     return grid_rank(M, mod)
 
 

@@ -5,7 +5,8 @@ Pochhammer product (x;n) = x(x+1)...(x+n-1).  Rational parameters are
 reduced to F_p residues before use, so e.g. the parameter written
 (2p+7)/6 is handled as 7/6 mod p.  Truncations stay below the first
 vanishing denominator factor; hitting one raises PoleError since the
-parameter choices used here never do.
+parameter choices used here never do.  The Gauss-lemma check runs at
+every r at once on component arrays (ffield.mul/power, unipoly.horner).
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from .errors import ModulusError, PoleError
 from .families import c6_coeff_polys
-from .ffield import (FpElement, _as_modulus, binomial, components, embed,
-                     sqrt_fp2_of_fp)
-from .unipoly import UniPoly, ext2_root_counts, horner_ext2
+from .ffield import FpElement, _as_modulus, binomial, components, mul, power
+from .unipoly import UniPoly, ext2_root_counts, horner
 
 
 @dataclass(frozen=True)
@@ -128,22 +128,6 @@ def verify_euler(mod) -> bool:
     return lhs == rhs
 
 
-def alpha_beta(r, mod):
-    """The pair with alpha + beta = r and alpha * beta = 1, in F_{p^2}.
-
-    These are the roots of Y^2 - r Y + 1, i.e. y^4 + r y^2 + 1 =
-    (y^2 + alpha)(y^2 + beta); they live in F_p iff r^2 - 4 is a square.
-    The same F_{p^2} code path is used either way.
-    """
-    mod = _as_modulus(mod)
-    r = r if isinstance(r, FpElement) else FpElement(r, mod)
-    root = sqrt_fp2_of_fp(r * r - 4)
-    half = embed(FpElement(2, mod).inverse())
-    alpha = (embed(r) + root) * half
-    beta = (embed(r) - root) * half
-    return alpha, beta
-
-
 def verify_gauss_lemma(mod) -> bool:
     """The two series-vs-coefficient congruences behind the divisibility
     argument, checked pointwise at every r in F_p away from 2 and -2:
@@ -153,10 +137,14 @@ def verify_gauss_lemma(mod) -> bool:
     binom((p-2)/3, (p+1)/6) * beta^((p-5)/6)
         * G^((p-5)/6)(5/6, 2/3, (2p+7)/6; alpha/beta)  =  d2(r)
 
-    (alpha*beta = 1, so the (alpha*beta)^(-(p+1)/6) factor is 1).
-    Pointwise evaluation at all p - 2 parameters is a complete identity
-    test: both sides are polynomial of degree < p in r.  The series are
-    evaluated at every t = alpha/beta at once by horner_ext2.
+    where alpha, beta = (r +- sqrt(r^2 - 4))/2 in F_{p^2} are the roots of
+    Y^2 - r Y + 1, i.e. y^4 + r y^2 + 1 = (y^2 + alpha)(y^2 + beta).  So
+    alpha*beta = 1: the (alpha*beta)^(-(p+1)/6) factor is 1, and t =
+    alpha/beta = alpha^2.  Pointwise evaluation at all p - 2 parameters is
+    a complete identity test: both sides are polynomial of degree < p in
+    r.  Everything is computed at every r at once, on component arrays;
+    the square roots come from one table of squares, with sqrt(v) =
+    w*sqrt(v/s) for a non-residue v.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
@@ -164,21 +152,24 @@ def verify_gauss_lemma(mod) -> bool:
     g1 = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
     g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
     polys = c6_coeff_polys(mod)
-    bin1 = embed(binomial((2 * p - 1) // 3, (p + 1) // 6, mod))
-    bin2 = embed(binomial((p - 2) // 3, (p + 1) // 6, mod))
-    rs = [rv for rv in range(p) if rv not in (2, p - 2)]
-    cols = []
-    for rv in rs:
-        alpha, beta = alpha_beta(FpElement(rv, mod), mod)
-        low = beta ** ((p - 5) // 6)   # low^3 * beta^2 = beta^((p-1)/2)
-        cols.append([components(x) for x in (alpha / beta,
-                                             bin1 * low * low * low * beta * beta,
-                                             bin2 * low)])
-    t, *factors = np.array(cols, dtype=np.int64).transpose(1, 2, 0)
-    for g, factor, d in zip((g1, g2), factors, (polys.d1, polys.d2)):
-        series = horner_ext2([(k, 0) for k in g.coeffs], *t, mod)
-        va, vb = horner_ext2([(0, 0), factor], *series, mod)  # factor * series
-        if vb.any() or not np.array_equal(va, d.eval_all()[rs]):
+    r = np.array([rv for rv in range(p) if rv not in (2, p - 2)], np.int64)
+    x = np.arange((p + 1) // 2, dtype=np.int64)
+    root = np.full(p, -1, np.int64)  # root[x^2] = x, -1 at the non-residues
+    root[x * x % p] = x
+    # exactly one of v = r^2 - 4 (!= 0) and v/s is a square; the other's -1
+    # clips to the 0 component
+    v = (r * r - 4) % p
+    s_inv = pow(mod.nonresidue, p - 2, p)
+    sq = np.maximum(root[v], 0), np.maximum(root[v * s_inv % p], 0)
+    half = (p + 1) // 2  # 1/2 mod p
+    alpha = (r + sq[0]) * half % p, sq[1] * half % p
+    beta = (r - sq[0]) * half % p, -sq[1] * half % p
+    t = mul(alpha, alpha, mod)
+    for n, e, g, d in (((2 * p - 1) // 3, (p - 1) // 2, g1, polys.d1),
+                       ((p - 2) // 3, (p - 5) // 6, g2, polys.d2)):
+        factor = mul(components(binomial(n, (p + 1) // 6, mod)), power(beta, e, mod), mod)
+        va, vb = mul(factor, horner([(k, 0) for k in g.coeffs], t, mod), mod)
+        if vb.any() or not np.array_equal(va, horner(d.coeffs, (r,), mod)[0]):
             return False
     return True
 

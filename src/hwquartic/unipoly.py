@@ -7,8 +7,10 @@ by a precomputed inverse of rev(m); divmod and gcd by long division on
 int64 arrays (object dtype at p >= 2^31, where int64 products overflow).
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
-ext2_elements and horner_ext2 are the one numpy evaluation kernel over
-F_{p^2}: the root scan and the point counts share it.
+horner is the one evaluation loop: at a component tuple, (a,) in F_p or
+(a, b) for a + b*w in F_{p^2}, of ints or broadcasting int64 arrays.
+eval, eval_all, eval_all_ext2, the point counts and the C6 matrices all
+call it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ModulusError
-from .ffield import Fp2Element, FpElement, _as_modulus
+from .ffield import Fp2Element, FpElement, _as_modulus, element
 
 #: cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
 DEFAULT_ROOT_BOUND = 250_000
@@ -133,36 +135,18 @@ class UniPoly:
         return hash((self.modulus.p, self.coeffs))
 
     def eval(self, x):
-        """Horner evaluation at an FpElement or Fp2Element."""
-        p = self.modulus.p
+        """Value at an FpElement, an Fp2Element or an int."""
+        mod = self.modulus
+        if isinstance(x, (FpElement, Fp2Element)) and x.modulus.p != mod.p:
+            raise ModulusError(f"mixed moduli {mod.p} and {x.modulus.p}")
         if isinstance(x, Fp2Element):
-            if x.modulus.p != p:
-                raise ModulusError(f"mixed moduli {p} and {x.modulus.p}")
-            s = x.modulus.nonresidue
-            xa, xb = x.a, x.b
-            aa = ab = 0
-            for c in reversed(self.coeffs):
-                aa, ab = (aa * xa + s * ab * xb + c) % p, (aa * xb + ab * xa) % p
-            return Fp2Element(aa, ab, x.modulus)
-        if isinstance(x, FpElement):
-            if x.modulus.p != p:
-                raise ModulusError(f"mixed moduli {p} and {x.modulus.p}")
-            xv = x.value
-        else:
-            xv = int(x) % p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * xv + c) % p
-        return FpElement(acc, self.modulus)
+            return element(horner([(c, 0) for c in self.coeffs], (x.a, x.b), mod), mod)
+        return element(horner(self.coeffs, (int(x),), mod), mod)
 
     def eval_all(self) -> np.ndarray:
         """Values at 0, 1, ..., p-1 as an int64 array."""
         p = self.modulus.p
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = (acc * xs + c) % p
-        return acc
+        return horner(self.coeffs, (np.arange(p, dtype=np.int64),), self.modulus)[0]
 
     def __repr__(self):
         if self.is_zero:
@@ -271,17 +255,26 @@ def ext2_elements(p: int):
     return A, B
 
 
-def horner_ext2(coeffs, xa, xb, mod):
-    """Horner's rule over F_{p^2} = F_p[w], w^2 = s, on component pairs.
+def horner(coeffs, x, mod):
+    """Horner's rule at x, a component tuple: (a,) for a in F_p, or (a, b)
+    for a + b*w in F_{p^2} = F_p[w], w^2 = s.
 
-    coeffs lists the (a, b) components of the coefficients, low degree
-    first; x = xa + xb*w.  Every component lies in [0, p) and may be an
-    int or an int64 array, and arrays broadcast (a column of coefficients against a row
-    of points gives a 2-D table).  Returns the value's components (va, vb).
+    coeffs lists the coefficients low degree first: residues for x = (a,),
+    component pairs (a, b) for x = (a, b).  Every component lies in
+    [0, p) and may be an int or an int64 array (p < 2^31); arrays
+    broadcast, so a column of coefficients against a row of points gives
+    a 2-D table.  Returns the value's component tuple, of x's width.
     """
     p = mod.p
+    if len(x) == 1:
+        (xa,) = x
+        va = 0 * xa
+        for c in reversed(coeffs):
+            va = (va * xa + c) % p
+        return (va,)
+    xa, xb = x
     sxb = mod.nonresidue * xb % p
-    va = vb = 0
+    va = vb = 0 * xa
     for ca, cb in reversed(coeffs):
         va, vb = (va * xa + vb * sxb + ca) % p, (va * xb + vb * xa + cb) % p
     return va, vb
@@ -290,8 +283,8 @@ def horner_ext2(coeffs, xa, xb, mod):
 def eval_all_ext2(f: UniPoly):
     """Values of f over all of F_{p^2}: component arrays (va, vb) of
     length p^2, indexed as ext2_elements."""
-    A, B = ext2_elements(f.modulus.p)
-    return horner_ext2([(c, 0) for c in f.coeffs] or [(0, 0)], A, B, f.modulus)
+    return horner([(c, 0) for c in f.coeffs], ext2_elements(f.modulus.p),
+                  f.modulus)
 
 
 def ext2_root_counts(f: UniPoly):

@@ -1,13 +1,17 @@
+import random
+
 import numpy as np
 import pytest
+from test_hwcore import frobenius_cube, rank_by_elimination
 
+from hwquartic import families
 from hwquartic.errors import IntegrityError
-from hwquartic.families import (Classification, C6CoeffPolys, TABLE_C6, TABLE_C9,
+from hwquartic.families import (LOCUS_SLOT, Classification, TABLE_C6, TABLE_C9,
                                 _c9_solve_slot, c6_classify, c6_classify_all,
                                 c6_coeff_polys, c6_count_max_a, c6_entry_poly,
                                 c6_form, c6_hw, c9_classify, c9_form, c9_hw,
                                 coeff_of_power)
-from hwquartic.ffield import Fp2Element, FpElement, modulus, multinomial
+from hwquartic.ffield import Fp2Element, FpElement, components, modulus, multinomial
 from hwquartic.harness import main, primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
                               rank3, stable_rank)
@@ -225,22 +229,49 @@ def test_c6_count_max_a_examples():
 def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
     """A squared root locus has every root twice: the count would double,
     so the separability guard must stop it, and verify counts exits 1."""
-    locus = C6CoeffPolys.root_locus_poly
-    monkeypatch.setattr(C6CoeffPolys, "root_locus_poly",
-                        lambda polys: locus(polys) * locus(polys))
+    entry = families.c6_entry_poly
+
+    def squared_locus(mod, row, col):
+        f = entry(mod, row, col)
+        return f * f if (row, col) == LOCUS_SLOT[mod.p % 6] else f
+
+    monkeypatch.setattr(families, "c6_entry_poly", squared_locus)
     with pytest.raises(IntegrityError, match="inseparable"):
         c6_count_max_a(modulus(17))
     assert main(["verify", "counts", "--p", "17"]) == 1
     assert "inseparable" in capsys.readouterr().err
 
 
+def check_c6_against_elimination(m, rs, polys):
+    """c6_hw, c6_classify and the batch c6_classify_all at each r of rs
+    against the oracle: hw_matrix of the quartic, ranked by elimination."""
+    width = 2 if isinstance(rs[0], Fp2Element) else 1
+    batch = c6_classify_all(
+        m, tuple(np.array([components(r)[t] for r in rs]) for t in range(width)),
+        polys)
+    for r, cls in zip(rs, batch):
+        H = hw_matrix(c6_form(m, r))
+        a = 3 - rank_by_elimination(H.entries)
+        f = rank_by_elimination(frobenius_cube(H.entries))
+        assert c6_hw(m, r, polys) == H, r
+        assert (cls.a_number, cls.p_rank) == (a, f), r
+        assert c6_classify(m, r, polys) == cls, r
+
+
 @pytest.mark.parametrize("p", [1009, 1013])  # 1 and 5 mod 6
 def test_batched_classes_match_c6_classify(p):
     m = modulus(p)
-    polys = c6_coeff_polys(m)
-    rs = [r for r in range(1, (p - 1) // 2 + 1) if r != 2]
-    assert c6_classify_all(m, np.array(rs), polys) == [
-        c6_classify(m, r, polys) for r in rs]
+    rng = random.Random(p)
+    rs = rng.sample([r for r in range(1, p) if r not in (2, p - 2)], 24)
+    check_c6_against_elimination(m, rs, c6_coeff_polys(m))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_c6_fp2_parameters_match_elimination(p):
+    """Every r = a + b*w with b != 0: the width-2 one-parameter path."""
+    m = modulus(p)
+    rs = [Fp2Element(a, b, m) for a in range(p) for b in range(1, p)]
+    check_c6_against_elimination(m, rs, c6_coeff_polys(m))
 
 
 def test_attained_a_numbers_skip_middle_value():

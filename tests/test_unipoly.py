@@ -11,7 +11,7 @@ from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
 from hwquartic.unipoly import (UniPoly, _divmod_arrays, derivative, divides,
                                eval_all_ext2, ext2_elements, ext2_root_counts,
-                               horner_ext2, is_separable, poly_gcd, roots_over)
+                               horner, is_separable, poly_gcd, roots_over)
 
 
 def P(coeffs, p):
@@ -447,51 +447,94 @@ def test_separable_root_count_bound():
 
 
 # ---------------------------------------------------------------------------
-# the F_{p^2} evaluation kernel
+# the evaluation kernel
 
 PAIRS = st.tuples(st.integers(0, 60), st.integers(0, 60))
 
+#: ints never overflow, so any p; int64 arrays hold every product below 2^31
+INT_PRIMES = (5, 7, 13, 491, 2 ** 31 - 1, MERSENNE_61)
+ARRAY_PRIMES = (5, 7, 11, 9973, 2 ** 31 - 1)
 
-def horner_fp2(coeffs, x):
-    """Reference: Horner's rule with Fp2Element arithmetic."""
-    acc = Fp2Element(0, 0, x.modulus)
+
+def element_horner(coeffs, x):
+    """Reference: Horner's rule with FpElement or Fp2Element arithmetic."""
+    acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from((5, 7, 13, 31, 491)), st.lists(PAIRS, max_size=7),
-       st.integers(0, 490), st.integers(0, 490))
-def test_horner_ext2_matches_fp2_element_horner(p, cs, xa, xb):
+def kernel_coeffs(coeffs, width):
+    """Coefficients in horner's format: residues at width 1, pairs at 2."""
+    return [components(c)[0] if width == 1 else components(c) for c in coeffs]
+
+
+@st.composite
+def kernel_cases(draw, primes):
+    """(m, width, coefficients, points): elements of F_p (width 1) or
+    F_{p^2} (width 2), biased to 0, 1 and p - 1."""
+    p = draw(st.sampled_from(primes))
     m = modulus(p)
-    coeffs = [Fp2Element(a, b, m) for a, b in cs]
-    x = Fp2Element(xa, xb, m)
-    got = horner_ext2([components(c) for c in coeffs], x.a, x.b, m)
-    assert Fp2Element(*got, m) == horner_fp2(coeffs, x)
+    width = draw(st.sampled_from((1, 2)))
+    residue = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+
+    def element():
+        if width == 1:
+            return FpElement(draw(residue), m)
+        return Fp2Element(draw(residue), draw(residue), m)
+
+    coeffs = [element() for _ in range(draw(st.integers(0, 7)))]
+    points = [element() for _ in range(draw(st.integers(1, 8)))]
+    return m, width, coeffs, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(INT_PRIMES))
+def test_horner_matches_element_horner(case):
+    m, width, coeffs, points = case
+    for x in points:
+        got = horner(kernel_coeffs(coeffs, width), components(x)[:width], m)
+        assert got == components(element_horner(coeffs, x))[:width]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(ARRAY_PRIMES))
+def test_horner_on_int64_arrays_matches_element_horner(case):
+    m, width, coeffs, points = case
+    X = tuple(np.array([components(x)[t] for x in points], np.int64)
+              for t in range(width))
+    got = horner(kernel_coeffs(coeffs, width), X, m)
+    assert len(got) == width
+    assert all(v.dtype == np.int64 and v.shape == (len(points),) for v in got)
+    for i, x in enumerate(points):
+        assert (tuple(int(v[i]) for v in got)
+                == components(element_horner(coeffs, x))[:width])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from((5, 7, 11)), st.lists(PAIRS, min_size=1, max_size=6))
-def test_horner_ext2_over_all_of_fp2(p, cs):
+def test_horner_over_all_of_the_field(p, cs):
     m = modulus(p)
     coeffs = [Fp2Element(a, b, m) for a, b in cs]
     A, B = ext2_elements(p)
-    va, vb = horner_ext2([components(c) for c in coeffs], A, B, m)
+    va, vb = horner([components(c) for c in coeffs], (A, B), m)
     f = UniPoly([a for a, _ in cs], m)
     fa, fb = eval_all_ext2(f)
     assert len(va) == len(fa) == p * p
     for i in range(p * p):
         x = Fp2Element(*divmod(i, p), m)
         assert (A[i], B[i]) == components(x)
-        assert Fp2Element(va[i], vb[i], m) == horner_fp2(coeffs, x)
+        assert Fp2Element(va[i], vb[i], m) == element_horner(coeffs, x)
         assert Fp2Element(fa[i], fb[i], m) == f.eval(x)
+    fp_coeffs = [FpElement(a, m) for a, _ in cs]
+    assert f.eval_all().tolist() == [
+        element_horner(fp_coeffs, FpElement(x, m)).value for x in range(p)]
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from((5, 7, 11)),
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((5, 7, 11)), st.sampled_from((1, 2)),
        st.lists(st.lists(PAIRS, min_size=1, max_size=5), min_size=1, max_size=6))
-def test_horner_ext2_broadcasts_a_column_against_a_row(p, rows):
+def test_horner_broadcasts_a_column_against_a_row(p, width, rows):
     """Column k of coefficient arrays against the row of all points
     gives, in row k, the 1-D evaluation of the k-th coefficient list."""
     m = modulus(p)
@@ -500,12 +543,14 @@ def test_horner_ext2_broadcasts_a_column_against_a_row(p, rows):
             for r in rows]
     column = [tuple(np.array([r[d][t] for r in rows], dtype=np.int64)[:, np.newaxis]
                     for t in (0, 1)) for d in range(deg)]
-    X = ext2_elements(p)
-    va, vb = horner_ext2(column, *X, m)
-    assert va.shape == vb.shape == (len(rows), p * p)
+    if width == 1:
+        rows = [[c[0] for c in r] for r in rows]
+        column = [c[0] for c in column]
+    X = ext2_elements(p) if width == 2 else (np.arange(p, dtype=np.int64),)
+    got = horner(column, X, m)
+    assert all(v.shape == (len(rows), len(X[0])) for v in got)
     for k, r in enumerate(rows):
-        ra, rb = horner_ext2(r, *X, m)
-        assert np.array_equal(va[k], ra) and np.array_equal(vb[k], rb)
+        assert all(np.array_equal(v[k], u) for v, u in zip(got, horner(r, X, m)))
 
 
 @settings(max_examples=50, deadline=None)
