@@ -12,13 +12,16 @@ hw_matrix, hw_matrix_oracle and the closed forms of the C6/C9 families
 all fill its 3x3 grid.  The orientation is pinned by the expansion
 oracle in the test suite; do not transpose it.
 
-hw_matrix extracts a target coefficient WITHOUT expanding F^{p-1}: the
+hw_matrix extracts the nine coefficients WITHOUT expanding F^{p-1}: the
 multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
 (which forces sum k_u = p - 1) with k_u >= 0.  coefficient_in_power
-solves r = rank pivot terms exactly by an integer adjugate and enumerates
-the other multiplicities as numpy rows, about p^(t-3) of them, up to
-MAX_CANDIDATES.  hw_matrix_oracle expands F^{p-1} outright and is
-feasible for p <= 31; the two must agree everywhere.
+solves r = rank pivot terms by the adjugate of the r x r minor of least
+nonzero |det| and walks the other multiplicities once for all targets:
+one numpy pass per free term, each row tagged by its target and held as
+(parent, k), the values summed by tag at the end.  MAX_CANDIDATES bounds
+the rows of one target at one level; a level over it for all targets
+splits into runs of whole targets.  hw_matrix_oracle expands F^{p-1}
+outright and is feasible for p <= 31; the two must agree everywhere.
 
 Ranks come from one kernel on a 3x3 grid of component tuples, (a,) over
 F_p or (a, b) for a + b*w, each an int (one matrix) or an array (a
@@ -44,8 +47,8 @@ BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 ORACLE_PRIME_BOUND = 31
 
-#: most candidate rows the lattice enumerator of coefficient_in_power may
-#: hold; dense supports need more and raise CapacityError instead
+#: most rows of one target at one level of the lattice walk of
+#: coefficient_in_power; dense supports need more and raise CapacityError
 MAX_CANDIDATES = 1 << 20
 
 
@@ -149,13 +152,17 @@ def _det(m):
 
 
 def _pivot_minor(exponents):
-    """(coords, pivots): a nonzero r x r minor of the 3 x t exponent matrix,
-    r its rank; the first such choice of terms in index order."""
+    """(coords, pivots): an r x r minor of the 3 x t exponent matrix, r its
+    rank, with the least nonzero |det|; the first such choice of terms in
+    index order on ties.  A smaller det leaves fewer rows to discard."""
     for r in (3, 2, 1):
-        for pivots in combinations(range(len(exponents)), r):
-            for coords in combinations(range(3), r):
-                if _det([[exponents[v][c] for v in pivots] for c in coords]):
-                    return list(coords), list(pivots)
+        minors = [(abs(d), list(coords), list(pivots))
+                  for pivots in combinations(range(len(exponents)), r)
+                  for coords in combinations(range(3), r)
+                  if (d := _det([[exponents[v][c] for v in pivots]
+                                 for c in coords]))]
+        if minors:
+            return min(minors, key=lambda m: m[0])[1:]
     return [], []
 
 
@@ -174,41 +181,34 @@ def _dot(xs, ys, mod):
     return (a[0] + b[0] + c[0]) % p, (a[1] + b[1] + c[1]) % p
 
 
-def _term_tables(coeffs, length, mod, width):
-    """Components of c^k / k! for 0 <= k < length, one row per coefficient
-    c; the powers by doubling."""
+def _term_tables(coeffs, mod, width):
+    """Components of c^k / k! for 0 <= k < p, one row per coefficient c;
+    the powers by doubling."""
     p = mod.p
-    step = tuple(np.array(v, np.int64)[:, None]
-                 for v in zip(*map(components, coeffs)))[:width]
+    step = tuple(np.array([components(c)[i] for c in coeffs], np.int64)[:, None]
+                 for i in range(width))
     tab = (np.ones_like(step[0]), np.zeros_like(step[0]))[:width]
-    while tab[0].shape[1] < length:  # step = c^(columns so far)
+    while tab[0].shape[1] < p:  # step = c^(columns so far)
         tab = tuple(np.concatenate(pair, axis=1)
                     for pair in zip(tab, mul(tab, step, mod)))
         step = mul(step, step, mod)
-    inverses = np.array(mod.factorials.inverses[:length], np.int64)
-    return tuple(v[:, :length] * inverses % p for v in tab)
+    inverses = np.array(mod.factorials.inverses, np.int64)
+    return tuple(v[:, :p] * inverses % p for v in tab)
 
 
-def _branch(lo, hi):
-    """(row, k): every row index once per multiplicity k in [lo, hi]."""
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
-    if total > MAX_CANDIDATES:
-        raise CapacityError(
-            f"coefficient extraction needs {total} candidate rows, "
-            f"more than MAX_CANDIDATES = {MAX_CANDIDATES}")
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+def _branch(lo, counts, start):
+    """(row, k): each row index from start on, once per k in [lo, lo + count)."""
+    row = np.repeat(np.arange(start, start + len(counts)), counts)
+    return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
 def coefficient_in_power(F: QuarticForm, target):
     """The coefficient of x^i y^j z^k in F^(p-1), without expanding.
 
-    target is a triple, or a list of them (then the result is a list, and
-    the setup that depends on F alone is made once).  Zero when a target
-    has a negative coordinate or not total degree 4(p-1).  Raises
-    CapacityError when the enumeration would hold more than
-    MAX_CANDIDATES rows.
+    target is a triple, or a list of them (then the result is a list).
+    Zero when a target has a negative coordinate or not total degree
+    4(p-1).  Raises CapacityError when the rows of one target at one
+    level of the walk would outnumber MAX_CANDIDATES.
     """
     mod = F.modulus
     p = mod.p
@@ -227,52 +227,85 @@ def coefficient_in_power(F: QuarticForm, target):
     adj = np.array([[sign * (-1) ** (i + j) * _det(
         [row[:i] + row[i + 1:] for m, row in enumerate(B) if m != j])
         for j in range(r)] for i in range(r)], np.int64).reshape(r, r)
+    tab = _term_tables([c for _, c in items], mod, width)
+    tgt = np.array(target, np.int64).reshape(-1, 3)
+    tgt[tgt.sum(axis=1) != 4 * (p - 1)] = -1    # no solution, no rows
+    sums = np.zeros((width, len(tgt)), np.int64)
 
-    def solutions(tgt):  # rows of free, then pivot multiplicities
-        if min(tgt) < 0 or sum(tgt) != 4 * (p - 1):
-            return np.zeros((0, len(exps)), np.int64)
-        ks = np.zeros((1, 0), np.int64)      # multiplicities of the free terms
-        rem = np.array([tgt], np.int64)      # the part of the target left
-        for u in free:
-            e = exps[u]
-            # rem sums to 4 times the degree left, so this also caps k by it
-            hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]], axis=0)
-            lo = np.zeros_like(hi)
-            if u == free[-1]:
-                # det * (pivot multiplicities) = a - k*b must stay >= 0
-                a = rem[:, coords] @ adj.T
-                b = adj @ E[coords, u]
-                for ai, bi in zip(a.T, b):
-                    if bi > 0:
-                        hi = np.minimum(hi, ai // bi)
-                    elif bi < 0:
-                        lo = np.maximum(lo, -(ai // -bi))
-                    else:
-                        hi = np.where(ai < 0, -1, hi)
-            row, k = _branch(lo, hi)
-            ks = np.column_stack((ks[row], k))
-            rem = rem[row] - np.outer(k, e)
-        num = rem[:, coords] @ adj.T         # det * (pivot multiplicities)
-        keep = ((num % det == 0).all(axis=1) & (num >= 0).all(axis=1)
-                & (num @ E[:, pivots].T == det * rem).all(axis=1))
-        return np.column_stack((ks[keep], num[keep] // det))
+    def finish(rem, e, a, b, row, k, chain):
+        """Add each solution among the last rows (row, k) to the sum of
+        its tag.  The pivots det * k_v = a - k*b are >= 0 by the interval
+        and divisible by det on these rows; when r < 3 they must also
+        match rem off the minor."""
+        # the multiplicity of the i-th pivot term, on the rows kept so far
+        pivot = lambda i: (a[row, i] - k * b[i]) // det
+        if r < 3:
+            keep = np.all([sum(pivot(i) * E[c, v] for i, v in enumerate(pivots))
+                           + k * e[c] == rem[row, c] for c in range(3)], axis=0)
+            row, k = row[keep], k[keep]
+        val = (np.full(len(row), mod.factorials.values[p - 1]),
+               np.zeros(len(row), np.int64))[:width]
+        for i, u in enumerate(pivots + free[-1:]):  # one column at a time
+            m = pivot(i) if i < r else k
+            val = mul(val, tuple(t[u, m] for t in tab), mod)
+        for (parent, k), u in zip(reversed(chain), reversed(free[:-1])):
+            val = mul(val, tuple(t[u, k[row]] for t in tab), mod)
+            row = parent[row]
+        # row is now the tag of each solution, in nondecreasing order
+        edges = np.searchsorted(row, np.arange(len(tgt) + 1))
+        for s, v in zip(sums, val):
+            s += np.diff(np.concatenate(([0], np.cumsum(v)))[edges])
 
-    tab = (np.zeros((len(items), 0), np.int64),) * width
+    def walk(rem, bounds, chain):
+        """Branch the rows rem, the target left after the free terms of
+        chain (tag i owns rows bounds[i]:bounds[i + 1]), on the next free
+        term, in runs of whole tags of at most MAX_CANDIDATES rows."""
+        last = len(chain) >= len(free) - 1
+        e = E[:, free[len(chain)]] if free else np.zeros(3, np.int64)
+        # rem sums to 4 times the degree left, so this also caps k by it;
+        # with no free term at all, k = 0
+        hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]]
+                    or [0 * rem[:, 0]], axis=0)
+        lo = np.zeros_like(hi)
+        if last:
+            # det * (pivot multiplicities) = a - k*b must stay >= 0
+            a = rem[:, coords] @ adj.T
+            b = adj @ e[coords]
+            for ai, bi in zip(a.T, b):
+                if bi > 0:
+                    hi = np.minimum(hi, ai // bi)
+                elif bi < 0:
+                    lo = np.maximum(lo, -(ai // -bi))
+                else:
+                    hi = np.where(ai < 0, -1, hi)
+        counts = np.maximum(hi - lo + 1, 0)
+        cut = np.concatenate(([0], np.cumsum(counts)))[bounds]
+        most = np.diff(cut).max(initial=0)
+        if most > MAX_CANDIDATES:
+            raise CapacityError(f"coefficient extraction needs {most} rows for one "
+                                f"target, more than MAX_CANDIDATES = {MAX_CANDIDATES}")
+        t0 = 0
+        for t1 in range(1, len(cut)):
+            if t1 + 1 < len(cut) and cut[t1 + 1] - cut[t0] <= MAX_CANDIDATES:
+                continue
+            s = slice(bounds[t0], bounds[t1])
+            row, k = _branch(lo[s], counts[s], s.start)
+            if last and det > 1:
+                # keep the rows whose pivots det divides; dropping the rest
+                # here, not in finish, frees them before the values are built
+                keep = np.all([(ai[row] - k * bi) % det == 0
+                               for ai, bi in zip(a.T, b)], axis=0)
+                row, k = row[keep], k[keep]
+            if last:
+                finish(rem, e, a, b, row, k, chain)
+            else:
+                walk(rem[row] - np.outer(k, e), cut[t0:t1 + 1] - cut[t0],
+                     chain + [(row, k)])
+            t0 = t1
 
-    def value(ks):
-        nonlocal tab
-        if ks.max(initial=-1) >= tab[0].shape[1]:  # grow the tables
-            tab = _term_tables([c for _, c in items],
-                               min(2 * int(ks.max()) + 2, p), mod, width)
-        val = (np.full(len(ks), mod.factorials.values[p - 1]),
-               np.zeros(len(ks), np.int64))[:width]
-        for col, u in enumerate(free + pivots):
-            val = mul(val, tuple(t[u, ks[:, col]] for t in tab), mod)
-        return element([int(v.sum() % p) for v in val], mod)
-
-    if np.ndim(target) == 1:
-        return value(solutions(target))
-    return [value(solutions(t)) for t in target]
+    walk(tgt, np.arange(len(tgt) + 1), [])
+    values = [element(c, mod) for c in zip(*(sums % p).tolist())]
+    return values[0] if np.ndim(target) == 1 else values
 
 
 def hw_targets(p):

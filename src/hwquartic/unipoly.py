@@ -37,6 +37,15 @@ class UniPoly:
         self.modulus = mod
 
     @classmethod
+    def _reduced(cls, coeffs, mod) -> "UniPoly":
+        """From residues in [0, p) and a PrimeModulus: only trims zeros."""
+        f, n = cls.__new__(cls), len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        f.coeffs, f.modulus = tuple(coeffs[:n]), mod
+        return f
+
+    @classmethod
     def zero(cls, mod) -> "UniPoly":
         return cls((), mod)
 
@@ -89,8 +98,8 @@ class UniPoly:
         k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
         n = k * (len(a) + len(b) - 1)
         prod = (_pack(a, k) * _pack(b, k)).to_bytes(n, "little")
-        return UniPoly([int.from_bytes(prod[i:i + k], "little")
-                        for i in range(0, n, k)], self.modulus)
+        return UniPoly._reduced([int.from_bytes(prod[i:i + k], "little") % p
+                                 for i in range(0, n, k)], self.modulus)
 
     def __pow__(self, e: int, m: "UniPoly | None" = None) -> "UniPoly":
         """self**e; pow(self, e, m) reduces mod m at every step, each
@@ -197,8 +206,8 @@ class _Reducer:
         g, prec = UniPoly((pow(rev[0], mod.p - 2, mod.p),), mod), 1
         while prec < self.n:
             prec = min(2 * prec, self.n)
-            e = UniPoly(rev[:prec], mod) * g
-            g = UniPoly((g * (UniPoly((2,), mod) - e)).coeffs[:prec], mod)
+            e = UniPoly._reduced(rev[:prec], mod) * g
+            g = UniPoly._reduced((g * (UniPoly((2,), mod) - e)).coeffs[:prec], mod)
         self.inv = g.coeffs
 
     def __call__(self, f: UniPoly) -> UniPoly:
@@ -206,9 +215,9 @@ class _Reducer:
         if d <= 0:
             return f
         mod = f.modulus
-        qrev = (UniPoly(f.coeffs[:-d - 1:-1], mod)
-                * UniPoly(self.inv[:d], mod)).coeffs[:d]
-        return f - UniPoly((0,) * (d - len(qrev)) + qrev[::-1], mod) * self.m
+        qrev = (UniPoly._reduced(f.coeffs[:-d - 1:-1], mod)
+                * UniPoly._reduced(self.inv[:d], mod)).coeffs[:d]
+        return f - UniPoly._reduced((0,) * (d - len(qrev)) + qrev[::-1], mod) * self.m
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:

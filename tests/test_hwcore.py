@@ -2,15 +2,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hwquartic import harness, hwcore
 from hwquartic.errors import CapacityError
 from hwquartic.families import c6_form, c6_hw, c9_form, c9_hw
 from hwquartic.ffield import Fp2Element, FpElement, components, is_prime, modulus
 from hwquartic.harness import fermat_form, random_sparse_quartic
 from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
-                              QuarticForm, a_number, coefficient_in_power,
+                              QuarticForm, _pivot_minor, a_number,
+                              coefficient_in_power,
                               elliptic_e0_supersingular, grid_rank,
                               grid_stable_rank, hw_matrix, hw_matrix_oracle,
                               hw_targets, rank3, stable_rank)
@@ -169,6 +171,48 @@ def test_hw_matrix_matches_oracle_on_random_supports(F):
     assert hw_matrix(F) == hw_matrix_oracle(F)
 
 
+@st.composite
+def forms_of_each_rank(draw):
+    """(F, targets): a form whose exponent matrix has rank 1, 2 or 3 (one
+    monomial, monomials on one line, or any support), with F_p or F_{p^2}
+    coefficients at p <= 31, and a list of Hasse-Witt targets and
+    off-range targets with a duplicate."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    m = modulus(p)
+    rank = draw(st.sampled_from((1, 2, 3)))
+    a, b = draw(st.lists(st.sampled_from(MONOMIALS), min_size=2, max_size=2,
+                         unique=True))
+    line = [e for e in MONOMIALS if np.linalg.matrix_rank([a, b, e]) < 3]
+    pool = {1: [a], 2: line, 3: MONOMIALS}[rank]
+    support = draw(st.lists(st.sampled_from(pool), min_size=rank,
+                            max_size=15 if p <= 13 else 8, unique=True))
+    assume(np.linalg.matrix_rank(support) == rank)
+    if draw(st.booleans()):
+        coeff = st.builds(lambda a, b: Fp2Element(a, b, m),
+                          st.integers(0, p - 1), st.integers(1, p - 1))
+    else:
+        coeff = st.integers(1, p - 1)
+    F = QuarticForm({e: draw(coeff) for e in support}, m)
+    n = 4 * (p - 1)
+    off = [(-1, n + 1, 0), (n, 4, -4), (n + 4, 0, 0), (0, 0, 0)]
+    targets = draw(st.lists(st.sampled_from(
+        [t for row in hw_targets(p) for t in row] + off), min_size=1, max_size=12))
+    return F, targets + targets[:1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms_of_each_rank())
+def test_one_walk_matches_each_target_and_the_oracle(case):
+    F, targets = case
+    H = hw_matrix_oracle(F)
+    expected = {t: H[a + 1, b + 1] for a, row in enumerate(hw_targets(F.modulus.p))
+                for b, t in enumerate(row)}
+    zero = H[1, 1] * 0
+    values = coefficient_in_power(F, targets)
+    assert values == [coefficient_in_power(F, t) for t in targets]
+    assert values == [expected.get(t, zero) for t in targets]
+
+
 @pytest.mark.parametrize("support", [
     [(4, 0, 0)],                                # rank 1
     [(4, 0, 0), (2, 2, 0), (0, 4, 0)],          # rank 2, no z
@@ -237,6 +281,58 @@ def test_dense_support_hits_the_capacity_bound():
     F = QuarticForm({e: 1 for e in MONOMIALS}, modulus(211))
     with pytest.raises(CapacityError, match=str(MAX_CANDIDATES)):
         hw_matrix(F)
+
+
+def test_capacity_boundary_of_the_dense_support():
+    # all 15 monomials: one target needs at most 112 851 rows at p = 13
+    # and more than MAX_CANDIDATES at p = 17, so p = 13 is computed (the
+    # matrix pinned from the per-target enumerator) and p = 17 exits 3
+    text = " + ".join(f"{n + 1}*x^{i}*y^{j}*z^{k}"
+                      for n, (i, j, k) in enumerate(MONOMIALS))
+    F = harness.parse_quartic(text, modulus(13))
+    assert hw_matrix(F) == M([[7, 2, 10], [11, 8, 2], [8, 9, 6]], 13)
+    assert harness.main(["hw", "--quartic", text, "--p", "17"]) == 3
+
+
+def test_walk_splits_the_targets_into_groups_under_the_cap(monkeypatch):
+    F = QuarticForm({e: n + 1 for n, e in enumerate(MONOMIALS)}, modulus(7))
+    targets = [t for row in hw_targets(7) for t in row]
+    sizes = []  # the row count of every level the walk allocates
+    branch = hwcore._branch
+
+    def recording(*args):
+        row, k = branch(*args)
+        sizes.append(len(row))
+        return row, k
+
+    monkeypatch.setattr(hwcore, "_branch", recording)
+    per_target = []
+    for t in targets:
+        sizes.clear()
+        coefficient_in_power(F, t)
+        per_target.append(max(sizes))
+    sizes.clear()
+    coefficient_in_power(F, targets)
+    cap = max(per_target)
+    assert max(sizes) > cap        # the nine targets together exceed it
+    monkeypatch.setattr(hwcore, "MAX_CANDIDATES", cap)
+    sizes.clear()
+    assert hw_matrix(F) == hw_matrix_oracle(F)
+    assert max(sizes) <= cap
+    monkeypatch.setattr(hwcore, "MAX_CANDIDATES", cap - 1)
+    with pytest.raises(CapacityError, match=str(cap - 1)):
+        hw_matrix(F)
+    with pytest.raises(CapacityError):
+        coefficient_in_power(F, targets[per_target.index(cap)])
+
+
+def test_pivot_minor_has_the_least_nonzero_det():
+    # terms 0, 1, 2 (the first minor in index order) have |det| 64, terms
+    # 0, 1, 3 and 0, 2, 3 have 16, terms 1, 2, 3 have 32
+    support = [(0, 0, 4), (0, 4, 0), (4, 0, 0), (1, 1, 2)]
+    assert _pivot_minor(support) == ([0, 1, 2], [0, 1, 3])
+    # rank 2: terms 0, 1 and 1, 2 on x, y tie at |det| 4, terms 0, 2 have 8
+    assert _pivot_minor([(3, 1, 0), (2, 2, 0), (1, 3, 0)]) == ([0, 1], [0, 1])
 
 
 def test_rank3_and_a_number():

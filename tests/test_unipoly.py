@@ -25,6 +25,9 @@ def test_construction_trims_and_canonicalizes():
     z = P([0, 0], 7)
     assert z.is_zero and z.degree == -1 and z.coeffs == ()
     assert P([7, 14], 7).is_zero
+    # the constructor for residues in [0, p) only trims
+    assert UniPoly._reduced((1, 2, 0, 0), modulus(5)) == f
+    assert UniPoly._reduced([0, 0], modulus(7)).coeffs == ()
 
 
 def test_poly_mul():
