@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError
-from .ffield import Fp2Element, FpElement, _as_modulus, binomial, multinomial
+from .ffield import (FpElement, _as_modulus, as_element, binomial, element,
+                     multinomial)
 from .hwcore import (HWMatrix, QuarticForm, a_number, grid_rank,
                      grid_stable_rank, hw_targets, stable_rank)
 from .unipoly import UniPoly, horner, is_separable
@@ -177,12 +178,7 @@ def _reject_singular(mod, r):
     """The parameter r != +-2 as a component tuple: (a,) for r in F_p (an
     int or FpElement), (a, b) for an Fp2Element r = a + b*w."""
     p = mod.p
-    if isinstance(r, Fp2Element):
-        if r.modulus.p != p:
-            raise ValueError("parameter modulus mismatch")
-        r = (r.a, r.b)
-    else:
-        r = (int(r) % p,)
+    r = as_element(r, mod).comps
     if r[0] in (2, p - 2) and not any(r[1:]):
         raise ValueError("r = 2 or -2 gives a singular quartic")
     return r
@@ -193,8 +189,7 @@ def c6_hw(mod, r, polys: "C6CoeffPolys | None" = None) -> HWMatrix:
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
     grid = c6_stack(c6_coeff_polys(mod) if polys is None else polys, r)
-    make = Fp2Element if len(r) == 2 else FpElement
-    return HWMatrix([[make(*v, mod) for v in row] for row in grid], mod)
+    return HWMatrix([[element(v, mod) for v in row] for row in grid], mod)
 
 
 def c6_stack(polys: C6CoeffPolys, r):

@@ -5,13 +5,20 @@ positive quadratic non-residue mod p.  Fixing s this way keeps the
 representation deterministic across runs, so elements can be printed,
 parsed and compared reproducibly.
 
-Vectorized code works on component tuples, (a,) over F_p or (a, b) for
-a + b*w, of ints or int64 arrays: mul is the one F_{p^2} product, also
-behind Fp2Element's, and power its square-and-multiply.
+The field operations are written once, on component tuples: (a,) over
+F_p or (a, b) for a + b*w, of ints or int64 arrays.  mul is the one
+F_{p^2} product and power its square-and-multiply; vectorized code calls
+them directly.  FpElement and Fp2Element are the width-1 and width-2
+cases of one element class, whose operators run mul, power and the
+componentwise sum on x.comps, the tuple at the element's own width.
+Other modules convert through one pair: components(x) = (a, b), padded
+to width 2, and element(c, mod) back; as_element(x, mod) is the input
+rule for values handed in (an int or an element of the same modulus).
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import ModulusError
@@ -150,224 +157,6 @@ def multinomial(n: int, parts, mod) -> "FpElement":
     return FpElement(out, mod)
 
 
-class FpElement:
-    """A residue mod p. Immutable; all arithmetic exact."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus: PrimeModulus):
-        self.value = int(value) % modulus.p
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.modulus.p != self.modulus.p:
-                raise ModulusError(
-                    f"mixed moduli {self.modulus.p} and {other.modulus.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement((self.value + v) % self.modulus.p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement((self.value - v) % self.modulus.p, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement((v - self.value) % self.modulus.p, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value * v % self.modulus.p, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value % self.modulus.p, self.modulus)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElement(pow(self.value, e, self.modulus.p), self.modulus)
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.modulus.p}")
-        return FpElement(pow(self.value, self.modulus.p - 2, self.modulus.p),
-                         self.modulus)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero mod {self.modulus.p}")
-        return FpElement(self.value * pow(v, self.modulus.p - 2, self.modulus.p)
-                         % self.modulus.p, self.modulus)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(v, self.modulus) / self
-
-    def __eq__(self, other):
-        if isinstance(other, Fp2Element):
-            return NotImplemented
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value == v
-
-    def __hash__(self):
-        return hash((self.modulus.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-class Fp2Element:
-    """a + b*w in F_{p^2} with w^2 = s (s the smallest non-residue mod p).
-
-    Frobenius x -> x^p sends a + b*w to a - b*w.
-    """
-
-    __slots__ = ("a", "b", "modulus")
-
-    def __init__(self, a, b, modulus: PrimeModulus):
-        self.a = int(a) % modulus.p
-        self.b = int(b) % modulus.p
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        # returns component pair or None
-        if isinstance(other, Fp2Element):
-            if other.modulus.p != self.modulus.p:
-                raise ModulusError(
-                    f"mixed moduli {self.modulus.p} and {other.modulus.p}")
-            return other.a, other.b
-        if isinstance(other, FpElement):
-            if other.modulus.p != self.modulus.p:
-                raise ModulusError(
-                    f"mixed moduli {self.modulus.p} and {other.modulus.p}")
-            return other.value, 0
-        if isinstance(other, int):
-            return other % self.modulus.p, 0
-        return None
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        p = self.modulus.p
-        return Fp2Element((self.a + c[0]) % p, (self.b + c[1]) % p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        p = self.modulus.p
-        return Fp2Element((self.a - c[0]) % p, (self.b - c[1]) % p, self.modulus)
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        p = self.modulus.p
-        return Fp2Element((c[0] - self.a) % p, (c[1] - self.b) % p, self.modulus)
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return Fp2Element(*mul((self.a, self.b), c, self.modulus), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        p = self.modulus.p
-        return Fp2Element(-self.a % p, -self.b % p, self.modulus)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Fp2Element(*power((self.a, self.b), e, self.modulus), self.modulus)
-
-    def norm(self) -> FpElement:
-        """Norm to F_p: (a + b*w)(a - b*w) = a^2 - s*b^2."""
-        p = self.modulus.p
-        s = self.modulus.nonresidue
-        return FpElement((self.a * self.a - s * self.b * self.b) % p, self.modulus)
-
-    def inverse(self) -> "Fp2Element":
-        n = self.norm().value
-        if n == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.modulus.p}^2")
-        p = self.modulus.p
-        ni = pow(n, p - 2, p)
-        return Fp2Element(self.a * ni % p, -self.b * ni % p, self.modulus)
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return self * Fp2Element(c[0], c[1], self.modulus).inverse()
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return Fp2Element(c[0], c[1], self.modulus) * self.inverse()
-
-    def __eq__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return (self.a, self.b) == c
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash((self.modulus.p, self.a))
-        return hash((self.modulus.p, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}*w"
-
-
 def mul(x, y, mod):
     """x*y on component tuples: (a,) over F_p, (a, b) for a + b*w, w^2 = s.
 
@@ -392,25 +181,164 @@ def power(x, e: int, mod):
     return out
 
 
+def _inverse(c, mod):
+    """1/c on an int component tuple: conj(c) / (c * conj(c)), where conj,
+    the Frobenius a + b*w -> a - b*w, is the identity on F_p, so the
+    denominator lies in F_p."""
+    p = mod.p
+    conj = c[:1] + tuple(-v % p for v in c[1:])
+    n = mul(c, conj, mod)[0]
+    if n == 0:
+        where = f"mod {p}" if len(c) == 1 else f"in F_{p}^2"
+        raise ZeroDivisionError(f"0 has no inverse {where}")
+    n = pow(n, p - 2, p)
+    return tuple(v * n % p for v in conj)
+
+
+def _binary(op):
+    """The method x.op(other) from op(x, y, mod) on component tuples of
+    x's width; the result has x's class, whose constructor reduces it."""
+
+    def method(self, other):
+        y = self._other(other)
+        if y is None:
+            return NotImplemented
+        return type(self)(*op(self.comps, y, self.modulus), self.modulus)
+
+    return method
+
+
+class _Element:
+    """The field operations, written once on comps, the component tuple
+    at the element's own width: (value,) for an FpElement, (a, b) for an
+    Fp2Element.
+
+    An operator runs at self's width, so the wider operand's class runs
+    it: an int or FpElement operand of an Fp2Element is widened with
+    b = 0, and an FpElement leaves an Fp2Element operand to that
+    element's reflected operator.  Immutable; all arithmetic exact.
+    """
+
+    __slots__ = ("comps", "modulus")
+
+    def _other(self, other):
+        """other's components at self's width; None for an operand that is
+        neither an int nor an element, or is a wider element."""
+        width = len(self.comps)
+        if isinstance(other, int):
+            return (other % self.modulus.p, 0)[:width]
+        if not isinstance(other, _Element) or len(other.comps) > width:
+            return None
+        if other.modulus.p != self.modulus.p:
+            raise ModulusError(
+                f"mixed moduli {self.modulus.p} and {other.modulus.p}")
+        return (other.comps + (0,))[:width]
+
+    __add__ = __radd__ = _binary(lambda x, y, mod: map(operator.add, x, y))
+    __sub__ = _binary(lambda x, y, mod: map(operator.sub, x, y))
+    __rsub__ = _binary(lambda x, y, mod: map(operator.sub, y, x))
+    __mul__ = __rmul__ = _binary(mul)
+    __truediv__ = _binary(lambda x, y, mod: mul(x, _inverse(y, mod), mod))
+    __rtruediv__ = _binary(lambda x, y, mod: mul(y, _inverse(x, mod), mod))
+
+    def __neg__(self):
+        return type(self)(*map(operator.neg, self.comps), self.modulus)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        return type(self)(*power(self.comps, e, self.modulus), self.modulus)
+
+    def inverse(self):
+        return type(self)(*_inverse(self.comps, self.modulus), self.modulus)
+
+    def __eq__(self, other):
+        y = self._other(other)
+        return NotImplemented if y is None else self.comps == y
+
+    def __hash__(self):
+        # b = 0 hashes as the FpElement that the Fp2Element equals
+        c = self.comps
+        return hash((self.modulus.p,) + (c[:1] if c[1:] == (0,) else c))
+
+    def __bool__(self):
+        return any(self.comps)
+
+    def is_zero(self) -> bool:
+        return not any(self.comps)
+
+    def __repr__(self):
+        c = self.comps
+        return f"{c[0]}+{c[1]}*w" if any(c[1:]) else f"{c[0]}"
+
+
+class FpElement(_Element):
+    """A residue mod p: the width-1 element, comps = (value,)."""
+
+    __slots__ = ()
+
+    def __init__(self, value, modulus: PrimeModulus):
+        self.comps = (int(value) % modulus.p,)
+        self.modulus = modulus
+
+    value = property(lambda self: self.comps[0])
+
+    def __int__(self):
+        return self.comps[0]
+
+
+class Fp2Element(_Element):
+    """a + b*w in F_{p^2} with w^2 = s (s the smallest non-residue mod p):
+    the width-2 element, comps = (a, b).
+
+    Frobenius x -> x^p sends a + b*w to a - b*w.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, a, b, modulus: PrimeModulus):
+        self.comps = (int(a) % modulus.p, int(b) % modulus.p)
+        self.modulus = modulus
+
+    a = property(lambda self: self.comps[0])
+    b = property(lambda self: self.comps[1])
+
+    def norm(self) -> FpElement:
+        """Norm to F_p: (a + b*w)(a - b*w) = a^2 - s*b^2."""
+        return FpElement(self.a * self.a - self.modulus.nonresidue * self.b * self.b,
+                         self.modulus)
+
+
 def element(c, mod):
     """The field element with component tuple c, (a,) or (a, b)."""
     return Fp2Element(*c, mod) if len(c) == 2 else FpElement(*c, mod)
 
 
 def components(x):
-    """(a, b) with x = a + b*w; an F_p element has b = 0."""
-    if isinstance(x, Fp2Element):
-        return x.a, x.b
+    """(a, b) with x = a + b*w; an F_p element or int has b = 0.  An
+    element's own width is x.comps."""
+    if isinstance(x, _Element):
+        return (x.comps + (0,))[:2]
     return int(x), 0
 
 
-def embed(x, mod=None) -> Fp2Element:
-    """Embed an F_p element (or int) into F_{p^2}."""
-    if isinstance(x, Fp2Element):
+def as_element(x, mod):
+    """The input rule for a field value mod p: an element of modulus p as
+    it is, an int (Python or numpy, by operator.index) as an FpElement.
+    Raises ModulusError for an element of another modulus and TypeError
+    for anything else, such as a float, rather than re-reducing it."""
+    if isinstance(x, _Element):
+        if x.modulus.p != mod.p:
+            raise ModulusError(f"mixed moduli {mod.p} and {x.modulus.p}")
         return x
-    if isinstance(x, FpElement):
-        return Fp2Element(x.value, 0, x.modulus)
-    return Fp2Element(x, 0, _as_modulus(mod))
+    return FpElement(operator.index(x), mod)
+
+
+def embed(x, mod=None) -> Fp2Element:
+    """Embed an F_p element (or int, by the as_element rule) into F_{p^2}."""
+    if not isinstance(x, _Element):
+        x = as_element(x, _as_modulus(mod))
+    return Fp2Element(*components(x), x.modulus)
 
 
 def sqrt_fp(x) -> "FpElement | None":
@@ -459,5 +387,4 @@ def is_square_fp2(x: Fp2Element) -> bool:
     if x.is_zero():
         return True
     p = x.modulus.p
-    y = x ** ((p * p - 1) // 2)
-    return y.a == 1 and y.b == 0
+    return x ** ((p * p - 1) // 2) == 1

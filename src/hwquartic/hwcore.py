@@ -39,9 +39,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ModulusError
-from .ffield import (Fp2Element, FpElement, _as_modulus, binomial,
-                     components, element, mul)
+from .errors import CapacityError
+from .ffield import _as_modulus, as_element, binomial, components, element, mul
 
 BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
@@ -55,8 +54,9 @@ MAX_CANDIDATES = 1 << 20
 class QuarticForm:
     """Sparse ternary quartic: map from exponent triples (i,j,k) to coefficients.
 
-    Coefficients may be FpElement or Fp2Element values (or ints, reduced
-    mod p); explicitly zero coefficients are dropped.
+    Coefficients may be FpElement or Fp2Element values of the same modulus
+    or ints (ffield.as_element: reduced mod p, floats rejected); explicitly
+    zero coefficients are dropped.
     """
 
     __slots__ = ("terms", "modulus")
@@ -70,17 +70,9 @@ class QuarticForm:
                 raise ValueError(f"bad exponent triple {expo}")
             if sum(expo) != 4:
                 raise ValueError(f"term {expo} has degree {sum(expo)}, want 4")
-            if isinstance(coeff, Fp2Element):
-                if coeff.modulus.p != mod.p:
-                    raise ModulusError("coefficient modulus mismatch")
-                if coeff.is_zero():
-                    continue
-                c = coeff
-            else:
-                v = int(coeff) % mod.p
-                if v == 0:
-                    continue
-                c = FpElement(v, mod)
+            c = as_element(coeff, mod)
+            if c.is_zero():
+                continue
             if expo in clean:
                 raise ValueError(f"duplicate term {expo}")
             clean[expo] = c
@@ -88,7 +80,7 @@ class QuarticForm:
         self.modulus = mod
 
     def uses_ext_field(self) -> bool:
-        return any(isinstance(c, Fp2Element) for c in self.terms.values())
+        return any(len(c.comps) == 2 for c in self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, QuarticForm):
@@ -350,7 +342,7 @@ def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
 def _grid(M: HWMatrix):
     """The component grid of M: (a,) entries, or (a, b) if any entry lies
     in F_{p^2}."""
-    width = 1 + any(isinstance(e, Fp2Element) for row in M.entries for e in row)
+    width = max(len(e.comps) for row in M.entries for e in row)
     return [[components(e)[:width] for e in row] for row in M.entries]
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ModulusError, PoleError
 from .families import c6_coeff_polys
-from .ffield import FpElement, _as_modulus, binomial, components, mul, power
+from .ffield import (FpElement, _as_modulus, as_element, binomial, components,
+                     mul, power)
 from .unipoly import UniPoly, ext2_root_counts, horner
 
 
@@ -61,10 +62,10 @@ def pochhammer(x, n: int, mod) -> FpElement:
     mod = _as_modulus(mod)
     if n < 0:
         raise ValueError(f"negative Pochhammer length {n}")
-    if isinstance(x, FpElement):
-        x0 = x.value
-    else:
+    if isinstance(x, (RationalParam, tuple)):
         x0 = _as_param(x).residue(mod).value
+    else:
+        x0 = int(as_element(x, mod))
     p = mod.p
     out = 1
     for k in range(n):

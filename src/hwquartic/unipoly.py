@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ModulusError
-from .ffield import Fp2Element, FpElement, _as_modulus, element
+from .ffield import Fp2Element, FpElement, _as_modulus, as_element, element
 
 #: cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
 DEFAULT_ROOT_BOUND = 250_000
@@ -119,7 +119,7 @@ class UniPoly:
         return reduce(UniPoly((1,), self.modulus)) if out is None else out
 
     def scale(self, c) -> "UniPoly":
-        c = int(c) % self.modulus.p
+        c = int(as_element(c, self.modulus))
         return UniPoly([a * c for a in self.coeffs], self.modulus)
 
     def monic(self) -> "UniPoly":
@@ -146,11 +146,9 @@ class UniPoly:
     def eval(self, x):
         """Value at an FpElement, an Fp2Element or an int."""
         mod = self.modulus
-        if isinstance(x, (FpElement, Fp2Element)) and x.modulus.p != mod.p:
-            raise ModulusError(f"mixed moduli {mod.p} and {x.modulus.p}")
-        if isinstance(x, Fp2Element):
-            return element(horner([(c, 0) for c in self.coeffs], (x.a, x.b), mod), mod)
-        return element(horner(self.coeffs, (int(x),), mod), mod)
+        x = as_element(x, mod).comps
+        coeffs = self.coeffs if len(x) == 1 else [(c, 0) for c in self.coeffs]
+        return element(horner(coeffs, x, mod), mod)
 
     def eval_all(self) -> np.ndarray:
         """Values at 0, 1, ..., p-1 as an int64 array."""

@@ -5,7 +5,7 @@ import pytest
 from test_hwcore import frobenius_cube, rank_by_elimination
 
 from hwquartic import families
-from hwquartic.errors import IntegrityError
+from hwquartic.errors import IntegrityError, ModulusError
 from hwquartic.families import (LOCUS_SLOT, Classification, TABLE_C6, TABLE_C9,
                                 _c9_solve_slot, c6_classify, c6_classify_all,
                                 c6_coeff_polys, c6_count_max_a, c6_entry_poly,
@@ -389,3 +389,13 @@ def test_stable_rank_equals_rank_on_family():
                 continue
             H = c6_hw(m, r, polys)
             assert stable_rank(H) == rank3(H)
+
+
+def test_c6_hw_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    assert c6_hw(m, np.int64(3)) == c6_hw(m, FpElement(3, m)) == c6_hw(m, 14)
+    for foreign in (FpElement(3, modulus(7)), Fp2Element(3, 1, modulus(7))):
+        with pytest.raises(ModulusError):
+            c6_hw(m, foreign)
+    with pytest.raises(TypeError):
+        c6_hw(m, 3.5)

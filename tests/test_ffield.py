@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +208,132 @@ def test_nonresidue_is_deterministic_and_minimal():
         assert pow(s, (p - 1) // 2, p) == p - 1
         for t in range(2, s):
             assert pow(t, (p - 1) // 2, p) == 1
+
+
+# ---------------------------------------------------------------------------
+# The operator table: every binary operator, reflected ones included, on
+# ints, FpElement and Fp2Element (b = 0 and b != 0), against a model on
+# components (a, b) with a + b*w and w^2 = s, written out here.
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _model(op, x, y, p, s):
+    """op on component pairs; None for a zero divisor."""
+    (a, b), (c, d) = x, y
+    if op is operator.truediv:
+        n = (c * c - s * d * d) % p
+        if n == 0:
+            return None
+        ni = pow(n, p - 2, p)
+        c, d = c * ni, -d * ni  # 1/y = (c - d*w) / (c^2 - s*d^2)
+        op = operator.mul
+    if op is operator.mul:
+        return (a * c + s * b * d) % p, (a * d + b * c) % p
+    return op(a, c) % p, op(b, d) % p
+
+
+def _model_pow(x, e, p, s):
+    out = (1, 0)
+    if e < 0:
+        x, e = _model(operator.truediv, (1, 0), x, p, s), -e
+        if x is None:
+            return None
+    for _ in range(e):
+        out = _model(operator.mul, out, x, p, s)
+    return out
+
+
+@st.composite
+def _operand(draw, m):
+    """(value, components, width): an int (width 0), an FpElement (1) or
+    an Fp2Element with b = 0 or b != 0 (2)."""
+    p = m.p
+    kind = draw(st.sampled_from(("int", "fp", "fp2_b0", "fp2")))
+    if kind == "int":
+        v = draw(st.integers(-3 * p, 3 * p))
+        return v, (v % p, 0), 0
+    a = draw(st.integers(0, p - 1))
+    if kind == "fp":
+        return FpElement(a, m), (a, 0), 1
+    b = 0 if kind == "fp2_b0" else draw(st.integers(1, p - 1))
+    return Fp2Element(a, b, m), (a, b), 2
+
+
+def _check_element(z, comps, width, m):
+    assert type(z) is (Fp2Element if width == 2 else FpElement)
+    assert z.modulus == m
+    a, b = comps
+    if width == 2:
+        assert (z.a, z.b) == (a, b)
+    else:
+        assert b == 0 and z.value == a and int(z) == a
+    assert repr(z) == (f"{a}" if b == 0 else f"{a}+{b}*w")
+    assert bool(z) is (comps != (0, 0)) and z.is_zero() is (comps == (0, 0))
+    # an Fp2Element with b = 0 equals and hashes as the FpElement
+    twin = Fp2Element(a, b, m) if width == 1 or b else FpElement(a, m)
+    if width == 1 or b == 0:
+        assert z == twin and twin == z and hash(z) == hash(twin)
+    else:
+        assert z != FpElement(a, m) and FpElement(a, m) != z
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_operator_table(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    m = modulus(p)
+    s = m.nonresidue
+    x, xc, xw = data.draw(_operand(m))
+    y, yc, yw = data.draw(_operand(m))
+    if xw == yw == 0:
+        x = FpElement(x, m)
+        xw = 1
+    width = max(xw, yw, 1)
+    for op in BINARY_OPS:
+        expect = _model(op, xc, yc, p, s)
+        if expect is None:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        _check_element(op(x, y), expect, width, m)
+    assert (x == y) is (xc == yc) and (x != y) is (xc != yc)
+    if xc == yc and xw and yw:
+        assert hash(x) == hash(y)
+    for v, vc, vw in ((x, xc, xw), (y, yc, yw)):
+        if not vw:
+            continue
+        _check_element(v, vc, vw, m)
+        _check_element(-v, ((-vc[0]) % p, (-vc[1]) % p), vw, m)
+        for e in (-3, -1, 0, 1, 2, 5):
+            expect = _model_pow(vc, e, p, s)
+            if expect is None:
+                with pytest.raises(ZeroDivisionError):
+                    v ** e
+            else:
+                _check_element(v ** e, expect, vw, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_operator_table_rejects_foreign_operands(data):
+    p, q = data.draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=2,
+                              max_size=2, unique=True))
+    x, _, xw = data.draw(_operand(modulus(p)))
+    y, _, yw = data.draw(_operand(modulus(q)))
+    for v, vw in ((x, xw), (y, yw)):
+        if not vw:
+            continue
+        for op in BINARY_OPS + (operator.pow,):
+            with pytest.raises(TypeError):
+                op(v, 2.5)
+            if op is not operator.pow:
+                with pytest.raises(TypeError):
+                    op(2.5, v)
+        assert (v == 2.5) is False and (v != 2.5) is True
+    if xw and yw:
+        for op in BINARY_OPS + (operator.eq,):
+            with pytest.raises(ModulusError):
+                op(x, y)
+            with pytest.raises(ModulusError):
+                op(y, x)

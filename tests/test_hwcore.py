@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hwquartic import harness, hwcore
-from hwquartic.errors import CapacityError
+from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import c6_form, c6_hw, c9_form, c9_hw
 from hwquartic.ffield import Fp2Element, FpElement, components, is_prime, modulus
 from hwquartic.harness import fermat_form, random_sparse_quartic
@@ -445,3 +445,14 @@ def test_elliptic_e0_supersingular():
     assert elliptic_e0_supersingular(11) is True
     for p in (13, 17, 19, 23, 29, 31, 37, 41):
         assert elliptic_e0_supersingular(p) == (p % 6 == 5)
+
+
+def test_quartic_form_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    assert QuarticForm({(4, 0, 0): np.int64(16)}, m) == QuarticForm({(4, 0, 0): 5}, m)
+    assert QuarticForm({(4, 0, 0): FpElement(5, m)}, m).terms == {(4, 0, 0): 5}
+    for foreign in (FpElement(5, modulus(7)), Fp2Element(5, 1, modulus(7))):
+        with pytest.raises(ModulusError):
+            QuarticForm({(4, 0, 0): foreign}, m)
+    with pytest.raises(TypeError):
+        QuarticForm({(4, 0, 0): 2.7}, m)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,3 +283,12 @@ def test_gauss_lemma_checks_the_w_component(monkeypatch, p):
                         embed(binomial(n, k, mod)) * Fp2Element(1, 1, mod))
     assert verify_gauss_lemma(modulus(p)) is False
     assert scalar_gauss_lemma(modulus(p)) is False
+
+
+def test_pochhammer_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    assert pochhammer(FpElement(3, m), 2, m) == pochhammer(np.int64(14), 2, m) == 12
+    with pytest.raises(ModulusError):
+        pochhammer(FpElement(3, modulus(7)), 2, m)
+    with pytest.raises(TypeError):
+        pochhammer(2.5, 2, m)

@@ -566,3 +566,25 @@ def test_components_round_trip(p, a, b):
     y = FpElement(a, m)
     assert components(y) == (a % p, 0)
     assert FpElement(components(y)[0], m) == y
+
+
+def test_scale_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    f = UniPoly([1, 2], m)
+    assert f.scale(FpElement(3, m)) == f.scale(np.int64(14)) == UniPoly([3, 6], m)
+    with pytest.raises(ModulusError):
+        f.scale(FpElement(3, modulus(7)))
+    with pytest.raises(TypeError):
+        f.scale(2.5)
+
+
+def test_eval_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    f = UniPoly([1, 2], m)
+    assert f.eval(np.int64(13)) == f.eval(FpElement(2, m)) == 5
+    assert f.eval(Fp2Element(2, 1, m)) == Fp2Element(5, 2, m)
+    for foreign in (FpElement(2, modulus(7)), Fp2Element(2, 1, modulus(7))):
+        with pytest.raises(ModulusError):
+            f.eval(foreign)
+    with pytest.raises(TypeError):
+        f.eval(2.5)
