@@ -101,8 +101,9 @@ def c9_form(mod) -> QuarticForm:
 def coeff_of_power(s: int, m: int, mod) -> UniPoly:
     """[y^m] (y^4 + r y^2 + 1)^s as a polynomial in r.
 
-    Sums multinomial(s; a, b, s-a-b) * r^b over 4a + 2b = m.  Odd m gives
-    the zero polynomial.
+    multinomial(s; a, b, s-a-b) at r^b over 4a + 2b = m, all at once as
+    s!/(a! b! c!) gathered from the factorial table.  Odd m gives the
+    zero polynomial.
     """
     mod = _as_modulus(mod)
     if not 0 <= s <= mod.p - 1:
@@ -111,14 +112,14 @@ def coeff_of_power(s: int, m: int, mod) -> UniPoly:
         raise ValueError(f"negative monomial degree {m}")
     if m % 2:
         return UniPoly.zero(mod)
-    coeffs = [0] * (m // 2 + 1)
-    for a in range(min(s, m // 4) + 1):
-        b = (m - 4 * a) // 2
-        c = s - a - b
-        if c < 0:
-            continue
-        coeffs[b] = (coeffs[b] + multinomial(s, (a, b, c), mod).value) % mod.p
-    return UniPoly(coeffs, mod)
+    p, t = mod.p, mod.factorials
+    a = np.arange(min(s, m // 4) + 1)
+    b = (m - 4 * a) // 2
+    c = s - a - b
+    a, b, c = a[c >= 0], b[c >= 0], c[c >= 0]
+    coeffs = np.zeros(min(m // 2, s) + 1, np.int64)
+    coeffs[b] = t.fact[s] * t.inv_fact[a] % p * t.inv_fact[b] % p * t.inv_fact[c] % p
+    return UniPoly._reduced(coeffs.tolist(), mod)
 
 
 def c6_entry_poly(mod, row: int, col: int) -> UniPoly:

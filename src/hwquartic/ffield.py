@@ -14,16 +14,26 @@ componentwise sum on x.comps, the tuple at the element's own width.
 Other modules convert through one pair: components(x) = (a, b), padded
 to width 2, and element(c, mod) back; as_element(x, mod) is the input
 rule for values handed in (an int or an element of the same modulus).
+FactorialTable holds n! and 1/n! mod p as int64 arrays to gather rows
+from; the inverses need no second pass, by Wilson's reflection
+n! (p-1-n)! = (-1)^(n+1) mod p.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import accumulate
 
-from .errors import ModulusError
+import numpy as np
+
+from .errors import CapacityError, ModulusError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: largest p with factorial tables: two int64 arrays of p entries (16 MiB
+#: at the bound; int64 gathers need p < 2^31)
+MAX_TABLE_PRIME = 2 ** 20
 
 
 def is_prime(n: int) -> bool:
@@ -51,19 +61,31 @@ def is_prime(n: int) -> bool:
 
 
 class FactorialTable:
-    """values[n] = n! mod p for 0 <= n <= p-1, plus inverse factorials."""
+    """fact[n] = n! and inv_fact[n] = 1/n! mod p, 0 <= n < p, as int64
+    arrays (values and inverses as lists).  n! by prefix products over
+    runs of about sqrt(p/16) factors, one numpy pass per place in a run,
+    then a carry per run.  CapacityError, before any allocation, when
+    p > MAX_TABLE_PRIME."""
 
     def __init__(self, p: int):
-        values = [1] * p
-        for n in range(1, p):
-            values[n] = values[n - 1] * n % p
-        inverses = [1] * p
-        inverses[p - 1] = pow(values[p - 1], p - 2, p)
-        for n in range(p - 1, 0, -1):
-            inverses[n - 1] = inverses[n] * n % p
+        if p > MAX_TABLE_PRIME:
+            raise CapacityError(f"factorial tables mod p need p <= "
+                                f"{MAX_TABLE_PRIME}, got {p}")
+        w = int((p / 16) ** 0.5) + 1
+        t = np.ones(-(-p // w) * w, np.int64)
+        t[1:p] = np.arange(1, p)
+        t = t.reshape(-1, w)
+        for j in range(1, w):
+            t[:, j] = t[:, j] * t[:, j - 1] % p
+        carry = accumulate(t[:-1, -1].tolist(), lambda x, y: x * y % p, initial=1)
         self.p = p
-        self.values = values
-        self.inverses = inverses
+        self.fact = (t * np.fromiter(carry, np.int64, len(t))[:, None] % p).ravel()[:p]
+        # 1/n! = (-1)^(n+1) (p-1-n)!: negate the even slots of the reversal
+        self.inv_fact = self.fact[::-1].copy()
+        self.inv_fact[0::2] = p - self.inv_fact[0::2]
+
+    values = property(lambda self: self.fact.tolist())
+    inverses = property(lambda self: self.inv_fact.tolist())
 
 
 class PrimeModulus:
@@ -138,7 +160,7 @@ def binomial(n: int, k: int, mod) -> "FpElement":
     if k > n:
         return FpElement(0, mod)
     t = mod.factorials
-    return FpElement(t.values[n] * t.inverses[k] % mod.p * t.inverses[n - k] % mod.p, mod)
+    return FpElement(int(t.fact[n] * t.inv_fact[k] % mod.p * t.inv_fact[n - k] % mod.p), mod)
 
 
 def multinomial(n: int, parts, mod) -> "FpElement":
@@ -151,9 +173,9 @@ def multinomial(n: int, parts, mod) -> "FpElement":
     if sum(parts) != n:
         raise ValueError(f"multinomial parts sum {sum(parts)} != {n}")
     t = mod.factorials
-    out = t.values[n]
+    out = int(t.fact[n])
     for k in parts:
-        out = out * t.inverses[k] % mod.p
+        out = out * int(t.inv_fact[k]) % mod.p
     return FpElement(out, mod)
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -146,13 +146,16 @@ def _det(m):
 def _pivot_minor(exponents):
     """(coords, pivots): an r x r minor of the 3 x t exponent matrix, r its
     rank, with the least nonzero |det|; the first such choice of terms in
-    index order on ties.  A smaller det leaves fewer rows to discard."""
-    for r in (3, 2, 1):
-        minors = [(abs(d), list(coords), list(pivots))
-                  for pivots in combinations(range(len(exponents)), r)
-                  for coords in combinations(range(3), r)
-                  if (d := _det([[exponents[v][c] for v in pivots]
-                                 for c in coords]))]
+    index order on ties.  A smaller det leaves fewer rows to discard.  The
+    scan stops at |det| 1, or 4 for r = 3: each exponent column sums to 4."""
+    for r, least in ((3, 4), (2, 1), (1, 1)):
+        minors = []
+        for pivots, coords in product(combinations(range(len(exponents)), r),
+                                      combinations(range(3), r)):
+            if d := abs(_det([[exponents[v][c] for v in pivots] for c in coords])):
+                minors.append((d, list(coords), list(pivots)))
+                if d == least:
+                    break
         if minors:
             return min(minors, key=lambda m: m[0])[1:]
     return [], []
@@ -184,8 +187,7 @@ def _term_tables(coeffs, mod, width):
         tab = tuple(np.concatenate(pair, axis=1)
                     for pair in zip(tab, mul(tab, step, mod)))
         step = mul(step, step, mod)
-    inverses = np.array(mod.factorials.inverses, np.int64)
-    return tuple(v[:, :p] * inverses % p for v in tab)
+    return tuple(v[:, :p] * mod.factorials.inv_fact % p for v in tab)
 
 
 def _branch(lo, counts, start):
@@ -235,7 +237,7 @@ def coefficient_in_power(F: QuarticForm, target):
             keep = np.all([sum(pivot(i) * E[c, v] for i, v in enumerate(pivots))
                            + k * e[c] == rem[row, c] for c in range(3)], axis=0)
             row, k = row[keep], k[keep]
-        val = (np.full(len(row), mod.factorials.values[p - 1]),
+        val = (np.full(len(row), mod.factorials.fact[p - 1]),
                np.zeros(len(row), np.int64))[:width]
         for i, u in enumerate(pivots + free[-1:]):  # one column at a time
             m = pivot(i) if i < r else k

@@ -3,7 +3,9 @@
 G(a,b,c;t) = sum_n (a;n)(b;n) / ((c;n)(1;n)) t^n with the rising
 Pochhammer product (x;n) = x(x+1)...(x+n-1).  Rational parameters are
 reduced to F_p residues before use, so e.g. the parameter written
-(2p+7)/6 is handled as 7/6 mod p.  Truncations stay below the first
+(2p+7)/6 is handled as 7/6 mod p.  Read in [1, p], a residue x gives
+(x;n) = (x+n-1)!/(x-1)!, or 0 once x+n-1 >= p, so a series row is one
+gather from the factorial table.  Truncations stay below the first
 vanishing denominator factor; hitting one raises PoleError since the
 parameter choices used here never do.  The Gauss-lemma check runs at
 every r at once on component arrays (ffield.mul/power, unipoly.horner).
@@ -49,12 +51,20 @@ class RationalParam:
         return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
 
 
-def _as_param(x) -> RationalParam:
+def _as_param(x, mod) -> RationalParam:
+    """x as a RationalParam: a (num, den) tuple, or by ffield.as_element."""
     if isinstance(x, RationalParam):
         return x
     if isinstance(x, tuple):
         return RationalParam(*x)
-    return RationalParam(int(x))
+    return RationalParam(int(as_element(x, mod)))
+
+
+def _rising(x1: int, n, mod):
+    """(x;n) = (x+n-1)!/(x-1)! mod p for x read in [1, p], x1 = x - 1, at n
+    an int or an int array; 0 once x+n-1 >= p, where a factor is p."""
+    p, t = mod.p, mod.factorials
+    return np.where(x1 + n < p, t.fact[np.minimum(x1 + n, p - 1)] * t.inv_fact[x1] % p, 0)
 
 
 def pochhammer(x, n: int, mod) -> FpElement:
@@ -62,40 +72,30 @@ def pochhammer(x, n: int, mod) -> FpElement:
     mod = _as_modulus(mod)
     if n < 0:
         raise ValueError(f"negative Pochhammer length {n}")
-    if isinstance(x, (RationalParam, tuple)):
-        x0 = _as_param(x).residue(mod).value
-    else:
-        x0 = int(as_element(x, mod))
-    p = mod.p
-    out = 1
-    for k in range(n):
-        out = out * ((x0 + k) % p) % p
-    return FpElement(out, mod)
+    x1 = (_as_param(x, mod).residue(mod).value - 1) % mod.p
+    return FpElement(_rising(x1, n, mod), mod)
 
 
 def gauss_truncated(a, b, c, d: int, mod) -> UniPoly:
     """Truncation of G(a,b,c;t) mod p to degree d.
 
-    Term ratios are accumulated incrementally; a vanishing denominator
-    factor (c;n) within the range is a pole and raises PoleError.
+    Every term (a;n) (b;n) / ((c;n) n!) at once, as factorial ratios.  A
+    vanishing denominator factor (c;n), n <= d, is a pole: with c read in
+    [1, p], c + d - 1 >= p raises PoleError before any work.
     """
     mod = _as_modulus(mod)
     if d < 0:
         raise ValueError(f"negative truncation degree {d}")
-    a, b, c = _as_param(a), _as_param(b), _as_param(c)
-    p = mod.p
-    a0, b0, c0 = (x.residue(mod).value for x in (a, b, c))
-    coeffs = [1]
-    term = 1
-    for n in range(1, d + 1):
-        den = (c0 + n - 1) % p * (n % p) % p
-        if den == 0:
-            raise PoleError(
-                f"(c;{n}) vanishes mod {p} for c = {c}: series truncation too deep")
-        num = (a0 + n - 1) % p * ((b0 + n - 1) % p) % p
-        term = term * num % p * pow(den, p - 2, p) % p
-        coeffs.append(term)
-    return UniPoly(coeffs, mod)
+    a, b, c = (_as_param(x, mod) for x in (a, b, c))
+    p, t = mod.p, mod.factorials
+    a1, b1, c1 = ((x.residue(mod).value - 1) % p for x in (a, b, c))
+    if c1 + d >= p:
+        raise PoleError(f"(c;{p - c1}) vanishes mod {p} for c = {c}: "
+                        "series truncation too deep")
+    n = np.arange(d + 1)
+    coeffs = (_rising(a1, n, mod) * _rising(b1, n, mod) % p * t.fact[c1] % p
+              * t.inv_fact[c1 + n] % p * t.inv_fact[n] % p)
+    return UniPoly._reduced(coeffs.tolist(), mod)
 
 
 def _require_residue_5_mod_6(mod):
@@ -106,10 +106,15 @@ def _require_residue_5_mod_6(mod):
 
 
 def one_minus_t_power(e: int, mod) -> UniPoly:
-    """(1 - t)^e as a polynomial, e < p."""
+    """(1 - t)^e as a polynomial, 0 <= e < p: the row (-1)^k e!/(k!(e-k)!)."""
     mod = _as_modulus(mod)
-    return UniPoly([binomial(e, k, mod).value * (-1) ** k for k in range(e + 1)],
-                   mod)
+    p, t = mod.p, mod.factorials
+    if not 0 <= e < p:
+        raise ValueError(f"(1 - t)^e needs 0 <= e < p = {p}, got e = {e}")
+    k = np.arange(e + 1)
+    row = t.fact[e] * t.inv_fact[k] % p * t.inv_fact[e - k] % p
+    row[1::2] = p - row[1::2]
+    return UniPoly._reduced(row.tolist(), mod)
 
 
 def verify_euler(mod) -> bool:

@@ -2,9 +2,11 @@
 
 Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
-the representation canonical.  Kronecker-substitution products; powmod
-by a precomputed inverse of rev(m); divmod and gcd by long division on
-int64 arrays (object dtype at p >= 2^31, where int64 products overflow).
+the representation canonical.  The constructor takes coefficients by
+the ffield.as_element rule, _reduced takes residues.  Kronecker products;
+powmod by a precomputed inverse of rev(m); divmod and gcd by one long
+division in place on int64 arrays (object dtype at p >= 2^31), its scalar
+steps on Python ints; a gcd converts to arrays once.
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
@@ -29,8 +31,7 @@ class UniPoly:
 
     def __init__(self, coeffs, mod):
         mod = _as_modulus(mod)
-        p = mod.p
-        cl = [int(c) % p for c in coeffs]
+        cl = [int(as_element(c, mod)) for c in coeffs]
         while cl and cl[-1] == 0:
             cl.pop()
         self.coeffs = tuple(cl)
@@ -69,23 +70,23 @@ class UniPoly:
                 f"mixed moduli {self.modulus.p} and {other.modulus.p}")
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a, self.modulus)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * other."""
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
+        p = self.modulus.p
+        a = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return UniPoly(a, self.modulus)
+            a[i] += sign * c
+        return UniPoly._reduced([c % p for c in a], self.modulus)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs], self.modulus)
+        p = self.modulus.p
+        return UniPoly._reduced([-c % p for c in self.coeffs], self.modulus)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         """Kronecker substitution: one int product of the factors packed
@@ -119,8 +120,8 @@ class UniPoly:
         return reduce(UniPoly((1,), self.modulus)) if out is None else out
 
     def scale(self, c) -> "UniPoly":
-        c = int(as_element(c, self.modulus))
-        return UniPoly([a * c for a in self.coeffs], self.modulus)
+        c, p = int(as_element(c, self.modulus)), self.modulus.p
+        return UniPoly._reduced([a * c % p for a in self.coeffs], self.modulus)
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
@@ -133,7 +134,8 @@ class UniPoly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _divmod_arrays(self.coeffs, other.coeffs, self.modulus.p)
-        return UniPoly(q, self.modulus), UniPoly(r, self.modulus)
+        return (UniPoly._reduced(q.tolist(), self.modulus),
+                UniPoly._reduced(r.tolist(), self.modulus))
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -165,22 +167,29 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + f", p={self.modulus.p})"
 
 
-def _divmod_arrays(a, b, p: int):
+def _divmod_arrays(a, b, p: int, quotient=True):
     """Long division of trimmed coefficient sequences (low degree first, b
-    nonzero): arrays (q, r) with a = q*b + r and r trimmed.  int64 holds
-    every product of two residues while p < 2^31; object dtype above."""
+    nonzero): arrays (q, r) with a = q*b + r and r trimmed, q None unless
+    asked.  int64 holds every product of two residues while p < 2^31;
+    object dtype above.  An array a of that dtype is divided in place (r
+    is a view of it); the scalar steps run on Python ints."""
     dtype = np.int64 if p < 2 ** 31 else object
-    r, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+    r, b = np.asarray(a, dtype), np.asarray(b, dtype)
     db = len(b) - 1
-    q = np.zeros(max(len(r) - db, 0), dtype=dtype)
-    inv = pow(int(b[-1]), p - 2, p)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + db] * inv % p
+    q = np.zeros(max(len(r) - db, 0), dtype) if quotient else None
+    inv = pow(b.item(db), -1, p)
+    for i in range(len(r) - db - 1, -1, -1):
+        c = r.item(i + db) * inv % p
         if c:
-            q[i] = c
-            r[i:i + db + 1] = (r[i:i + db + 1] - c * b) % p
-    nz = np.flatnonzero(r[:db])
-    return q, r[:nz[-1] + 1 if len(nz) else 0]
+            if quotient:
+                q[i] = c
+            seg = r[i:i + db + 1]
+            seg -= c * b
+            seg %= p
+    n = min(db, len(r))
+    while n and not r.item(n - 1):
+        n -= 1
+    return q, r[:n]
 
 
 def _pack(coeffs, k: int) -> int:
@@ -225,13 +234,13 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     f._check(g)
     a, b = f.coeffs, g.coeffs
     while len(b):
-        a, b = b, _divmod_arrays(a, b, f.modulus.p)[1]
-    return UniPoly(a, f.modulus).monic()
+        a, b = b, _divmod_arrays(a, b, f.modulus.p, quotient=False)[1]
+    return UniPoly._reduced([int(c) for c in a], f.modulus).monic()
 
 
 def derivative(f: UniPoly) -> UniPoly:
     p = f.modulus.p
-    return UniPoly([k * c % p for k, c in enumerate(f.coeffs)][1:], f.modulus)
+    return UniPoly._reduced([k * c % p for k, c in enumerate(f.coeffs)][1:], f.modulus)
 
 
 def is_separable(f: UniPoly) -> bool:

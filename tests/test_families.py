@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_hwcore import frobenius_cube, rank_by_elimination
 
 from hwquartic import families
@@ -27,6 +29,29 @@ def test_coeff_of_power_examples():
     assert coeff_of_power(2, 40, modulus(11)).is_zero  # unreachable degree
     with pytest.raises(ValueError):
         coeff_of_power(11, 4, modulus(11))
+
+
+def scalar_coeff_of_power(s, m, mod):
+    """Reference: one multinomial(s; a, b, s-a-b) per term r^b, 4a + 2b = m."""
+    if m % 2:
+        return UniPoly.zero(mod)
+    coeffs = [0] * (m // 2 + 1)
+    for a in range(min(s, m // 4) + 1):
+        b = (m - 4 * a) // 2
+        c = s - a - b
+        if c < 0:
+            continue
+        coeffs[b] = (coeffs[b] + multinomial(s, (a, b, c), mod).value) % mod.p
+    return UniPoly(coeffs, mod)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(primes_in(5, 3000)), st.data())
+def test_coeff_of_power_matches_the_multinomial_loop(p, data):
+    """Every s in [0, p-1], every m up to past the top degree 4s, odd m too."""
+    s = data.draw(st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 1))))
+    m = data.draw(st.one_of(st.integers(0, 4 * s + 5), st.sampled_from((0, 2 * s, 4 * s))))
+    assert coeff_of_power(s, m, modulus(p)) == scalar_coeff_of_power(s, m, modulus(p))
 
 
 def test_c6_coeff_polys_closed_forms():

@@ -1,11 +1,14 @@
 import operator
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwquartic.errors import ModulusError
-from hwquartic.ffield import (Fp2Element, FpElement, PrimeModulus, binomial,
+from hwquartic.errors import CapacityError, ModulusError
+from hwquartic.ffield import (MAX_TABLE_PRIME, FactorialTable, Fp2Element,
+                              FpElement, PrimeModulus, binomial,
                               embed, is_prime, is_square_fp2, modulus,
                               multinomial, sqrt_fp, sqrt_fp2_of_fp)
 
@@ -40,6 +43,48 @@ def test_factorial_tables():
             assert t.values[n] == t.values[n - 1] * n % p
             assert t.values[n] * t.inverses[n] % p == 1
         assert t.values[p - 1] == p - 1
+
+
+def scalar_factorial_table(p):
+    """Reference: n! by one product per step, 1/n! by one inverse and a
+    downward product per step."""
+    values = [1] * p
+    for n in range(1, p):
+        values[n] = values[n - 1] * n % p
+    inverses = [1] * p
+    inverses[p - 1] = pow(values[p - 1], p - 2, p)
+    for n in range(p - 1, 0, -1):
+        inverses[n - 1] = inverses[n] * n % p
+    return values, inverses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from((5, 7, 11, 13, 17, 9973)),
+                 st.integers(5, 10 ** 4).filter(is_prime)))
+def test_factorial_table_matches_the_scalar_loops(p):
+    """The blocked prefix products and the Wilson reflection give the
+    scalar loops' tables, as lists and as int64 arrays."""
+    t = FactorialTable(p)
+    values, inverses = scalar_factorial_table(p)
+    assert t.values == values and t.inverses == inverses
+    assert t.fact.dtype == t.inv_fact.dtype == np.int64
+    assert t.fact.tolist() == values and t.inv_fact.tolist() == inverses
+
+
+def test_factorial_table_capacity_bound():
+    """Beyond MAX_TABLE_PRIME the table raises before allocating anything."""
+    tracemalloc.start()
+    try:
+        above = next(q for q in range(MAX_TABLE_PRIME + 1, 2 * MAX_TABLE_PRIME)
+                     if is_prime(q))
+        for p in (above, 2 ** 31 - 1, 2 ** 61 - 1):
+            with pytest.raises(CapacityError, match=str(MAX_TABLE_PRIME)):
+                FactorialTable(p)
+            with pytest.raises(CapacityError):
+                binomial(3, 1, modulus(p))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_binomial_values():

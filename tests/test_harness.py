@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -579,6 +580,24 @@ def test_cli_capacity_exit_code(capsys):
     code, out = run_cli(capsys, "verify", "expectation", "--p", "503")
     assert code == 0
     assert out.splitlines()[1:] == ["503,c6,,,,,,PASS,roots=83 of deg=83 all_square=True"]
+
+
+def test_cli_factorial_table_bound_takes_the_capacity_exit(capsys):
+    """A C9 table at 2^61 - 1 (1 mod 9) needs the factorial table and
+    exits 3 before allocating it; at 10^9 + 7 (8 mod 9) every slot is
+    zero, no table is built, and the row passes."""
+    tracemalloc.start()
+    try:
+        code = main(["verify", "c9-table", "--p", str(2 ** 61 - 1)])
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 22
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: factorial tables mod p need p <=")
+    code, out = run_cli(capsys, "verify", "c9-table", "--p", "1000000007")
+    assert code == 0
+    assert out.splitlines()[1] == '1000000007,c9,,3,0,"3(1,1)","(0,0,0)",PASS,p mod 9 = 8'
 
 
 def test_cli_dense_quartic_takes_the_capacity_exit(capsys):

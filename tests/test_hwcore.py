@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -333,6 +334,32 @@ def test_pivot_minor_has_the_least_nonzero_det():
     assert _pivot_minor(support) == ([0, 1, 2], [0, 1, 3])
     # rank 2: terms 0, 1 and 1, 2 on x, y tie at |det| 4, terms 0, 2 have 8
     assert _pivot_minor([(3, 1, 0), (2, 2, 0), (1, 3, 0)]) == ([0, 1], [0, 1])
+
+
+def exhaustive_pivot_minor(exponents):
+    """Reference: every r x r minor of the highest rank r, then the least
+    nonzero |det|, the first in index order on ties."""
+    for r in (3, 2, 1):
+        minors = [(abs(d), list(coords), list(pivots))
+                  for pivots in combinations(range(len(exponents)), r)
+                  for coords in combinations(range(3), r)
+                  if (d := hwcore._det([[exponents[v][c] for v in pivots]
+                                        for c in coords]))]
+        if minors:
+            return tuple(min(minors, key=lambda m: m[0])[1:])
+    return [], []
+
+
+QUARTIC_EXPONENTS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(QUARTIC_EXPONENTS), min_size=1, max_size=9,
+                unique=True))
+def test_pivot_minor_stops_where_the_exhaustive_scan_ends(support):
+    """Stopping at |det| 4 (3 x 3) or 1 picks the exhaustive scan's minor;
+    supports of rank 1 and 2 (terms on a line) come up as well."""
+    assert _pivot_minor(support) == exhaustive_pivot_minor(support)
 
 
 def test_rank3_and_a_number():

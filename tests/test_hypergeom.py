@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from hwquartic import hypergeom
 from hwquartic.errors import ModulusError, PoleError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import (Fp2Element, FpElement, embed, is_prime,
+from hwquartic.ffield import (Fp2Element, FpElement, binomial, embed, is_prime,
                               is_square_fp2, modulus, sqrt_fp2_of_fp)
 from hwquartic.hypergeom import (RationalParam, expectation_check,
-                                 gauss_truncated, pochhammer, verify_euler,
-                                 verify_gauss_lemma)
+                                 gauss_truncated, one_minus_t_power, pochhammer,
+                                 verify_euler, verify_gauss_lemma)
 from hwquartic.unipoly import UniPoly, roots_over
 
 
@@ -71,6 +71,76 @@ def test_appendix_congruences(p):
             fact.inverses[one_half_top - i] % p
         lhs = pochhammer(RationalParam(7, 6), i, m)
         assert lhs.value == fact.values[c_base + i] * fact.inverses[c_base] % p
+
+
+def scalar_pochhammer(x0, n, p):
+    """Reference: (x; n) as n factors, for a residue x0."""
+    out = 1
+    for k in range(n):
+        out = out * ((x0 + k) % p) % p
+    return out
+
+
+def scalar_gauss_truncated(a0, b0, c0, d, p):
+    """Reference: the term ratios accumulated one inverse at a time, for
+    residues a0, b0, c0; None where a denominator factor vanishes."""
+    coeffs, term = [1], 1
+    for n in range(1, d + 1):
+        den = (c0 + n - 1) % p * (n % p) % p
+        if den == 0:
+            return None, n
+        num = (a0 + n - 1) % p * ((b0 + n - 1) % p) % p
+        term = term * num % p * pow(den, p - 2, p) % p
+        coeffs.append(term)
+    return coeffs, None
+
+
+SERIES_PRIMES = (5, 7, 11, 13, 17, 29, 101, 1009, 2999)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SERIES_PRIMES), st.data())
+def test_gauss_truncated_matches_the_term_ratio_loop(p, data):
+    """Residue-0 parameters, d = 0, the last degree before the pole onset
+    n = p - c + 1 (c read in [1, p]) and the onset itself; the pole keeps
+    the loop's PoleError and its n."""
+    m = modulus(p)
+    residue = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    a0, b0, c0 = data.draw(residue), data.draw(residue), data.draw(residue)
+    onset = p - ((c0 - 1) % p + 1) + 1
+    d = data.draw(st.one_of(st.sampled_from((0, onset - 1, onset, p)),
+                            st.integers(0, p + 2)))
+    coeffs, pole = scalar_gauss_truncated(a0, b0, c0, d, p)
+    if pole is None:
+        assert gauss_truncated(a0, b0, c0, d, m) == UniPoly(coeffs, m)
+    else:
+        assert pole == onset
+        with pytest.raises(PoleError, match=rf"^\(c;{pole}\) vanishes mod {p} "
+                                            rf"for c = {c0}: series"):
+            gauss_truncated(a0, b0, c0, d, m)
+    n = data.draw(st.integers(0, 2 * p))
+    assert pochhammer(a0, n, m).value == scalar_pochhammer(a0, n, p)
+    assert pochhammer(RationalParam(a0, 1), n, m).value == scalar_pochhammer(a0, n, p)
+
+
+@pytest.mark.parametrize("p", SERIES_PRIMES)
+def test_one_minus_t_power_matches_the_binomial_loop(p):
+    m = modulus(p)
+    for e in sorted({0, 1, 2, (p + 1) // 3, p - 2, p - 1}):
+        row = [binomial(e, k, m).value * (-1) ** k for k in range(e + 1)]
+        assert one_minus_t_power(e, m) == UniPoly(row, m)
+    with pytest.raises(ValueError):
+        one_minus_t_power(p, m)
+
+
+def test_gauss_truncated_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    assert (gauss_truncated(FpElement(3, m), np.int64(2), (7, 6), 3, m)
+            == gauss_truncated(3, 2, (7, 6), 3, m))
+    with pytest.raises(ModulusError):
+        gauss_truncated(FpElement(3, modulus(7)), (1, 2), (7, 6), 2, m)
+    with pytest.raises(TypeError):
+        gauss_truncated(2.5, (1, 2), (7, 6), 2, m)
 
 
 def test_gauss_truncated_trivial_cases():

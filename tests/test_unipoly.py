@@ -349,6 +349,24 @@ def test_divmod_edge_cases(p):
         check_kernel(a, b)
 
 
+@pytest.mark.parametrize("p", (5, 9973) + WIDE_PRIMES)
+def test_division_and_gcd_edge_operands(p):
+    """Zero operands and equal degrees against the schoolbook oracles, at p
+    just below 2^31 (int64) and above (object dtype).  Without a quotient
+    the kernel divides an array of its dtype in place and returns a view."""
+    z = UniPoly.zero(modulus(p))
+    f, g = P([p - 1, 3, 0, 7, 1], p), P([2, p - 1, 5, 0, p - 4], p)
+    for a, b in ((f, g), (g, f), (f, f), (z, g), (f, P([p - 2], p))):
+        check_kernel(a, b)
+        arr = np.array(a.coeffs, np.int64 if p < 2 ** 31 else object)
+        q, r = _divmod_arrays(arr, b.coeffs, p, quotient=False)
+        assert q is None and (len(r) == 0 or np.shares_memory(r, arr))
+        assert tuple(r.tolist()) == schoolbook_divmod(a, b)[1].coeffs
+    for a, b in ((f, g), (g, f), (f, f), (z, g), (g, z), (f * g, g * g)):
+        assert poly_gcd(a, b) == schoolbook_gcd(a, b)
+    assert poly_gcd(z, g) == g.monic() and poly_gcd(f, z) == f.monic()
+
+
 @pytest.mark.parametrize("p", (7, 9973) + WIDE_PRIMES)
 def test_gcd_of_products_with_a_known_factor(p):
     """gcd(f*g, g*h) = monic g for coprime f, h; f*g^2 is inseparable.
@@ -576,6 +594,15 @@ def test_scale_takes_ints_and_same_modulus_elements_only():
         f.scale(FpElement(3, modulus(7)))
     with pytest.raises(TypeError):
         f.scale(2.5)
+
+
+def test_constructor_takes_ints_and_same_modulus_elements_only():
+    m = modulus(11)
+    assert UniPoly([np.int64(13), FpElement(3, m), True], m) == UniPoly([2, 3, 1], m)
+    with pytest.raises(ModulusError):
+        UniPoly([2, FpElement(3, modulus(7))], m)
+    with pytest.raises(TypeError):
+        UniPoly([2.5, FpElement(3, m)], m)
 
 
 def test_eval_takes_ints_and_same_modulus_elements_only():
