@@ -11,7 +11,8 @@ coefficient of (y^4 + r y^2 + 1)^s (coeff_of_power), a polynomial in r.
 So the C6 closed form is a 3x3 grid of polynomials in r (C6CoeffPolys),
 and c6_stack evaluates it by unipoly.horner at r given as a component
 tuple: ints for one matrix (c6_hw, c6_classify) or int arrays for a
-stack (c6_classify_all).  c6_count_max_a builds only the root-locus entry.
+stack (c6_classify_all).  c6_count_max_a builds only the root-locus entry
+and certifies it separable by its Gegenbauer equation, in O(p), no gcd.
 For C9 each target is hit by at most one multinomial term.
 """
 
@@ -26,7 +27,7 @@ from .ffield import (FpElement, _as_modulus, as_element, binomial, element,
                      multinomial)
 from .hwcore import (HWMatrix, QuarticForm, a_number, grid_rank,
                      grid_stable_rank, hw_targets, stable_rank)
-from .unipoly import UniPoly, horner, is_separable
+from .unipoly import UniPoly, horner
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
 # triples are literal theory data, never derived here.
@@ -154,7 +155,6 @@ class C6CoeffPolys:
         mod = _as_modulus(mod)
         p = mod.p
         self.modulus = mod
-        self.residue = p % 6
         self.entries = [[c6_entry_poly(mod, row, col) for col in (1, 2, 3)]
                         for row in (1, 2, 3)]
         self.c1, self.c2 = self.entries[0][2], self.entries[2][0]
@@ -164,11 +164,6 @@ class C6CoeffPolys:
         scalar = binomial(p - 1, (p - 2) // 3, mod).inverse()
         self.d1 = self.c1.scale(scalar)
         self.d2 = self.c2.scale(scalar)
-
-    def root_locus_poly(self) -> UniPoly:
-        """The polynomial whose roots are the maximal-a-number parameters."""
-        row, col = LOCUS_SLOT[self.residue]
-        return self.entries[row - 1][col - 1]
 
 
 def c6_coeff_polys(mod) -> C6CoeffPolys:
@@ -241,25 +236,37 @@ def c6_count_max_a(mod) -> int:
     """Number of isomorphism classes of C_r (r != 0, 2, -2) attaining the
     maximal a-number (3 for p = 5 mod 6, 2 for p = 1 mod 6).
 
-    The count is deg of the root-locus polynomial minus its roots at the
-    excluded parameters, halved (r and -r give isomorphic curves).  The
-    degree equals the number of roots in the closure because the locus
-    polynomial is separable; that is re-checked here and a failure is an
-    implementation bug, not an input error.
+    The count is the degree of the root locus minus its root at 0, halved
+    (r and -r give isomorphic curves).  Up to sign the locus is the
+    Gegenbauer polynomial P(r) = [u^n](1 + r u + u^2)^s = C_n^(-s)(-r/2),
+    so 4(k+1)(k+2) a_{k+2} = (k-n)(k+n-2s) a_k (Szego, Orthogonal
+    Polynomials, 4.7), checked here in one pass over its gathered
+    coefficients.  With deg P < p, Igusa's Taylor argument (PNAS 44,
+    1958) makes P separable away from +-2, and P(+-2) = +-binom(2s, n)
+    with n <= 2s < p.  A failed check is an implementation bug.
     """
     mod = _as_modulus(mod)
-    locus = c6_entry_poly(mod, *LOCUS_SLOT[mod.p % 6])
-    if not is_separable(locus):
+    p = mod.p
+    row, col = LOCUS_SLOT[p % 6]
+    i, j, _ = hw_targets(p)[row - 1][col - 1]
+    s, n = p - 1 - i // 3, j // 2
+    locus = c6_entry_poly(mod, row, col)
+    a = np.array(locus.coeffs + (0, 0), np.int64)
+    k = np.arange(len(a) - 2)
+    bad = np.flatnonzero(4 * (k + 1) * (k + 2) % p * a[2:] % p
+                         != (k - n) * (k + n - 2 * s) % p * a[:-2] % p)
+    if bad.size:
+        raise IntegrityError(f"root locus unexpectedly inseparable at p={p}: "
+                             f"Gegenbauer equation fails at r^{bad[0]}")
+    if locus.degree >= p:
+        raise IntegrityError(f"root locus degree {locus.degree} >= p={p}")
+    if any(locus.eval(r).is_zero() for r in (2, p - 2)):
+        raise IntegrityError(f"root locus vanishes at r = +-2 at p={p}")
+    d = locus.degree - locus.eval(0).is_zero()
+    if d % 2:
         raise IntegrityError(
-            f"root locus polynomial unexpectedly inseparable at p={mod.p}")
-    n = locus.degree
-    for excluded in (0, 2, mod.p - 2):
-        if locus.eval(excluded).is_zero():
-            n -= 1
-    if n % 2:
-        raise IntegrityError(
-            f"root count {n} away from excluded parameters is odd at p={mod.p}")
-    return n // 2
+            f"root count {d} away from excluded parameters is odd at p={p}")
+    return d // 2
 
 
 def _c9_solve_slot(p: int, target):

@@ -8,7 +8,7 @@ enumeration) or frozen from one.
 
 import random
 
-from hwquartic.families import (TABLE_C6, TABLE_C9, c6_coeff_polys,
+from hwquartic.families import (LOCUS_SLOT, TABLE_C6, TABLE_C9, c6_coeff_polys,
                                 c6_count_max_a, c6_entry_poly, c6_form,
                                 c6_hw, c9_classify, c9_form, c9_hw)
 from hwquartic.ffield import modulus
@@ -66,7 +66,7 @@ def test_criterion_03_structure_lemmas():
                 if (row, col) not in live:
                     assert poly.is_zero, (p, row, col)
         polys = c6_coeff_polys(m)
-        va = polys.root_locus_poly().eval_all()
+        va = c6_entry_poly(m, *LOCUS_SLOT[p % 6]).eval_all()
         vb = (polys.c1 if anti else polys.ct3).eval_all()
         vm = None if anti else polys.ct2.eval_all()
         forbidden = 2 if anti else 1

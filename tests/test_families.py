@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -265,6 +266,68 @@ def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
         c6_count_max_a(modulus(17))
     assert main(["verify", "counts", "--p", "17"]) == 1
     assert "inseparable" in capsys.readouterr().err
+
+
+def _euclid_count(mod):
+    """The count certified by a gcd with the derivative: the quadratic
+    oracle for c6_count_max_a."""
+    locus = c6_entry_poly(mod, *LOCUS_SLOT[mod.p % 6])
+    assert is_separable(locus), mod.p
+    n = locus.degree - sum(locus.eval(r).is_zero() for r in (0, 2, mod.p - 2))
+    assert n % 2 == 0, mod.p
+    return n // 2
+
+
+def _locus_parameters(p):
+    """(s, n) of the root locus [u^n](1 + r u + u^2)^s at p."""
+    row, col = LOCUS_SLOT[p % 6]
+    i, j, _ = hw_targets(p)[row - 1][col - 1]
+    return p - 1 - i // 3, j // 2
+
+
+def test_c6_count_max_a_matches_the_euclid_count():
+    for p in primes_in(5, 2999):
+        m = modulus(p)
+        assert c6_count_max_a(m) == _euclid_count(m) == p // 12, p
+
+
+@pytest.mark.parametrize("p", [17, 997, 2999])
+def test_c6_count_max_a_rejects_a_perturbed_locus(monkeypatch, capsys, p):
+    """One coefficient bumped by 1 breaks the Gegenbauer equation."""
+    entry = families.c6_entry_poly
+
+    def bumped_locus(mod, row, col):
+        f = entry(mod, row, col)
+        if (row, col) != LOCUS_SLOT[mod.p % 6]:
+            return f
+        c = list(f.coeffs)
+        c[len(c) // 2] += 1
+        return UniPoly(c, mod)
+
+    monkeypatch.setattr(families, "c6_entry_poly", bumped_locus)
+    with pytest.raises(IntegrityError, match="Gegenbauer equation fails"):
+        c6_count_max_a(modulus(p))
+    assert main(["verify", "counts", "--p", str(p)]) == 1
+    assert "inseparable" in capsys.readouterr().err
+
+
+def test_locus_at_plus_minus_two_is_a_nonzero_binomial():
+    """P(2) = binom(2s, n) and P(-2) = (-1)^n binom(2s, n), with n <= 2s < p,
+    so the locus has no root at +-2."""
+    for p in primes_in(5, 2999):
+        s, n = _locus_parameters(p)
+        assert n <= 2 * s < p, p
+        P = coeff_of_power(s, 2 * n, modulus(p))
+        b = math.comb(2 * s, n) % p
+        assert b and P.eval(2) == b and P.eval(p - 2) == (-1) ** n * b % p, p
+
+
+def test_verify_counts_at_the_largest_table_prime(capsys):
+    """The largest prime below MAX_TABLE_PRIME: the locus has degree
+    174762, so a quadratic certificate would take minutes here."""
+    assert main(["verify", "counts", "--p", "1048573"]) == 0
+    row = "count=87381 floor(p/12)=87381 class-form=87381"
+    assert row in capsys.readouterr().out
 
 
 def check_c6_against_elimination(m, rs, polys):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hwquartic.errors import CapacityError, ModulusError
-from hwquartic.families import c6_coeff_polys
+from hwquartic.families import LOCUS_SLOT, c6_coeff_polys, c6_entry_poly
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
 from hwquartic.unipoly import (UniPoly, _divmod_arrays, derivative, divides,
@@ -461,8 +461,7 @@ def test_ext2_root_counts_match_exhaustion(f):
 
 def test_separable_root_count_bound():
     for p in (13, 17):
-        polys = c6_coeff_polys(modulus(p))
-        f = polys.root_locus_poly()
+        f = c6_entry_poly(modulus(p), *LOCUS_SLOT[p % 6])
         if is_separable(f):
             assert len(roots_over(f, 2)) <= f.degree
 
