@@ -1,4 +1,5 @@
-"""CLI front-end: quartic parsing, F_{p^2} point counts, verification sweeps.
+"""CLI front-end: quartic parsing (the README grammar, as two regexes),
+F_{p^2} point counts, verification sweeps.
 
 Report schema (CSV columns, JSON keys identical):
 
@@ -40,101 +41,44 @@ DEFAULT_POINT_BOUND = 60
 # ---------------------------------------------------------------------------
 # quartic parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[xyz])|(?P<op>[-+*^]))")
-
-
-def _tokenize(text):
-    out = []
-    pos = 0
-    text = text.replace("−", "-")
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if stripped == "":
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             position=where)
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "var":
-            out.append(("var", m.group("var"), m.start("var")))
-        else:
-            out.append((m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    return out
+#: the README grammar, whitespace allowed between tokens: a factor is
+#: (x|y|z) ["^" N], a term [sign] [N "*"] factor ("*" factor)*
+_FACTOR_RE = re.compile(r"([xyz])(?:\s*\^\s*(\d+))?")
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[-+]?)\s*(?P<term>(?:(?P<coeff>\d+)\s*\*\s*)?(?P<mono>{0}"
+    r"(?:\s*\*\s*{0})*))".format(_FACTOR_RE.pattern))
 
 
 def parse_quartic(text: str, mod) -> QuarticForm:
-    """Parse "c*x^i*y^j*z^k + ..." into a QuarticForm.
+    """Parse "c*x^i*y^j*z^k + ..." into a QuarticForm, by the README grammar.
 
-    Every term must have total degree 4; coefficients are integers,
-    reduced mod p, with '-' folding into the coefficient sign.
+    The whole string is matched ('-' or U+2212 may lead, '+' may not)
+    before any degree is checked.  Repeated variables and like monomials
+    add, coefficients reduce mod p, and the zero form is rejected.
     """
     mod = _as_modulus(mod)
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty quartic expression", position=0)
+    text = text.replace("−", "-")
+    pos, end, matches = 0, len(text.rstrip()), []
+    while pos < end:
+        m = _TERM_RE.match(text, pos)
+        if m is None or m["sign"] == ("" if matches else "+"):
+            raise ParseError("expected a term [-] [N*] factor (* factor)*, "
+                             "factor x|y|z[^N], joined by + or -", position=pos)
+        matches.append(m)
+        pos = m.end()
     terms: dict = {}
-    i = 0
-    n = len(toks)
-    first = True
-    while i < n:
-        kind, _val, pos = toks[i]
-        sign = 1
-        if kind in "+-":
-            if first and kind == "+":
-                raise ParseError("leading '+' is not allowed", position=pos)
-            sign = -1 if kind == "-" else 1
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", position=pos)
-        first = False
-        if i >= n:
-            raise ParseError("dangling sign at end of expression", position=pos)
-        term_pos = toks[i][2]
-        coeff = 1
-        if toks[i][0] == "int":
-            coeff = toks[i][1]
-            i += 1
-            if i >= n or toks[i][0] != "*":
-                where = toks[i][2] if i < n else term_pos
-                raise ParseError("expected '*' between coefficient and monomial",
-                                 position=where)
-            i += 1
-        expo = [0, 0, 0]
-        saw_var = False
-        while True:
-            if i >= n or toks[i][0] != "var":
-                where = toks[i][2] if i < n else term_pos
-                raise ParseError("expected a variable x, y or z", position=where)
-            v = "xyz".index(toks[i][1])
-            i += 1
-            e = 1
-            if i < n and toks[i][0] == "^":
-                i += 1
-                if i >= n or toks[i][0] != "int":
-                    where = toks[i][2] if i < n else term_pos
-                    raise ParseError("expected an integer exponent after '^'",
-                                     position=where)
-                e = toks[i][1]
-                i += 1
-            expo[v] += e
-            saw_var = True
-            if i < n and toks[i][0] == "*":
-                i += 1
-                continue
-            break
-        if not saw_var:
-            raise ParseError("term has no monomial part", position=term_pos)
+    for m in matches:
+        factors = _FACTOR_RE.findall(m["mono"])
+        expo = tuple(sum(int(e or 1) for v, e in factors if v == w)
+                     for w in "xyz")
         if sum(expo) != 4:
-            snippet = text[term_pos:toks[i][2]] if i < n else text[term_pos:]
-            raise ParseError(
-                f"term '{snippet.strip()}' has degree {sum(expo)}, expected 4",
-                position=term_pos)
-        key = tuple(expo)
-        terms[key] = (terms.get(key, 0) + sign * coeff) % mod.p
+            raise ParseError(f"term '{m['term']}' has degree {sum(expo)}, "
+                             "expected 4", position=m.start("term"))
+        coeff = int(m["sign"] + (m["coeff"] or "1"))
+        terms[expo] = (terms.get(expo, 0) + coeff) % mod.p
+    if not any(terms.values()):
+        raise ParseError(f"empty quartic expression: no term is nonzero mod "
+                         f"{mod.p}", position=pos)
     return QuarticForm(terms, mod)
 
 
@@ -405,9 +349,12 @@ def _matrix_detail(M: HWMatrix) -> str:
                            for row in M.entries) + "]"
 
 
-def _suite_oracle(report, mod, **_kw):
+def _suite_oracle(report, mod, explicit=False, **_kw):
     p = mod.p
     if p > ORACLE_PRIME_BOUND:
+        if explicit:
+            raise CapacityError(f"p = {p} exceeds the oracle expansion bound "
+                                f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}")
         report.add(p=p, family="any", status="SKIP",
                    detail=f"oracle expansion bound is p <= {ORACLE_PRIME_BOUND}")
         return

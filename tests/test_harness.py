@@ -9,16 +9,19 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwquartic import families
 from hwquartic.errors import CapacityError, IntegrityError, ParseError
-from hwquartic.ffield import Fp2Element, FpElement, modulus
-from hwquartic.harness import (COMMANDS, SUITES, SweepReport,
-                               _count_points_grid, count_points_ext2,
-                               fermat_form, hasse_weil_window, is_maximal_ext2,
-                               main, oracle_corpus, parse_c6_param,
-                               parse_quartic, primes_in, run_suite)
-from hwquartic.hwcore import QuarticForm
+from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
+from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
+                               SweepReport, _count_points_grid,
+                               count_points_ext2, fermat_form,
+                               hasse_weil_window, is_maximal_ext2, main,
+                               oracle_corpus, parse_c6_param, parse_quartic,
+                               primes_in, run_suite)
+from hwquartic.hwcore import ORACLE_PRIME_BOUND, QuarticForm
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,186 @@ def test_parse_quartic_syntax_errors_carry_position():
         with pytest.raises(ParseError) as exc:
             parse_quartic(text, 7)
         assert exc.value.position is not None
+
+
+def test_parse_quartic_rejects_the_zero_form():
+    for text, p in (("x^4 - x^4", 7), ("7*x^4", 7), ("5*y^4 + 0*z^4", 5),
+                    ("", 7), (" \t", 7)):
+        with pytest.raises(ParseError, match="empty quartic expression") as exc:
+            parse_quartic(text, p)
+        assert 0 <= exc.value.position <= len(text)
+
+
+def test_parse_quartic_checks_syntax_before_degree():
+    """A string outside the grammar is a syntax error, even when a term
+    read before the bad spot has the wrong degree."""
+    for text in ("x^3 + y^4 +", "x^3 + 2 y^4", "x^3*z + y^5 $"):
+        with pytest.raises(ParseError, match="expected a term") as exc:
+            parse_quartic(text, 7)
+        assert 0 <= exc.value.position <= len(text)
+
+
+# Reference parser for the property below: a tokenizer and a state
+# machine, written apart from the grammar regexes of parse_quartic.
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[xyz])|(?P<op>[-+*^]))")
+
+
+def _tokenize(text):
+    out = []
+    pos = 0
+    text = text.replace("−", "-")
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if stripped == "":
+                break
+            where = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             position=where)
+        if m.lastgroup == "int":
+            out.append(("int", int(m.group("int")), m.start("int")))
+        elif m.lastgroup == "var":
+            out.append(("var", m.group("var"), m.start("var")))
+        else:
+            out.append((m.group("op"), m.group("op"), m.start("op")))
+        pos = m.end()
+    return out
+
+
+def reference_parse_quartic(text: str, mod) -> QuarticForm:
+    """Parse "c*x^i*y^j*z^k + ..." into a QuarticForm.
+
+    Every term must have total degree 4; coefficients are integers,
+    reduced mod p, with '-' folding into the coefficient sign.
+    """
+    mod = _as_modulus(mod)
+    toks = _tokenize(text)
+    if not toks:
+        raise ParseError("empty quartic expression", position=0)
+    terms: dict = {}
+    i = 0
+    n = len(toks)
+    first = True
+    while i < n:
+        kind, _val, pos = toks[i]
+        sign = 1
+        if kind in "+-":
+            if first and kind == "+":
+                raise ParseError("leading '+' is not allowed", position=pos)
+            sign = -1 if kind == "-" else 1
+            i += 1
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms", position=pos)
+        first = False
+        if i >= n:
+            raise ParseError("dangling sign at end of expression", position=pos)
+        term_pos = toks[i][2]
+        coeff = 1
+        if toks[i][0] == "int":
+            coeff = toks[i][1]
+            i += 1
+            if i >= n or toks[i][0] != "*":
+                where = toks[i][2] if i < n else term_pos
+                raise ParseError("expected '*' between coefficient and monomial",
+                                 position=where)
+            i += 1
+        expo = [0, 0, 0]
+        saw_var = False
+        while True:
+            if i >= n or toks[i][0] != "var":
+                where = toks[i][2] if i < n else term_pos
+                raise ParseError("expected a variable x, y or z", position=where)
+            v = "xyz".index(toks[i][1])
+            i += 1
+            e = 1
+            if i < n and toks[i][0] == "^":
+                i += 1
+                if i >= n or toks[i][0] != "int":
+                    where = toks[i][2] if i < n else term_pos
+                    raise ParseError("expected an integer exponent after '^'",
+                                     position=where)
+                e = toks[i][1]
+                i += 1
+            expo[v] += e
+            saw_var = True
+            if i < n and toks[i][0] == "*":
+                i += 1
+                continue
+            break
+        if not saw_var:
+            raise ParseError("term has no monomial part", position=term_pos)
+        if sum(expo) != 4:
+            snippet = text[term_pos:toks[i][2]] if i < n else text[term_pos:]
+            raise ParseError(
+                f"term '{snippet.strip()}' has degree {sum(expo)}, expected 4",
+                position=term_pos)
+        key = tuple(expo)
+        terms[key] = (terms.get(key, 0) + sign * coeff) % mod.p
+    return QuarticForm(terms, mod)
+
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _factors(draw):
+    """The factors of one term as "v^e" text: of degree 4 or of a random
+    degree, a variable possibly repeated, with "^0" and zero-padded
+    exponents such as "^04"."""
+    expo = draw(st.sampled_from(_EXPONENT_TRIPLES) | st.tuples(
+        *[st.integers(0, 3)] * 3))
+    parts = []
+    for v, e in zip("xyz", expo):
+        cut = draw(st.integers(0, e)) if e >= 2 else 0
+        parts += [(v, a) for a in (cut, e - cut) if a]
+    parts += [(v, 0) for v in draw(st.lists(st.sampled_from("xyz"), max_size=1))]
+    out = []
+    for v, e in draw(st.permutations(parts or [("x", 0)])):
+        bare = e == 1 and draw(st.booleans())
+        out.append(v if bare else v + draw(_WS) + "^" + draw(_WS)
+                   + draw(st.sampled_from(["", "0"])) + str(e))
+    return out
+
+
+@st.composite
+def near_quartics(draw):
+    """1-6 grammar-built terms, then at most one character inserted or
+    deleted."""
+    def term():
+        coeff = draw(st.none() | st.integers(0, 30))
+        head = "" if coeff is None else f"{coeff}{draw(_WS)}*{draw(_WS)}"
+        return head + f"{draw(_WS)}*{draw(_WS)}".join(draw(_factors()))
+
+    text = draw(_WS) + draw(st.sampled_from(["", "-", "−"])) + draw(_WS) + term()
+    for _ in range(draw(st.integers(0, 5))):
+        text += draw(_WS) + draw(st.sampled_from("+-−")) + draw(_WS) + term()
+    text += draw(_WS)
+    edit = draw(st.sampled_from(["none", "insert", "delete"]))
+    i = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:i] + draw(st.sampled_from("xyz^*+-− 0123w")) + text[i:]
+    elif edit == "delete":
+        text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_quartics(), st.sampled_from([5, 7, 31]))
+def test_parse_quartic_matches_the_reference_parser(text, p):
+    """Both parsers accept with equal terms or both raise ParseError; the
+    reference accepts the zero form, which parse_quartic rejects."""
+    try:
+        want = reference_parse_quartic(text, p).terms or None
+    except ParseError:
+        want = None
+    try:
+        got = parse_quartic(text, p).terms
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        got = None
+    assert got == want
 
 
 def test_parse_c6_param():
@@ -325,6 +508,17 @@ def test_run_suite_oracle():
     assert all(r.status == "PASS" for r in rep.rows)
 
 
+def test_cli_oracle_above_its_bound_is_a_capacity_error(capsys):
+    """An explicitly requested prime above the expansion bound exits 3;
+    in range mode it stays a SKIP row."""
+    assert main(["verify", "oracle", "--p", "37"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("capacity error: ")
+    assert f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}" in err
+    rep, status = run_suite("oracle", [37])
+    assert status == 0 and [r.status for r in rep.rows] == ["SKIP"]
+
+
 def test_run_suite_skips_wrong_class_in_range_mode():
     rep, status = run_suite("euler", [7, 11])
     assert status == 0
@@ -495,6 +689,31 @@ def test_cli_help_names_every_command_and_suite(capsys):
     out = capsys.readouterr().out
     for name in list(_TAKES) + list(SUITES):
         assert re.search(rf"(?<![\w-]){name}(?![\w-])", out), name
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_cli_command_help_lists_its_own_flags(capsys, cmd):
+    assert main([cmd, "--help"]) == 0
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", out)) - {"--help"}
+    own = {f for f in COMMANDS[cmd][1] if f.startswith("--")}
+    assert listed == {"--p", "--p-range", "--format"} | own
+    suites = "{" + ",".join(SUITES) + "}"
+    assert (suites in out) == ("suite" in COMMANDS[cmd][1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["hw", "--quartic", "x^4 - x^4", "--p", "7"],
+    ["classify", "--quartic", "7*x^4", "--p", "7"],
+    ["count-points", "--quartic", "x^4 - x^4", "--p", "7"],
+    ["count-points", "--quartic", "7*x^4", "--p-range", "5..7"],
+])
+def test_cli_rejects_the_zero_form(capsys, argv):
+    """A --quartic with no term left mod p is a usage error, and one such
+    prime in a range fails the whole command."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: empty quartic expression")
 
 
 @pytest.mark.parametrize("argv", [
