@@ -25,8 +25,8 @@ import numpy as np
 from .errors import IntegrityError
 from .ffield import (FpElement, _as_modulus, as_element, binomial, element,
                      multinomial)
-from .hwcore import (HWMatrix, QuarticForm, a_number, grid_rank,
-                     grid_stable_rank, hw_targets, stable_rank)
+from .hwcore import (HWMatrix, QuarticForm, a_number, grid_ranks, hw_targets,
+                     stable_rank)
 from .unipoly import UniPoly, horner
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
@@ -227,9 +227,8 @@ def c6_classify_all(mod, r, polys=None) -> list:
     """c6_classify at each parameter of the component tuple r (ints, or
     int arrays for a batch; r != 0, +-2), from one stack."""
     mod = _as_modulus(mod)
-    M = c6_stack(c6_coeff_polys(mod) if polys is None else polys, r)
-    return _c6_lookup(mod.p, np.ravel(3 - grid_rank(M, mod)),
-                      np.ravel(grid_stable_rank(M, mod)))
+    rank, f = grid_ranks(c6_stack(polys or c6_coeff_polys(mod), r), mod)
+    return _c6_lookup(mod.p, np.ravel(3 - rank), np.ravel(f))
 
 
 def c6_count_max_a(mod) -> int:
@@ -262,7 +261,7 @@ def c6_count_max_a(mod) -> int:
         raise IntegrityError(f"root locus degree {locus.degree} >= p={p}")
     if any(locus.eval(r).is_zero() for r in (2, p - 2)):
         raise IntegrityError(f"root locus vanishes at r = +-2 at p={p}")
-    d = locus.degree - locus.eval(0).is_zero()
+    d = locus.degree - (not locus.coeffs[0])
     if d % 2:
         raise IntegrityError(
             f"root count {d} away from excluded parameters is odd at p={p}")

@@ -18,8 +18,10 @@ import io
 import json
 import random
 import re
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -49,6 +51,14 @@ _TERM_RE = re.compile(
     r"(?:\s*\*\s*{0})*))".format(_FACTOR_RE.pattern))
 
 
+def _number(m, group, sign=""):
+    """int of group of match m (1 if absent), or a ParseError at it."""
+    try:
+        return int(sign + (m[group] or "1"))
+    except ValueError:
+        raise ParseError("number has too many digits", position=m.start(group)) from None
+
+
 def parse_quartic(text: str, mod) -> QuarticForm:
     """Parse "c*x^i*y^j*z^k + ..." into a QuarticForm, by the README grammar.
 
@@ -68,13 +78,12 @@ def parse_quartic(text: str, mod) -> QuarticForm:
         pos = m.end()
     terms: dict = {}
     for m in matches:
-        factors = _FACTOR_RE.findall(m["mono"])
-        expo = tuple(sum(int(e or 1) for v, e in factors if v == w)
-                     for w in "xyz")
+        factors = list(_FACTOR_RE.finditer(text, m.start("mono"), m.end("mono")))
+        expo = tuple(sum(_number(f, 2) for f in factors if f[1] == w) for w in "xyz")
         if sum(expo) != 4:
             raise ParseError(f"term '{m['term']}' has degree {sum(expo)}, "
                              "expected 4", position=m.start("term"))
-        coeff = int(m["sign"] + (m["coeff"] or "1"))
+        coeff = _number(m, "coeff", m["sign"])
         terms[expo] = (terms.get(expo, 0) + coeff) % mod.p
     if not any(terms.values()):
         raise ParseError(f"empty quartic expression: no term is nonzero mod "
@@ -93,10 +102,10 @@ def parse_c6_param(text: str, mod):
     if m is None:
         raise ParseError(f"cannot parse parameter {text!r}: want N or a+b*w",
                          position=0)
-    a = int(m.group(1))
+    a = _number(m, 1)
     if m.group(3) is None:
         return FpElement(a, mod)
-    b = int(m.group(3)) * (-1 if m.group(2) == "-" else 1)
+    b = _number(m, 3, m.group(2))
     return Fp2Element(a, b, mod)
 
 
@@ -660,8 +669,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     is unrecognized and abbreviations resolve among its own flags."""
     takes = (("--p", "--p-range", "--format") + COMMANDS[command][1]
              if command in COMMANDS else _ARGUMENTS)
+    # HelpFormatter's own width, asked once, not by every formatter argparse makes
     ap = argparse.ArgumentParser(
-        prog="hwquartic",
+        prog="hwquartic", formatter_class=partial(
+            argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2),
         description="Hasse-Witt matrices and invariants of the C6/C9 "
                     "genus-3 quartic families over prime fields.")
     ap.add_argument("command", choices=COMMANDS,

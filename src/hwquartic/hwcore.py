@@ -27,8 +27,11 @@ Ranks come from one kernel on a 3x3 grid of component tuples, (a,) over
 F_p or (a, b) for a + b*w, each an int (one matrix) or an array (a
 stack): int64 while p < 2^31, where every residue product fits, object
 dtype above.  rank M = [M != 0] + [adj M != 0] + [det M != 0], exact as
-the conditions are nested; M^(p) is the conjugate (a, -b) of M.  Its
-products, and those of the extractor's term tables, are ffield.mul.
+the conditions are nested.  The p-rank, the stable rank of N = M M^(p)
+(M^(p) the conjugate (a, -b); N = M over F_p), is by Fitting's lemma 3 -
+ord_t of t^3 - e1 t^2 + e2 t - e3, e1 = tr N, e2 = tr adj N, e3 = det N;
+over F_{p^2} e1, e2 are sum A_ij conj(A_ji) for A = M, adj M and e3 is
+the norm of det M, so no 3x3 product is formed.  Products are ffield.mul.
 """
 
 from __future__ import annotations
@@ -162,18 +165,12 @@ def _pivot_minor(exponents):
 
 
 def _sub(x, y, p):
-    if len(x) == 1:
-        return ((x[0] - y[0]) % p,)
-    return (x[0] - y[0]) % p, (x[1] - y[1]) % p
+    return ((x[0] - y[0]) % p,) if len(x) == 1 else ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
 
 def _dot(xs, ys, mod):
-    """sum x*y over three pairs of component tuples."""
-    p = mod.p
-    a, b, c = map(mul, xs, ys, (mod,) * 3)
-    if len(a) == 1:
-        return ((a[0] + b[0] + c[0]) % p,)
-    return (a[0] + b[0] + c[0]) % p, (a[1] + b[1] + c[1]) % p
+    """sum x*y over pairs of component tuples."""
+    return tuple(sum(c) % mod.p for c in zip(*map(mul, xs, ys, [mod] * len(xs))))
 
 
 def _term_tables(coeffs, mod, width):
@@ -353,23 +350,32 @@ def _nonzero(entries):
     return 1 * reduce(operator.or_, (c != 0 for e in entries for c in e))
 
 
-def grid_rank(M, mod):
-    """Rank of each matrix of the grid M, as
-    [M != 0] + [adj M != 0] + [det M != 0]."""
+def grid_ranks(M, mod):
+    """(rank, p-rank) of each matrix of the grid M, from one cofactor pass."""
+    p = mod.p
     # cof[i][j]: the cofactor of entry (i, j), its sign from the cyclic order
     cof = [[_sub(mul(M[i - 2][j - 2], M[i - 1][j - 1], mod),
-                 mul(M[i - 2][j - 1], M[i - 1][j - 2], mod), mod.p)
+                 mul(M[i - 2][j - 1], M[i - 1][j - 2], mod), p)
             for j in range(3)] for i in range(3)]
-    return (_nonzero(sum(M, [])) + _nonzero(sum(cof, []))
-            + _nonzero([_dot(M[0], cof[0], mod)]))
+    det = _dot(M[0], cof[0], mod)
+    if len(M[0][0]) == 1:
+        traces = [(sum(A[i][i][0] for i in range(3)) % p,) for A in (M, cof)]
+    else:
+        traces = [_dot(sum(A, []), [e[:1] + (-e[1] % p,) for col in zip(*A)
+                                    for e in col], mod) for A in (M, cof)]
+    z1, z2, z3 = (1 - _nonzero([e]) for e in traces + [det])  # [e_k == 0]
+    return (_nonzero(sum(M, [])) + _nonzero(sum(cof, [])) + _nonzero([det]),
+            3 - z3 * (1 + z2 * (1 + z1)))
+
+
+def grid_rank(M, mod):
+    """Rank of each matrix of the grid M (grid_ranks)."""
+    return grid_ranks(M, mod)[0]
 
 
 def grid_stable_rank(M, mod):
-    """Rank of each M * M^(p) * M of the grid M, M^(p) its conjugate."""
-    conj = [[e[:1] + tuple(-b % mod.p for b in e[1:]) for e in row] for row in M]
-    for B in (conj, M):
-        M = [[_dot(row, col, mod) for col in zip(*B)] for row in M]
-    return grid_rank(M, mod)
+    """p-rank of each matrix of the grid M (grid_ranks)."""
+    return grid_ranks(M, mod)[1]
 
 
 def rank3(M: HWMatrix) -> int:
@@ -378,14 +384,8 @@ def rank3(M: HWMatrix) -> int:
 
 
 def stable_rank(M: HWMatrix) -> int:
-    """Rank of M * M^(p) * M^(p^2); equals the p-rank for genus 3.
-
-    M^(q) raises entries to the q-th power (the matrix of the iterated
-    p-linear Frobenius).  Entries lie in F_{p^2}, so M^(p^2) = M and M^(p)
-    is the conjugate (a, -b) of M (M itself over F_p).  grid_stable_rank
-    on one matrix: the rank rule on int components (on a stack, int64
-    arrays while p < 2^31, object dtype above).
-    """
+    """The p-rank, the stable rank of Frobenius: 3 - ord_t of det(t - N) for
+    N = M * M^(p), M^(p) the entries to the p-th power (grid_stable_rank)."""
     return grid_stable_rank(_grid(M), M.modulus)
 
 

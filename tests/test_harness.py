@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ from hwquartic import families
 from hwquartic.errors import CapacityError, IntegrityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
 from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
-                               SweepReport, _count_points_grid,
+                               SweepReport, _count_points_grid, build_parser,
                                count_points_ext2, fermat_form,
                                hasse_weil_window, is_maximal_ext2, main,
                                oracle_corpus, parse_c6_param, parse_quartic,
@@ -253,6 +255,26 @@ def test_parse_c6_param():
     assert parse_c6_param("4 - 3*w", m) == Fp2Element(4, 8, m)
     with pytest.raises(ParseError):
         parse_c6_param("w+1", m)
+
+
+#: more digits than int() converts from a string (4300 by default)
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["hw", "--quartic", _LONG + "*x^4 + y^4", "--p", "7"], 0),
+    (["hw", "--quartic", "x^" + _LONG + " + y^4", "--p", "7"], 2),
+    (["hw", "--r", _LONG, "--p", "7"], 0),
+    (["hw", "--r", "3+" + _LONG + "*w", "--p", "7"], 2),
+])
+def test_cli_overlong_number_is_a_parse_error_at_its_position(capsys, argv,
+                                                              position):
+    """A coefficient, exponent or parameter with more digits than int()
+    takes is a ParseError at the number, not Python's own ValueError."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("usage error: number has too many digits "
+                                 f"(at position {position})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +722,39 @@ def test_cli_command_help_lists_its_own_flags(capsys, cmd):
     assert listed == {"--p", "--p-range", "--format"} | own
     suites = "{" + ",".join(SUITES) + "}"
     assert (suites in out) == ("suite" in COMMANDS[cmd][1])
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_cli_help_and_usage_match_the_default_formatter(capsys, monkeypatch,
+                                                        columns):
+    """Every --help and a usage error print what the same parser prints
+    with argparse's own HelpFormatter, which reads COLUMNS itself."""
+    monkeypatch.setenv("COLUMNS", columns)
+    usage_error = ["verify", "c9-table", "--p", "7", "--bogus"]
+    for argv in [[cmd, "--help"] for cmd in COMMANDS] + [usage_error]:
+        code = main(argv)
+        got = capsys.readouterr()
+        ref = build_parser(argv[0])
+        ref.formatter_class = argparse.HelpFormatter
+        with pytest.raises(SystemExit) as exc:
+            ref.parse_args(argv)
+        assert (code, got) == (exc.value.code, capsys.readouterr()), argv
+
+
+def test_build_parser_asks_the_terminal_size_once(capsys, monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a: calls.append(a) or size(*a))
+    for cmd in (*COMMANDS, None):
+        calls.clear()
+        build_parser(cmd)
+        assert len(calls) == 1, cmd
+    # and each call builds its own parser
+    calls.clear()
+    for _ in range(2):
+        assert main(["verify", "c9-table", "--p", "7"]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("argv", [

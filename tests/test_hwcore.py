@@ -413,6 +413,64 @@ def test_stable_rank_at_most_rank():
             assert a_number(A) + rank3(A) == 3
 
 
+def rank_rule_samples(m, width):
+    """(name, entries, (rank, p-rank)), built by hand for every reachable
+    pair over F_p (width 1) or F_{p^2} (width 2)."""
+    if width == 1:
+        return [(name, [[FpElement(v, m) for v in row] for row in rows], pair)
+                for name, rows, pair in (
+            ("zero", [[0, 0, 0]] * 3, (0, 0)),
+            ("nilpotent", [[0, 1, 0], [0, 0, 0], [0, 0, 0]], (1, 0)),
+            ("projection", [[1, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 1)),
+            ("J3", [[0, 1, 0], [0, 0, 1], [0, 0, 0]], (2, 0)),
+            ("J2 + (1)", [[0, 1, 0], [0, 0, 0], [0, 0, 1]], (2, 1)),
+            # tr N = 0 while tr adj N != 0
+            ("diag(1, -1, 0)", [[1, 0, 0], [0, -1, 0], [0, 0, 0]], (2, 2)),
+            # tr N = tr adj N = 0 while det N != 0
+            ("3-cycle", [[0, 0, 1], [1, 0, 0], [0, 1, 0]], (3, 3)))]
+    zero = Fp2Element(0, 0, m)
+    w = Fp2Element(0, 1, m)
+    v = w / m.nonresidue  # 1/w
+    return [(name, [[zero + e for e in row] for row in rows], pair)
+            for name, rows, pair in (
+        ("zero", [[0, 0, 0]] * 3, (0, 0)),
+        # u v^T, u = (1, w, 0), v = (1, 1/w, 0): v.u^(p) = 0, so M M^(p) = 0,
+        # though v.u = 2 and M is not nilpotent
+        ("twisted nilpotent", [[1, v, 0], [w, 1, 0], [0, 0, 0]], (1, 0)),
+        # v = (1, -1/w, 0): M^2 = 0, but v.u^(p) = 2
+        ("twisted projection", [[1, -v, 0], [w, -1, 0], [0, 0, 0]], (1, 1)),
+        ("w J3", [[0, w, 0], [0, 0, w], [0, 0, 0]], (2, 0)),
+        ("twisted nilpotent + (w)", [[1, v, 0], [w, 1, 0], [0, 0, w]], (2, 1)),
+        # M M^(p) != M^(p) M
+        ("noncommuting", [[w, 1, 0], [1, 0, 0], [0, 0, 0]], (2, 2)),
+        ("invertible", [[w, 1, 0], [1, 0, 0], [0, 0, w]], (3, 3)))]
+
+
+@pytest.mark.parametrize("p", [5, 7, 2 ** 61 - 1])
+@pytest.mark.parametrize("width", [1, 2])
+def test_rank_rule_on_hand_built_matrices(p, width):
+    """Each reachable (rank, p-rank) pair, one matrix at a time and as one
+    stack (object dtype at 2^61 - 1), against elimination of M M^(p) M."""
+    m = modulus(p)
+    samples = rank_rule_samples(m, width)
+    assert {pair for _, _, pair in samples} == {
+        (r, f) for r in range(4) for f in range(r + 1) if f == 3 or r < 3}
+    for name, A, pair in samples:
+        H = HWMatrix(A, m)
+        assert (rank3(H), stable_rank(H), a_number(H)) == (*pair, 3 - pair[0]), name
+        assert (rank_by_elimination(A),
+                rank_by_elimination(frobenius_cube(A))) == pair, name
+    dtype = np.int64 if p < 2 ** 31 else object
+    grid = [[tuple(np.array([components(A[i][j])[c] for _, A, _ in samples], dtype)
+                   for c in range(width)) for j in range(3)] for i in range(3)]
+    rank, f = hwcore.grid_ranks(grid, m)
+    assert list(zip(rank.tolist(), f.tolist())) == [pair for _, _, pair in samples]
+    if width == 2:
+        A = {name: A for name, A, _ in samples}["noncommuting"]
+        Ap = [[e ** p for e in row] for row in A]
+        assert product(A, Ap) != product(Ap, A)
+
+
 #: both sides of the int64 bound 2^31 of the stacks, up to 2^61 - 1
 KERNEL_PRIMES = [5, 7, 11, 13, 1009, 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 61 - 1]
 
