@@ -81,8 +81,12 @@ def parse_quartic(text: str, mod) -> QuarticForm:
         factors = list(_FACTOR_RE.finditer(text, m.start("mono"), m.end("mono")))
         expo = tuple(sum(_number(f, 2) for f in factors if f[1] == w) for w in "xyz")
         if sum(expo) != 4:
-            raise ParseError(f"term '{m['term']}' has degree {sum(expo)}, "
-                             "expected 4", position=m.start("term"))
+            try:
+                degree = f"degree {sum(expo)}"
+            except ValueError:  # more digits than str() converts
+                degree = "a degree too long to print"
+            raise ParseError(f"term '{m['term']}' has {degree}, expected 4",
+                             position=m.start("term"))
         coeff = _number(m, "coeff", m["sign"])
         terms[expo] = (terms.get(expo, 0) + coeff) % mod.p
     if not any(terms.values()):

@@ -10,9 +10,9 @@ steps on Python ints; a gcd converts to arrays once.
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
-(a, b) for a + b*w in F_{p^2}, of ints or broadcasting int64 arrays.
-eval, eval_all, eval_all_ext2, the point counts and the C6 matrices all
-call it.
+(a, b) for a + b*w in F_{p^2}, of ints or broadcasting int64 arrays, on
+arrays in blocks of ~sqrt(d) coefficients if d is long.  eval, eval_all,
+eval_all_ext2, the point counts and the C6 matrices all call it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ModulusError
-from .ffield import Fp2Element, FpElement, _as_modulus, as_element, element
+from .ffield import Fp2Element, FpElement, _as_modulus, as_element, element, mul
 
 #: cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
 DEFAULT_ROOT_BOUND = 250_000
@@ -280,8 +280,13 @@ def horner(coeffs, x, mod):
     [0, p) and may be an int or an int64 array (p < 2^31); arrays
     broadcast, so a column of coefficients against a row of points gives
     a 2-D table.  Returns the value's component tuple, of x's width.
+    With arrays x, residue coeffs and 5 <= m = isqrt(d+1) <= (2^63-1) //
+    (p-1)^2 (exact block sums), _blocks first writes f(x) = sum_i B_i(x)
+    (x^m)^i, all B_i in <= 2^23 cells from one int64 product per component
+    pair (Paterson-Stockmeyer, SIAM J. Comput. 2(1), 1973).
     """
     p = mod.p
+    coeffs, x = _blocks(coeffs, x, mod)
     if len(x) == 1:
         (xa,) = x
         va = 0 * xa
@@ -294,6 +299,27 @@ def horner(coeffs, x, mod):
     for ca, cb in reversed(coeffs):
         va, vb = (va * xa + vb * sxb + ca) % p, (va * xb + vb * xa + cb) % p
     return va, vb
+
+
+def _blocks(coeffs, x, mod):
+    """(B_i(x) for each i, x^m) or (coeffs, x); crossover 20-25 coefficients."""
+    p, w = mod.p, len(x)
+    m = min(int(len(coeffs) ** 0.5), (2 ** 63 - 1) // (p - 1) ** 2)
+    if (m < 5 or not isinstance(x[0], np.ndarray)
+            or isinstance(coeffs[0] if w == 1 else coeffs[0][0], np.ndarray)
+            or w * (m + len(coeffs) // m + 1) * np.broadcast(*x).size > 2 ** 23):
+        return coeffs, x
+    table = np.zeros((w, m) + np.broadcast(*x).shape, np.int64)  # x^0..x^(m-1)
+    table[0, 0] = 1
+    for k in range(1, m):
+        table[:, k] = mul(tuple(table[:, k - 1]), x, mod)
+    c = np.zeros((w, -(-len(coeffs) // m), m), np.int64)  # last block padded
+    c.reshape(w, -1)[:, :len(coeffs)] = np.reshape(coeffs, (len(coeffs), w)).T
+    b = [np.tensordot(c[0], t, 1) % p for t in table]
+    if w == 2 and c[1].any():
+        b = [(b[0] + mod.nonresidue * (np.tensordot(c[1], table[1], 1) % p)) % p,
+             (b[1] + np.tensordot(c[1], table[0], 1) % p) % p]
+    return b[0] if w == 1 else list(zip(*b)), mul(tuple(table[:, -1]), x, mod)
 
 
 def eval_all_ext2(f: UniPoly):

@@ -35,8 +35,10 @@ COMMANDS = [
     ["verify", "gauss-lemma", "--p-range", "5..300"],
     ["verify", "gauss-lemma", "--p-range", "600..700"],
     ["verify", "c6-structure", "--p-range", "5..300"],
+    ["verify", "c6-structure", "--p-range", "2900..3000"],
     ["enumerate", "--p", "1009"],
     ["enumerate", "--p", "1999"],
+    ["enumerate", "--p", "10007"],
     ["count-points", "--family", "c9", "--p-range", "5..59"],
     ["hw", "--quartic", "x^3*y + y^3*z + z^3*x + 2*x^2*y*z + 3*x*y*z^2",
      "--p-range", "5..300"],

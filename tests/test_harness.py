@@ -277,6 +277,17 @@ def test_cli_overlong_number_is_a_parse_error_at_its_position(capsys, argv,
                                  f"(at position {position})\n")
 
 
+def test_cli_degree_too_long_to_print_is_a_parse_error_at_the_term(capsys):
+    """Two exponents of 4300 digits each convert, but their 4301-digit sum
+    does not print; the degree message says so at the term's position."""
+    nines = "9" * 4300
+    term = f"x^{nines}*x^{nines}"
+    assert main(["hw", "--quartic", f"y^4 + {term}", "--p", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"usage error: term '{term}' has a degree too "
+                                 "long to print, expected 4 (at position 6)\n")
+
+
 # ---------------------------------------------------------------------------
 # point counting
 

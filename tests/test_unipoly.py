@@ -573,6 +573,105 @@ def test_horner_broadcasts_a_column_against_a_row(p, width, rows):
         assert all(np.array_equal(v[k], u) for v, u in zip(got, horner(r, X, m)))
 
 
+def power_sum(coeffs, x, p, s):
+    """Reference: sum_k c_k x^k on Python-int component tuples, one power
+    of x after another (w^2 = s at width 2)."""
+    def times(u, v):
+        if len(u) == 1:
+            return (u[0] * v[0] % p,)
+        return ((u[0] * v[0] + s * u[1] * v[1]) % p,
+                (u[0] * v[1] + u[1] * v[0]) % p)
+    total, xk = (0,) * len(x), (1, 0)[:len(x)]
+    for c in coeffs:
+        term = times(c if len(x) == 2 else (c,), xk)
+        total = tuple((t + u) % p for t, u in zip(total, term))
+        xk = times(xk, x)
+    return total
+
+
+#: 2^31 - 1 caps the block size at 2, so the plain loop runs there
+BLOCK_PRIMES = (5, 7, 1009, 1048573, 2 ** 31 - 1)
+
+
+@st.composite
+def long_horner_cases(draw):
+    """(mod, coefficients, x) at width 1 or 2, with 1 to 401 coefficients
+    (dense around the 25 where blocks start) and x as ints, as 1-D arrays
+    or as 2-D arrays that broadcast (a column against a row at width 2).
+    Values are biased to 0, 1 and p - 1."""
+    p = draw(st.sampled_from(BLOCK_PRIMES))
+    width = draw(st.sampled_from((1, 2)))
+    n = draw(st.one_of(st.integers(1, 401), st.integers(16, 40)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def residue():
+        return rng.choice((0, 1, p - 1, rng.randrange(p)))
+
+    real = width == 2 and draw(st.booleans())  # b-components all zero
+    coeffs = [residue() if width == 1 else (residue(), 0 if real else residue())
+              for _ in range(n)]
+    form = draw(st.sampled_from(("int", "1d", "2d")))
+    if form == "int":
+        x = tuple(residue() for _ in range(width))
+    elif form == "1d":
+        k = draw(st.integers(1, 9))
+        x = tuple(np.array([residue() for _ in range(k)], np.int64)
+                  for _ in range(width))
+    else:
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        shapes = [(rows, cols)] if width == 1 else [(rows, 1), (1, cols)]
+        x = tuple(np.array([residue() for _ in range(a * b)], np.int64).reshape(a, b)
+                  for a, b in shapes)
+    return modulus(p), coeffs, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_horner_cases())
+def test_horner_matches_the_power_sum_on_both_sides_of_the_crossover(case):
+    mod, coeffs, x = case
+    p, s = mod.p, mod.nonresidue
+    got = horner(coeffs, x, mod)
+    assert len(got) == len(x)
+    if isinstance(x[0], int):
+        assert got == power_sum(coeffs, x, p, s)
+        return
+    X = np.broadcast_arrays(*x)
+    for v in got:
+        assert v.dtype == np.int64 and v.shape == X[0].shape
+    for i in np.ndindex(X[0].shape):
+        point = tuple(int(c[i]) for c in X)
+        assert tuple(int(v[i]) for v in got) == power_sum(coeffs, point, p, s)
+
+
+@pytest.mark.parametrize("p", (1358187913, 1358187923))
+@pytest.mark.parametrize("width", (1, 2))
+def test_horner_blocks_at_the_int64_edge(p, width):
+    """1358187913 is the largest prime with 5 (p - 1)^2 < 2^63: the cap
+    lets blocks of 5 run there, where blocks of isqrt(401) = 20 would
+    overflow; at the next prime it forces the plain loop."""
+    mod = modulus(p)
+    top = (p - 1, p - 1) if width == 2 else p - 1
+    coeffs = [top] * 394 + [(3, 1) if width == 2 else 3] * 7
+    x = tuple(np.array([p - 1, 1, 0, 12345, p // 2 + 7], np.int64)
+              for _ in range(width))
+    got = horner(coeffs, x, mod)
+    for i in range(5):
+        point = tuple(int(c[i]) for c in x)
+        assert tuple(int(v[i]) for v in got) == power_sum(
+            coeffs, point, p, mod.nonresidue)
+
+
+def test_eval_all_and_eval_all_ext2_match_eval_at_every_point():
+    mod = modulus(101)
+    f = UniPoly([(7 * k * k + 3 * k + 1) % 101 for k in range(61)], mod)
+    assert f.degree == 60
+    assert f.eval_all().tolist() == [f.eval(x).value for x in range(101)]
+    fa, fb = eval_all_ext2(f)
+    for i in range(101 * 101):
+        x = Fp2Element(*divmod(i, 101), mod)
+        assert components(f.eval(x)) == (fa[i], fb[i])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from((5, 7, 13)), st.integers(-200, 200), st.integers(-200, 200))
 def test_components_round_trip(p, a, b):
