@@ -14,6 +14,11 @@ tuple: ints for one matrix (c6_hw, c6_classify) or int arrays for a
 stack (c6_classify_all).  c6_count_max_a builds only the root-locus entry
 and certifies it separable by its Gegenbauer equation, in O(p), no gcd.
 For C9 each target is hit by at most one multinomial term.
+
+Classification is one path for both: rank and p-rank of every matrix
+from one hwcore.grid_ranks call, then _lookup in TABLE_C6 or TABLE_C9,
+both keyed (p mod n, a-number) and holding a Classification checked
+once, at import.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ import numpy as np
 from .errors import IntegrityError
 from .ffield import (FpElement, _as_modulus, as_element, binomial, element,
                      multinomial)
-from .hwcore import (HWMatrix, QuarticForm, a_number, grid_ranks, hw_targets,
-                     stable_rank)
+from .hwcore import HWMatrix, QuarticForm, _grid, grid_ranks, hw_targets
 from .unipoly import UniPoly, horner
 
 # Newton polygon tags (formal sums of slope pairs) and Ekedahl-Oort
@@ -36,27 +40,6 @@ NP_RANK1 = "(1,0)+2(1,1)+(0,1)"
 NP_RANK2 = "2(1,0)+(1,1)+2(0,1)"
 NP_SUPERSINGULAR = "3(1,1)"
 NP_C9_MIXED = "(2,1)+(1,2)"
-
-#: (p mod 6, a-number) -> (p-rank, Newton polygon, EO type) for the C6 family
-TABLE_C6 = {
-    (1, 0): (3, NP_ORDINARY, (1, 2, 3)),
-    (1, 2): (1, NP_RANK1, (1, 1, 1)),
-    (5, 1): (2, NP_RANK2, (1, 2, 2)),
-    (5, 3): (0, NP_SUPERSINGULAR, (0, 0, 0)),
-}
-
-#: p mod 6 -> the (row, col) entry whose roots are the maximal-a parameters
-LOCUS_SLOT = {1: (1, 1), 5: (3, 1)}
-
-#: p mod 9 -> (a-number, p-rank, Newton polygon, EO type) for the C9 curve
-TABLE_C9 = {
-    1: (0, 3, NP_ORDINARY, (1, 2, 3)),
-    2: (1, 0, NP_SUPERSINGULAR, (0, 1, 2)),
-    4: (2, 0, NP_C9_MIXED, (0, 1, 1)),
-    5: (1, 0, NP_SUPERSINGULAR, (0, 1, 2)),
-    7: (2, 0, NP_C9_MIXED, (0, 1, 1)),
-    8: (3, 0, NP_SUPERSINGULAR, (0, 0, 0)),
-}
 
 
 @dataclass(frozen=True)
@@ -84,6 +67,28 @@ class Classification:
         if self.p_rank != f:
             raise IntegrityError(
                 f"p-rank {self.p_rank} inconsistent with EO type {self.eo_type}")
+
+
+#: (p mod 6, a-number) -> Classification for the C6 family
+TABLE_C6 = {
+    (1, 0): Classification(0, 3, NP_ORDINARY, (1, 2, 3)),
+    (1, 2): Classification(2, 1, NP_RANK1, (1, 1, 1)),
+    (5, 1): Classification(1, 2, NP_RANK2, (1, 2, 2)),
+    (5, 3): Classification(3, 0, NP_SUPERSINGULAR, (0, 0, 0)),
+}
+
+#: p mod 6 -> the (row, col) entry whose roots are the maximal-a parameters
+LOCUS_SLOT = {1: (1, 1), 5: (3, 1)}
+
+#: (p mod 9, a-number) -> Classification for the C9 curve
+TABLE_C9 = {
+    (1, 0): Classification(0, 3, NP_ORDINARY, (1, 2, 3)),
+    (2, 1): Classification(1, 0, NP_SUPERSINGULAR, (0, 1, 2)),
+    (4, 2): Classification(2, 0, NP_C9_MIXED, (0, 1, 1)),
+    (5, 1): Classification(1, 0, NP_SUPERSINGULAR, (0, 1, 2)),
+    (7, 2): Classification(2, 0, NP_C9_MIXED, (0, 1, 1)),
+    (8, 3): Classification(3, 0, NP_SUPERSINGULAR, (0, 0, 0)),
+}
 
 
 def c6_form(mod, r) -> QuarticForm:
@@ -196,21 +201,23 @@ def c6_stack(polys: C6CoeffPolys, r):
                     r, mod) for poly in row] for row in polys.entries]
 
 
-def _c6_lookup(p, a, f):
-    """The Classification of each (a[i], f[i]) (int arrays), after checking
-    every pair that occurs (a, f in 0..3, so 4a + f tells them apart)
-    against TABLE_C6."""
+def _lookup(table, n, p, rank, f):
+    """The Classification of each matrix of rank rank and p-rank f (int
+    arrays of a stack, or ints), after checking every pair that occurs
+    (a = 3 - rank and f in 0..3, so 4a + f tells them apart) against
+    table, keyed by (p mod n, a-number)."""
+    a, f = np.ravel(3 - rank), np.ravel(f)
     found = {}
     for key in np.flatnonzero(np.bincount(4 * a + f)).tolist():
         av, fv = divmod(key, 4)
-        if (p % 6, av) not in TABLE_C6:
+        cls = table.get((p % n, av))
+        if cls is None:
             raise IntegrityError(
-                f"a-number {av} not admissible for p = {p % 6} mod 6")
-        table_f, np_tag, eo = TABLE_C6[p % 6, av]
-        if fv != table_f:
+                f"a-number {av} not admissible for p = {p % n} mod {n}")
+        if fv != cls.p_rank:
             raise IntegrityError(f"computed p-rank {fv} disagrees with the "
-                                 f"table value {table_f}")
-        found[av] = Classification(av, fv, np_tag, eo)
+                                 f"table value {cls.p_rank}")
+        found[av] = cls
     return [found[av] for av in a.tolist()]
 
 
@@ -228,7 +235,7 @@ def c6_classify_all(mod, r, polys=None) -> list:
     int arrays for a batch; r != 0, +-2), from one stack."""
     mod = _as_modulus(mod)
     rank, f = grid_ranks(c6_stack(polys or c6_coeff_polys(mod), r), mod)
-    return _c6_lookup(mod.p, np.ravel(3 - rank), np.ravel(f))
+    return _lookup(TABLE_C6, 6, mod.p, rank, f)
 
 
 def c6_count_max_a(mod) -> int:
@@ -306,11 +313,5 @@ def c9_hw(mod) -> HWMatrix:
 def c9_classify(mod) -> Classification:
     """a-number and p-rank from the matrix; NP and EO from the lookup table."""
     mod = _as_modulus(mod)
-    M = c9_hw(mod)
-    a = a_number(M)
-    f = stable_rank(M)
-    ta, tf, np_tag, eo = TABLE_C9[mod.p % 9]
-    if (a, f) != (ta, tf):
-        raise IntegrityError(
-            f"computed (a, f) = {(a, f)} disagrees with table {(ta, tf)} at p={mod.p}")
-    return Classification(a, f, np_tag, eo)
+    rank, f = grid_ranks(_grid(c9_hw(mod)), mod)
+    return _lookup(TABLE_C9, 9, mod.p, rank, f)[0]

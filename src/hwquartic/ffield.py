@@ -62,10 +62,9 @@ def is_prime(n: int) -> bool:
 
 class FactorialTable:
     """fact[n] = n! and inv_fact[n] = 1/n! mod p, 0 <= n < p, as int64
-    arrays (values and inverses as lists).  n! by prefix products over
-    runs of about sqrt(p/16) factors, one numpy pass per place in a run,
-    then a carry per run.  CapacityError, before any allocation, when
-    p > MAX_TABLE_PRIME."""
+    arrays.  n! by prefix products over runs of about sqrt(p/16) factors,
+    one numpy pass per place in a run, then a carry per run.
+    CapacityError, before any allocation, when p > MAX_TABLE_PRIME."""
 
     def __init__(self, p: int):
         if p > MAX_TABLE_PRIME:
@@ -83,9 +82,6 @@ class FactorialTable:
         # 1/n! = (-1)^(n+1) (p-1-n)!: negate the even slots of the reversal
         self.inv_fact = self.fact[::-1].copy()
         self.inv_fact[0::2] = p - self.inv_fact[0::2]
-
-    values = property(lambda self: self.fact.tolist())
-    inverses = property(lambda self: self.inv_fact.tolist())
 
 
 class PrimeModulus:
@@ -324,11 +320,6 @@ class Fp2Element(_Element):
 
     a = property(lambda self: self.comps[0])
     b = property(lambda self: self.comps[1])
-
-    def norm(self) -> FpElement:
-        """Norm to F_p: (a + b*w)(a - b*w) = a^2 - s*b^2."""
-        return FpElement(self.a * self.a - self.modulus.nonresidue * self.b * self.b,
-                         self.modulus)
 
 
 def element(c, mod):

@@ -32,8 +32,8 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
                      modulus, power)
 from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
-                     grid_rank, hw_matrix, hw_matrix_oracle, stable_rank)
-from .unipoly import ext2_elements, horner, roots_over
+                     grid_ranks, hw_matrix, hw_matrix_oracle, stable_rank)
+from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
@@ -392,10 +392,10 @@ def _suite_c6_structure(report, mod, **_kw):
                 if (row, col) not in live
                 and not polys.entries[row - 1][col - 1].is_zero]
     rs = np.array([r for r in range(p) if r not in (0, 2, p - 2)])
-    attained = set((3 - grid_rank(families.c6_stack(polys, (rs,)), mod)).tolist())
-    forbidden = 2 if anti else 1
-    if forbidden in attained:
-        problems.append(f"a-number {forbidden} attained")
+    rank, _ = grid_ranks(families.c6_stack(polys, (rs,)), mod)
+    attained = set((3 - rank).tolist())
+    problems += [f"a-number {a} attained" for a in sorted(attained)
+                 if (p % 6, a) not in families.TABLE_C6]
     rng = random.Random(f"hw-structure-{p}")
     candidates = [r for r in range(p) if r not in (2, p - 2)]
     for r in rng.sample(candidates, min(3, len(candidates))):
@@ -494,6 +494,11 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
         report.add(p=p, family="c9", status="SKIP",
                    detail=f"p exceeds point-count bound {pb}")
         return
+    ask = c6_question and p % 6 == 5 and p >= 17
+    roots_fit = p * p <= DEFAULT_ROOT_BOUND
+    if ask and explicit and not roots_fit:
+        raise CapacityError(f"--c6-question: p^2 = {p * p} exceeds the root "
+                            f"exhaustion bound {DEFAULT_ROOT_BOUND}")
     top = hasse_weil_window(p)[1]
     count = count_points_ext2(families.c9_form(mod), bound=pb)
     maximal = count == top
@@ -502,7 +507,11 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
                status="PASS" if maximal == expected else "FAIL",
                detail=f"points={count} hasse-weil-max={top} "
                       f"maximal={maximal} expected={expected}")
-    if not c6_question or p % 6 != 5 or p < 17:
+    if not ask:
+        return
+    if not roots_fit:
+        report.add(p=p, family="c6", status="SKIP",
+                   detail=f"p^2 exceeds root exhaustion bound {DEFAULT_ROOT_BOUND}")
         return
     # informational search for the open question: is some C_r maximal?
     found, rational = _first_maximal_c6(mod, pb)

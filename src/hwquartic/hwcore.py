@@ -23,11 +23,13 @@ the rows of one target at one level; a level over it for all targets
 splits into runs of whole targets.  hw_matrix_oracle expands F^{p-1}
 outright and is feasible for p <= 31; the two must agree everywhere.
 
-Ranks come from one kernel on a 3x3 grid of component tuples, (a,) over
-F_p or (a, b) for a + b*w, each an int (one matrix) or an array (a
-stack): int64 while p < 2^31, where every residue product fits, object
-dtype above.  rank M = [M != 0] + [adj M != 0] + [det M != 0], exact as
-the conditions are nested.  The p-rank, the stable rank of N = M M^(p)
+Ranks come from one kernel, grid_ranks, on a 3x3 grid of component
+tuples, (a,) over F_p or (a, b) for a + b*w, each an int (one matrix) or
+an array (a stack): int64 while p < 2^31, where every residue product
+fits, object dtype above.  It returns rank and p-rank together; rank3,
+stable_rank and a_number take one of them for one HWMatrix.
+rank M = [M != 0] + [adj M != 0] + [det M != 0], exact as the
+conditions are nested.  The p-rank, the stable rank of N = M M^(p)
 (M^(p) the conjugate (a, -b); N = M over F_p), is by Fitting's lemma 3 -
 ord_t of t^3 - e1 t^2 + e2 t - e3, e1 = tr N, e2 = tr adj N, e3 = det N;
 over F_{p^2} e1, e2 are sum A_ij conj(A_ji) for A = M, adj M and e3 is
@@ -368,25 +370,15 @@ def grid_ranks(M, mod):
             3 - z3 * (1 + z2 * (1 + z1)))
 
 
-def grid_rank(M, mod):
-    """Rank of each matrix of the grid M (grid_ranks)."""
-    return grid_ranks(M, mod)[0]
-
-
-def grid_stable_rank(M, mod):
-    """p-rank of each matrix of the grid M (grid_ranks)."""
-    return grid_ranks(M, mod)[1]
-
-
 def rank3(M: HWMatrix) -> int:
-    """Rank over the coefficient field; grid_rank on one matrix."""
-    return grid_rank(_grid(M), M.modulus)
+    """Rank over the coefficient field; grid_ranks on one matrix."""
+    return grid_ranks(_grid(M), M.modulus)[0]
 
 
 def stable_rank(M: HWMatrix) -> int:
     """The p-rank, the stable rank of Frobenius: 3 - ord_t of det(t - N) for
-    N = M * M^(p), M^(p) the entries to the p-th power (grid_stable_rank)."""
-    return grid_stable_rank(_grid(M), M.modulus)
+    N = M * M^(p), M^(p) the entries to the p-th power (grid_ranks)."""
+    return grid_ranks(_grid(M), M.modulus)[1]
 
 
 def a_number(M: HWMatrix) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_hwcore import frobenius_cube, rank_by_elimination
 
-from hwquartic import families
+from hwquartic import families, hwcore
 from hwquartic.errors import IntegrityError, ModulusError
 from hwquartic.families import (LOCUS_SLOT, Classification, TABLE_C6, TABLE_C9,
                                 _c9_solve_slot, c6_classify, c6_classify_all,
@@ -455,6 +455,29 @@ def test_c9_classify_table():
         assert cls == Classification(a, f, np_tag, eo)
 
 
+@pytest.mark.parametrize("p", [19, 11, 13, 23, 7, 17])  # p mod 9: 1 2 4 5 7 8
+def test_c9_classify_ranks_once(p, monkeypatch):
+    """c9_classify takes rank and p-rank from one grid_ranks call and
+    reads the table; the one-matrix wrappers are never reached."""
+    calls = []
+    grid_ranks = families.grid_ranks
+
+    def counted(M, mod):
+        calls.append(mod.p)
+        return grid_ranks(M, mod)
+
+    def unused(*_args):
+        raise AssertionError("one-matrix rank wrapper called")
+
+    monkeypatch.setattr(families, "grid_ranks", counted)
+    for name in ("rank3", "stable_rank", "a_number"):
+        monkeypatch.setattr(hwcore, name, unused)
+        monkeypatch.setattr(families, name, unused, raising=False)
+    cls = c9_classify(modulus(p))
+    assert calls == [p]
+    assert cls is TABLE_C9[p % 9, cls.a_number]
+
+
 def test_classification_consistency_rules():
     with pytest.raises(IntegrityError):
         Classification(0, 3, "3(1,0)+3(0,1)", (1, 3, 3))  # phi jump > 1
@@ -462,10 +485,10 @@ def test_classification_consistency_rules():
         Classification(1, 3, "3(1,0)+3(0,1)", (1, 2, 3))  # a != 3 - phi(3)
     with pytest.raises(IntegrityError):
         Classification(0, 2, "3(1,0)+3(0,1)", (1, 2, 3))  # wrong p-rank
-    for (_, a), (f, np_tag, eo) in TABLE_C6.items():
-        Classification(a, f, np_tag, eo)
-    for a, f, np_tag, eo in TABLE_C9.values():
-        Classification(a, f, np_tag, eo)
+    for table in (TABLE_C6, TABLE_C9):
+        for (_, a), cls in table.items():
+            assert isinstance(cls, Classification) and cls.a_number == a
+            Classification(a, cls.p_rank, cls.newton_polygon, cls.eo_type)
 
 
 def test_stable_rank_equals_rank_on_family():

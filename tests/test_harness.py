@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -833,6 +834,34 @@ def test_cli_verify_maximality_c6_question(capsys, p, rows):
     assert out.splitlines()[1:] == rows
 
 
+def test_c6_question_skips_above_the_root_bound(capsys):
+    """p^2 > DEFAULT_ROOT_BOUND (p >= 503): in a range the C9 row stays and
+    the c6 row is a SKIP naming the bound."""
+    code, out = run_cli(capsys, "verify", "maximality", "--p-range", "490..510",
+                        "--bound", "600", "--c6-question")
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert [(r.p, r.family, r.status) for r in rows] == [
+        (491, "c9", "PASS"), (491, "c6", "PASS"), (499, "c9", "PASS"),
+        (503, "c9", "PASS"), (503, "c6", "SKIP"), (509, "c9", "PASS"),
+        (509, "c6", "SKIP")]
+    assert rows[4].detail == "p^2 exceeds root exhaustion bound 250000"
+
+
+def test_c6_question_checks_the_root_bound_before_counting(capsys, monkeypatch):
+    from hwquartic import harness
+
+    def unused(*_args, **_kw):
+        raise AssertionError("points counted")
+
+    monkeypatch.setattr(harness, "count_points_ext2", unused)
+    assert main(["verify", "maximality", "--p", "503", "--bound", "600",
+                 "--c6-question"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("capacity error: --c6-question: p^2 = 253009")
+
+
 @pytest.mark.parametrize("cmd", ["hw", "classify"])
 @pytest.mark.parametrize("family", [["c6", "--r", "4"], ["c9"]])
 def test_cli_family_matrices_build_no_form(monkeypatch, capsys, cmd, family):
@@ -911,12 +940,40 @@ def test_cli_failure_exit_code(capsys, monkeypatch):
 def test_enumerate_checks_every_class_against_the_table(a_number, capsys,
                                                         monkeypatch):
     # 1009 = 1 mod 6: classes have a = 0 (p-rank 3) or a = 2 (p-rank 1);
-    # a table p-rank that disagrees with the batch must fail the call
-    table_f, np_tag, eo = families.TABLE_C6[1, a_number]
-    monkeypatch.setitem(families.TABLE_C6, (1, a_number),
-                        (table_f - 1, np_tag, eo))
+    # a computed p-rank that disagrees with the table must fail the call
+    table_f = families.TABLE_C6[1, a_number].p_rank
+    grid_ranks = families.grid_ranks
+
+    def off_by_one(M, mod):
+        rank, f = grid_ranks(M, mod)
+        return rank, np.where(3 - rank == a_number, f - 1, f)
+
+    monkeypatch.setattr(families, "grid_ranks", off_by_one)
     assert main(["enumerate", "--p", "1009"]) == 1
-    assert f"table value {table_f - 1}" in capsys.readouterr().err
+    assert (f"computed p-rank {table_f - 1} disagrees with the table value "
+            f"{table_f}") in capsys.readouterr().err
+
+
+def test_c9_table_fails_on_a_computed_p_rank_off_the_table(capsys, monkeypatch):
+    # 19 = 1 mod 9: a = 0 and p-rank 3; report p-rank 2 instead
+    grid_ranks = families.grid_ranks
+    monkeypatch.setattr(families, "grid_ranks",
+                        lambda M, mod: (grid_ranks(M, mod)[0], 2))
+    code, out = run_cli(capsys, "verify", "c9-table", "--p", "19")
+    assert code == 1
+    [row] = SweepReport.from_csv(out).rows
+    assert row.status == "FAIL"
+    assert row.detail == "computed p-rank 2 disagrees with the table value 3"
+
+
+def test_c6_structure_fails_on_an_a_number_off_the_table(capsys, monkeypatch):
+    # 43 = 1 mod 6 attains a = 0 and a = 2; without the a = 2 row, a = 2
+    # is not admissible
+    monkeypatch.delitem(families.TABLE_C6, (1, 2))
+    code, out = run_cli(capsys, "verify", "c6-structure", "--p", "43")
+    assert code == 1
+    [row] = SweepReport.from_csv(out).rows
+    assert (row.status, row.detail) == ("FAIL", "a-number 2 attained")
 
 
 def test_cli_enumerate(capsys):

@@ -14,9 +14,8 @@ from hwquartic.harness import fermat_form, random_sparse_quartic
 from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
                               QuarticForm, _pivot_minor, a_number,
                               coefficient_in_power,
-                              elliptic_e0_supersingular, grid_rank,
-                              grid_stable_rank, hw_matrix, hw_matrix_oracle,
-                              hw_targets, rank3, stable_rank)
+                              elliptic_e0_supersingular, hw_matrix,
+                              hw_matrix_oracle, hw_targets, rank3, stable_rank)
 
 MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
 ORACLE_PRIMES = [p for p in range(5, ORACLE_PRIME_BOUND + 1) if is_prime(p)]
@@ -510,8 +509,9 @@ def test_rank_kernel_matches_elimination(case):
                    for c in range(width)) for j in range(3)] for i in range(3)]
     ranks = [rank_by_elimination(A) for A in mats]
     stable = [rank_by_elimination(frobenius_cube(A)) for A in mats]
-    assert grid_rank(grid, m).tolist() == ranks
-    assert grid_stable_rank(grid, m).tolist() == stable
+    rank, f = hwcore.grid_ranks(grid, m)
+    assert rank.tolist() == ranks
+    assert f.tolist() == stable
     for A, r, f in zip(mats, ranks, stable):
         H = HWMatrix(A, m)
         assert (rank3(H), stable_rank(H), a_number(H)) == (r, f, 3 - r)

@@ -29,7 +29,7 @@ def test_pochhammer_basics():
     assert pochhammer(RationalParam(1, 3), 0, m).value == 1
     # (1; n) = n!
     for n in range(11):
-        assert pochhammer(1, n, m).value == m.factorials.values[n]
+        assert pochhammer(1, n, m).value == m.factorials.fact[n]
     assert pochhammer(1, 5, m).value == 120 % 11
     with pytest.raises(ValueError):
         pochhammer(1, -1, m)
@@ -48,7 +48,7 @@ def test_appendix_congruence_example_p11_i2():
     m = modulus(11)
     lhs = pochhammer(RationalParam(1, 3), 2, m)
     assert lhs.value == 9
-    fact = m.factorials.values
+    fact = m.factorials.fact.tolist()
     assert lhs == fact[7] * FpElement(fact[5], modulus(11)).inverse()
 
 
@@ -64,13 +64,13 @@ def test_appendix_congruences(p):
     for i in range((p - 1) // 2 + 1):
         sgn = (-1) ** i
         lhs = pochhammer(RationalParam(1, 3), i, m) * sgn
-        assert lhs.value == fact.values[one_third_top] * \
-            fact.inverses[one_third_top - i] % p
+        assert lhs.value == fact.fact[one_third_top] * \
+            fact.inv_fact[one_third_top - i] % p
         lhs = pochhammer(RationalParam(1, 2), i, m) * sgn
-        assert lhs.value == fact.values[one_half_top] * \
-            fact.inverses[one_half_top - i] % p
+        assert lhs.value == fact.fact[one_half_top] * \
+            fact.inv_fact[one_half_top - i] % p
         lhs = pochhammer(RationalParam(7, 6), i, m)
-        assert lhs.value == fact.values[c_base + i] * fact.inverses[c_base] % p
+        assert lhs.value == fact.fact[c_base + i] * fact.inv_fact[c_base] % p
 
 
 def scalar_pochhammer(x0, n, p):
