@@ -976,6 +976,26 @@ def test_c6_structure_fails_on_an_a_number_off_the_table(capsys, monkeypatch):
     assert (row.status, row.detail) == ("FAIL", "a-number 2 attained")
 
 
+def test_c6_structure_fails_when_hw_matrix_disagrees(capsys, monkeypatch):
+    """The cross-check against the general algorithm: hw_matrix with one
+    entry off by one fails every sampled r."""
+    from hwquartic import harness
+    hw_matrix = harness.hw_matrix
+
+    def off_by_one(F):
+        M = hw_matrix(F)
+        M.entries[0][0] = M.entries[0][0] + 1
+        return M
+
+    monkeypatch.setattr(harness, "hw_matrix", off_by_one)
+    code, out = run_cli(capsys, "verify", "c6-structure", "--p", "43")
+    assert code == 1
+    [row] = SweepReport.from_csv(out).rows
+    assert row.status == "FAIL"
+    assert row.detail.startswith(
+        "entry polynomials disagree with hw_matrix at r=")
+
+
 def test_cli_enumerate(capsys):
     code, out = run_cli(capsys, "enumerate", "--p", "29")
     assert code == 0
