@@ -11,14 +11,13 @@ from .ffield import (FactorialTable, Fp2Element, FpElement, PrimeModulus,
 from .harness import (ReportRow, SweepReport, count_points_ext2,
                       is_maximal_ext2, main, parse_c6_param, parse_quartic,
                       run_suite)
-from .hwcore import (HWMatrix, QuarticForm, a_number,
-                     elliptic_e0_supersingular, hw_matrix, hw_matrix_oracle,
-                     hw_targets, rank3, stable_rank)
+from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
+                     hw_matrix_oracle, hw_targets, rank3, stable_rank)
 from .hypergeom import (ExpectationReport, RationalParam, expectation_check,
                         gauss_truncated, pochhammer, verify_euler,
                         verify_gauss_lemma)
-from .unipoly import (UniPoly, derivative, divides, ext2_root_counts,
-                      is_separable, poly_gcd, roots_over)
+from .unipoly import (UniPoly, ext2_root_counts, is_separable, poly_gcd,
+                      roots_over)
 
 __version__ = "0.1.0"
 

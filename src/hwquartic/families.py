@@ -185,11 +185,11 @@ def _reject_singular(mod, r):
     return r
 
 
-def c6_hw(mod, r, polys: "C6CoeffPolys | None" = None) -> HWMatrix:
+def c6_hw(mod, r) -> HWMatrix:
     """Hasse-Witt matrix of C_r: c6_stack at the one parameter r."""
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
-    grid = c6_stack(c6_coeff_polys(mod) if polys is None else polys, r)
+    grid = c6_stack(c6_coeff_polys(mod), r)
     return HWMatrix([[element(v, mod) for v in row] for row in grid], mod)
 
 
@@ -221,20 +221,20 @@ def _lookup(table, n, p, rank, f):
     return [found[av] for av in a.tolist()]
 
 
-def c6_classify(mod, r, polys=None) -> Classification:
+def c6_classify(mod, r) -> Classification:
     """a-number and p-rank from the matrix; NP and EO from the lookup table."""
     mod = _as_modulus(mod)
     r = _reject_singular(mod, r)
     if not any(r):
         raise ValueError("r = 0 has automorphism group of order 48, not 6")
-    return c6_classify_all(mod, r, polys)[0]
+    return c6_classify_all(mod, r)[0]
 
 
-def c6_classify_all(mod, r, polys=None) -> list:
+def c6_classify_all(mod, r) -> list:
     """c6_classify at each parameter of the component tuple r (ints, or
     int arrays for a batch; r != 0, +-2), from one stack."""
     mod = _as_modulus(mod)
-    rank, f = grid_ranks(c6_stack(polys or c6_coeff_polys(mod), r), mod)
+    rank, f = grid_ranks(c6_stack(c6_coeff_polys(mod), r), mod)
     return _lookup(TABLE_C6, 6, mod.p, rank, f)
 
 

@@ -29,7 +29,10 @@ import numpy as np
 
 from .errors import CapacityError, ModulusError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13, the least strong pseudoprime to every base in _MR_WITNESSES
+#: (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BOUND = 3317044064679887385961981
 
 #: largest p with factorial tables: two int64 arrays of p entries (16 MiB
 #: at the bound; int64 gathers need p < 2^31)
@@ -37,9 +40,13 @@ MAX_TABLE_PRIME = 2 ** 20
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3 * 10^24)."""
+    """Deterministic Miller-Rabin to the first 13 prime bases: exact below
+    psi_13 = _MR_BOUND (about 3.3 * 10^24), ModulusError from there on."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ModulusError(f"primality of {n} is undecided: the Miller-Rabin "
+                           f"bases are proven exact only below {_MR_BOUND}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -347,13 +354,6 @@ def as_element(x, mod):
     return FpElement(operator.index(x), mod)
 
 
-def embed(x, mod=None) -> Fp2Element:
-    """Embed an F_p element (or int, by the as_element rule) into F_{p^2}."""
-    if not isinstance(x, _Element):
-        x = as_element(x, _as_modulus(mod))
-    return Fp2Element(*components(x), x.modulus)
-
-
 def sqrt_fp(x) -> "FpElement | None":
     """A square root of x in F_p via Tonelli-Shanks, or None if x is not a square."""
     mod = x.modulus
@@ -386,11 +386,11 @@ def sqrt_fp(x) -> "FpElement | None":
 
 def sqrt_fp2_of_fp(x) -> Fp2Element:
     """A square root in F_{p^2} of an F_p element (always exists)."""
+    mod = x.modulus
     rt = sqrt_fp(x)
     if rt is not None:
-        return embed(rt)
+        return Fp2Element(rt.value, 0, mod)
     # x is a non-residue, so x/s is a residue and sqrt(x) = w * sqrt(x/s)
-    mod = x.modulus
     rt = sqrt_fp(x / mod.nonresidue)
     return Fp2Element(0, rt.value, mod)
 

@@ -31,8 +31,9 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
                      modulus, power)
-from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, a_number,
-                     grid_ranks, hw_matrix, hw_matrix_oracle, stable_rank)
+from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, _grid,
+                     a_number, grid_ranks, hw_matrix, hw_matrix_oracle,
+                     stable_rank)
 from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
@@ -311,13 +312,10 @@ class SweepReport:
         return self.to_csv()
 
 
-def format_eo(eo) -> str:
-    return "(" + ",".join(str(v) for v in eo) + ")"
-
-
 def _classification_columns(cls: families.Classification) -> dict:
     return dict(a_number=cls.a_number, p_rank=cls.p_rank,
-                newton_polygon=cls.newton_polygon, eo_type=format_eo(cls.eo_type))
+                newton_polygon=cls.newton_polygon,
+                eo_type="(" + ",".join(str(v) for v in cls.eo_type) + ")")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +397,7 @@ def _suite_c6_structure(report, mod, **_kw):
     rng = random.Random(f"hw-structure-{p}")
     candidates = [r for r in range(p) if r not in (2, p - 2)]
     for r in rng.sample(candidates, min(3, len(candidates))):
-        if hw_matrix(families.c6_form(mod, r)) != families.c6_hw(mod, r, polys):
+        if _grid(hw_matrix(families.c6_form(mod, r))) != families.c6_stack(polys, (r,)):
             problems.append(f"entry polynomials disagree with hw_matrix at r={r}")
     report.add(p=p, family="c6",
                status="FAIL" if problems else "PASS",

@@ -45,7 +45,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import CapacityError
-from .ffield import _as_modulus, as_element, binomial, components, element, mul
+from .ffield import _as_modulus, as_element, components, element, mul
 
 BASIS = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
@@ -384,13 +384,3 @@ def stable_rank(M: HWMatrix) -> int:
 def a_number(M: HWMatrix) -> int:
     """g - rank(H) for g = 3; the value 3 means superspecial."""
     return 3 - rank3(M)
-
-
-def elliptic_e0_supersingular(mod) -> bool:
-    """Supersingularity of Y^2 = X^3 + 1: the x^(p-1) coefficient of
-    (x^3+1)^((p-1)/2) vanishes mod p."""
-    mod = _as_modulus(mod)
-    p = mod.p
-    if (p - 1) % 3:
-        return True
-    return binomial((p - 1) // 2, (p - 1) // 3, mod).is_zero()

@@ -105,32 +105,22 @@ def _require_residue_5_mod_6(mod):
     return mod
 
 
-def one_minus_t_power(e: int, mod) -> UniPoly:
-    """(1 - t)^e as a polynomial, 0 <= e < p: the row (-1)^k e!/(k!(e-k)!)."""
-    mod = _as_modulus(mod)
-    p, t = mod.p, mod.factorials
-    if not 0 <= e < p:
-        raise ValueError(f"(1 - t)^e needs 0 <= e < p = {p}, got e = {e}")
-    k = np.arange(e + 1)
-    row = t.fact[e] * t.inv_fact[k] % p * t.inv_fact[e - k] % p
-    row[1::2] = p - row[1::2]
-    return UniPoly._reduced(row.tolist(), mod)
-
-
 def verify_euler(mod) -> bool:
     """Truncated Euler transformation for the parameters in play:
 
     G^((p-1)/2)(1/3, 1/2, (2p+7)/6; t)
         = (1-t)^((p+1)/3) * G^((p-5)/6)(5/6, 2/3, (2p+7)/6; t)
 
-    as polynomials mod p, for p = 5 mod 6.
+    as polynomials mod p, for p = 5 mod 6; (1-t)^e is G(-e, 1, 1; t)
+    truncated to degree e.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
     c = RationalParam(7, 6)
+    e = (p + 1) // 3
     lhs = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
     g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
-    rhs = one_minus_t_power((p + 1) // 3, mod) * g2
+    rhs = gauss_truncated(-e, 1, 1, e, mod) * g2
     return lhs == rhs
 
 

@@ -238,30 +238,17 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return UniPoly._reduced([int(c) for c in a], f.modulus).monic()
 
 
-def derivative(f: UniPoly) -> UniPoly:
-    p = f.modulus.p
-    return UniPoly._reduced([k * c % p for k, c in enumerate(f.coeffs)][1:], f.modulus)
-
-
 def is_separable(f: UniPoly) -> bool:
     """True iff gcd(f, f') is constant, i.e. no repeated roots in the closure."""
     if f.is_zero:
         raise ValueError("separability of the zero polynomial is undefined")
-    d = derivative(f)
+    p = f.modulus.p
+    d = UniPoly._reduced([k * c % p for k, c in enumerate(f.coeffs)][1:], f.modulus)
     if d.is_zero:
         # nonzero constant is vacuously separable; higher degree with f'=0
         # means f is a p-th power, hence inseparable
         return f.degree == 0
     return poly_gcd(f, d).degree == 0
-
-
-def divides(f: UniPoly, g: UniPoly) -> bool:
-    """True iff f | g (f nonzero; everything divides 0)."""
-    if f.is_zero:
-        raise ZeroDivisionError("divisibility by the zero polynomial")
-    if g.is_zero:
-        return True
-    return g.divmod(f)[1].is_zero
 
 
 def ext2_elements(p: int):

@@ -8,17 +8,19 @@ enumeration) or frozen from one.
 
 import random
 
+from oracles import divides, elliptic_e0_supersingular
+
 from hwquartic.families import (LOCUS_SLOT, TABLE_C6, TABLE_C9, c6_coeff_polys,
                                 c6_count_max_a, c6_entry_poly, c6_form,
                                 c6_hw, c9_classify, c9_form, c9_hw)
 from hwquartic.ffield import modulus
 from hwquartic.harness import (count_points_ext2, is_maximal_ext2,
                                oracle_corpus, primes_in)
-from hwquartic.hwcore import (a_number, elliptic_e0_supersingular, hw_matrix,
-                              hw_matrix_oracle, rank3, stable_rank)
+from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, rank3,
+                              stable_rank)
 from hwquartic.hypergeom import (RationalParam, expectation_check, pochhammer,
                                  verify_euler, verify_gauss_lemma)
-from hwquartic.unipoly import divides, is_separable
+from hwquartic.unipoly import is_separable
 
 
 def _report(n, text):
@@ -83,7 +85,7 @@ def test_criterion_03_structure_lemmas():
             rng = random.Random(p)
             sample = rng.sample(range(3, p - 2), 3)
         for r in sample:
-            assert hw_matrix(c6_form(m, r)) == c6_hw(m, r, polys), (p, r)
+            assert hw_matrix(c6_form(m, r)) == c6_hw(m, r), (p, r)
     _report(3, "C6 matrix shape and attained a-numbers for all p <= 500, all r")
 
 
@@ -178,11 +180,10 @@ def test_criterion_09_maximality():
 def test_criterion_10_p_rank_consistency():
     for p in primes_in(5, 500):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
         for r in range(p):
             if r in (0, 2, p - 2):
                 continue
-            M = c6_hw(m, r, polys)
+            M = c6_hw(m, r)
             a = a_number(M)
             f = stable_rank(M)
             assert f == TABLE_C6[(p % 6, a)].p_rank, (p, r)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import divides
 from test_hwcore import frobenius_cube, rank_by_elimination
 
 from hwquartic import families, hwcore
@@ -18,7 +19,7 @@ from hwquartic.ffield import Fp2Element, FpElement, components, modulus, multino
 from hwquartic.harness import main, primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
                               rank3, stable_rank)
-from hwquartic.unipoly import UniPoly, divides, is_separable, roots_over
+from hwquartic.unipoly import UniPoly, is_separable, roots_over
 
 
 def test_coeff_of_power_examples():
@@ -181,11 +182,10 @@ def test_c6_hw_values():
 def test_c6_hw_matches_general_machinery():
     for p in (5, 7, 11, 13, 19, 23):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
         for r in range(p):
             if r in (2, p - 2):
                 continue
-            assert c6_hw(m, r, polys) == hw_matrix(c6_form(m, r))
+            assert c6_hw(m, r) == hw_matrix(c6_form(m, r))
 
 
 def test_c6_hw_ext2_parameter():
@@ -330,20 +330,19 @@ def test_verify_counts_at_the_largest_table_prime(capsys):
     assert row in capsys.readouterr().out
 
 
-def check_c6_against_elimination(m, rs, polys):
+def check_c6_against_elimination(m, rs):
     """c6_hw, c6_classify and the batch c6_classify_all at each r of rs
     against the oracle: hw_matrix of the quartic, ranked by elimination."""
     width = 2 if isinstance(rs[0], Fp2Element) else 1
     batch = c6_classify_all(
-        m, tuple(np.array([components(r)[t] for r in rs]) for t in range(width)),
-        polys)
+        m, tuple(np.array([components(r)[t] for r in rs]) for t in range(width)))
     for r, cls in zip(rs, batch):
         H = hw_matrix(c6_form(m, r))
         a = 3 - rank_by_elimination(H.entries)
         f = rank_by_elimination(frobenius_cube(H.entries))
-        assert c6_hw(m, r, polys) == H, r
+        assert c6_hw(m, r) == H, r
         assert (cls.a_number, cls.p_rank) == (a, f), r
-        assert c6_classify(m, r, polys) == cls, r
+        assert c6_classify(m, r) == cls, r
 
 
 @pytest.mark.parametrize("p", [1009, 1013])  # 1 and 5 mod 6
@@ -351,7 +350,7 @@ def test_batched_classes_match_c6_classify(p):
     m = modulus(p)
     rng = random.Random(p)
     rs = rng.sample([r for r in range(1, p) if r not in (2, p - 2)], 24)
-    check_c6_against_elimination(m, rs, c6_coeff_polys(m))
+    check_c6_against_elimination(m, rs)
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -359,20 +358,18 @@ def test_c6_fp2_parameters_match_elimination(p):
     """Every r = a + b*w with b != 0: the width-2 one-parameter path."""
     m = modulus(p)
     rs = [Fp2Element(a, b, m) for a in range(p) for b in range(1, p)]
-    check_c6_against_elimination(m, rs, c6_coeff_polys(m))
+    check_c6_against_elimination(m, rs)
 
 
 def test_attained_a_numbers_skip_middle_value():
     for p in (11, 17, 23, 29):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
-        seen = {a_number(c6_hw(m, r, polys)) for r in range(p)
+        seen = {a_number(c6_hw(m, r)) for r in range(p)
                 if r not in (0, 2, p - 2)}
         assert seen <= {1, 3}
     for p in (7, 13, 19, 37):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
-        seen = {a_number(c6_hw(m, r, polys)) for r in range(p)
+        seen = {a_number(c6_hw(m, r)) for r in range(p)
                 if r not in (0, 2, p - 2)}
         assert seen <= {0, 2}
 
@@ -494,11 +491,10 @@ def test_classification_consistency_rules():
 def test_stable_rank_equals_rank_on_family():
     for p in (11, 13, 17, 19, 23):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
         for r in range(p):
             if r in (0, 2, p - 2):
                 continue
-            H = c6_hw(m, r, polys)
+            H = c6_hw(m, r)
             assert stable_rank(H) == rank3(H)
 
 

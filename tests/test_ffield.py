@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import embed
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.ffield import (MAX_TABLE_PRIME, FactorialTable, Fp2Element,
-                              FpElement, PrimeModulus, binomial,
-                              embed, is_prime, is_square_fp2, modulus,
-                              multinomial, sqrt_fp, sqrt_fp2_of_fp)
+                              FpElement, PrimeModulus, binomial, is_prime,
+                              is_square_fp2, modulus, multinomial, sqrt_fp,
+                              sqrt_fp2_of_fp)
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+#: the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 399165290221 * 798330580441      # 318665857834031151167461
+PSI_13 = 1287836182261 * 2575672364521    # 3317044064679887385961981
 
 
 def test_is_prime_small():
@@ -21,10 +25,16 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # psi_12 passes Miller-Rabin at every base up to 37; base 41 rejects it.
+    # From psi_13 on the 13 bases prove nothing, so is_prime raises.
+    assert not is_prime(PSI_12)
+    for n in (PSI_13, PSI_13 + 2):
+        with pytest.raises(ModulusError):
+            is_prime(n)
 
 
 def test_modulus_rejects_bad_values():
-    for bad in (4, 6, 1, 0, -7, 9, 2, 3):
+    for bad in (4, 6, 1, 0, -7, 9, 2, 3, PSI_12, PSI_13):
         with pytest.raises(ModulusError):
             PrimeModulus(bad)
     with pytest.raises(ModulusError):

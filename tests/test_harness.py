@@ -914,6 +914,17 @@ def test_cli_factorial_table_bound_takes_the_capacity_exit(capsys):
     assert out.splitlines()[1] == '1000000007,c9,,3,0,"3(1,1)","(0,0,0)",PASS,p mod 9 = 8'
 
 
+@pytest.mark.parametrize("p", ["318665857834031151167461",    # psi_12
+                               "3317044064679887385961981"])  # psi_13
+def test_cli_strong_pseudoprime_takes_the_usage_exit(capsys, p):
+    """Composites that pass Miller-Rabin at the bases 2..37 are usage
+    errors, not requests for a factorial table."""
+    code = main(["verify", "c9-table", "--p", p])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")
+
+
 def test_cli_dense_quartic_takes_the_capacity_exit(capsys):
     dense = " + ".join(f"{n}*x^{i}*y^{j}*z^{4 - i - j}"
                        for n, (i, j) in enumerate(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import elliptic_e0_supersingular
 
 from hwquartic import harness, hwcore
 from hwquartic.errors import CapacityError, ModulusError
@@ -13,8 +14,7 @@ from hwquartic.ffield import Fp2Element, FpElement, components, is_prime, modulu
 from hwquartic.harness import fermat_form, random_sparse_quartic
 from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
                               QuarticForm, _pivot_minor, a_number,
-                              coefficient_in_power,
-                              elliptic_e0_supersingular, hw_matrix,
+                              coefficient_in_power, hw_matrix,
                               hw_matrix_oracle, hw_targets, rank3, stable_rank)
 
 MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import embed
 
 from hwquartic import hypergeom
 from hwquartic.errors import ModulusError, PoleError
 from hwquartic.families import c6_coeff_polys
-from hwquartic.ffield import (Fp2Element, FpElement, binomial, embed, is_prime,
+from hwquartic.ffield import (Fp2Element, FpElement, binomial, is_prime,
                               is_square_fp2, modulus, sqrt_fp2_of_fp)
 from hwquartic.hypergeom import (RationalParam, expectation_check,
-                                 gauss_truncated, one_minus_t_power, pochhammer,
-                                 verify_euler, verify_gauss_lemma)
+                                 gauss_truncated, pochhammer, verify_euler,
+                                 verify_gauss_lemma)
 from hwquartic.unipoly import UniPoly, roots_over
 
 
@@ -125,12 +126,12 @@ def test_gauss_truncated_matches_the_term_ratio_loop(p, data):
 
 @pytest.mark.parametrize("p", SERIES_PRIMES)
 def test_one_minus_t_power_matches_the_binomial_loop(p):
+    """(1 - t)^e, 0 <= e < p, is G(-e, 1, 1; t) truncated to degree e, the
+    factor verify_euler builds."""
     m = modulus(p)
     for e in sorted({0, 1, 2, (p + 1) // 3, p - 2, p - 1}):
         row = [binomial(e, k, m).value * (-1) ** k for k in range(e + 1)]
-        assert one_minus_t_power(e, m) == UniPoly(row, m)
-    with pytest.raises(ValueError):
-        one_minus_t_power(p, m)
+        assert gauss_truncated(-e, 1, 1, e, m) == UniPoly(row, m)
 
 
 def test_gauss_truncated_takes_ints_and_same_modulus_elements_only():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import derivative, divides
 
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import LOCUS_SLOT, c6_coeff_polys, c6_entry_poly
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
-from hwquartic.unipoly import (UniPoly, _divmod_arrays, derivative, divides,
-                               eval_all_ext2, ext2_elements, ext2_root_counts,
-                               horner, is_separable, poly_gcd, roots_over)
+from hwquartic.unipoly import (UniPoly, _divmod_arrays, eval_all_ext2,
+                               ext2_elements, ext2_root_counts, horner,
+                               is_separable, poly_gcd, roots_over)
 
 
 def P(coeffs, p):
