@@ -13,9 +13,8 @@ from .harness import (ReportRow, SweepReport, count_points_ext2,
                       run_suite)
 from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, hw_targets, rank3, stable_rank)
-from .hypergeom import (ExpectationReport, RationalParam, expectation_check,
-                        gauss_truncated, pochhammer, verify_euler,
-                        verify_gauss_lemma)
+from .hypergeom import (ExpectationReport, expectation_check, gauss_truncated,
+                        verify_euler, verify_gauss_lemma)
 from .unipoly import (UniPoly, ext2_root_counts, is_separable, poly_gcd,
                       roots_over)
 

@@ -8,11 +8,12 @@ Both fill the 3x3 grid of exponent targets that hwcore.hw_targets fixes.
 For C6 each target reduces to a single binomial split: the x-exponent
 pins the multiplicity of the x^3*z term, and what remains is the y^m
 coefficient of (y^4 + r y^2 + 1)^s (coeff_of_power), a polynomial in r.
-So the C6 closed form is a 3x3 grid of polynomials in r (C6CoeffPolys),
-and c6_stack evaluates it by unipoly.horner at r given as a component
-tuple: ints for one matrix (c6_hw, c6_classify) or int arrays for a
-stack (c6_classify_all).  c6_count_max_a builds only the root-locus entry
-and certifies it separable by its Gegenbauer equation, in O(p), no gcd.
+So the C6 closed form is a 3x3 grid of polynomials in r, a list of rows
+indexed like hw_targets (c6_coeff_polys), and c6_stack evaluates it by
+unipoly.horner at r given as a component tuple: ints for one matrix
+(c6_hw, c6_classify) or int arrays for a stack (c6_classify_all).
+c6_count_max_a builds only the root-locus entry and certifies it
+separable by its Gegenbauer equation, in O(p), no gcd.
 For C9 each target is hit by at most one multinomial term.
 
 Classification is one path for both: rank and p-rank of every matrix
@@ -144,35 +145,13 @@ def c6_entry_poly(mod, row: int, col: int) -> UniPoly:
     return coeff_of_power(p - 1 - i // 3, j, mod).scale(binomial(p - 1, i // 3, mod))
 
 
-class C6CoeffPolys:
-    """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r.
-
-    entries[a][b] is c6_entry_poly(mod, a + 1, b + 1).  Its named slots
-    are c1 = (1,3), c2 = (3,1) and ct1, ct2, ct3 on the diagonal.  The
-    matrix is anti-diagonal (only c1, c2 nonzero) for p = 5 mod 6 and
-    diagonal for p = 1 mod 6; the other slots come out as zero
-    polynomials.  For p = 5 mod 6, d1 and d2 are the raw y-coefficients
-    of (y^4 + r y^2 + 1)^s behind c1 and c2, before the binomial scalar,
-    kept for the hypergeometric cross-checks.
-    """
-
-    def __init__(self, mod):
-        mod = _as_modulus(mod)
-        p = mod.p
-        self.modulus = mod
-        self.entries = [[c6_entry_poly(mod, row, col) for col in (1, 2, 3)]
-                        for row in (1, 2, 3)]
-        self.c1, self.c2 = self.entries[0][2], self.entries[2][0]
-        self.ct1, self.ct2, self.ct3 = (self.entries[k][k] for k in range(3))
-        # d = c / binom(p-1, k); binom(p-1, k) = (-1)^k, and for p = 5 mod 6
-        # the two slots' k = (p-2)/3 and (2p-1)/3 differ by an even number
-        scalar = binomial(p - 1, (p - 2) // 3, mod).inverse()
-        self.d1 = self.c1.scale(scalar)
-        self.d2 = self.c2.scale(scalar)
-
-
-def c6_coeff_polys(mod) -> C6CoeffPolys:
-    return C6CoeffPolys(mod)
+def c6_coeff_polys(mod) -> list:
+    """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r:
+    entry [a][b] is c6_entry_poly(mod, a + 1, b + 1).  Only (1,3) and
+    (3,1) are nonzero for p = 5 mod 6, only the diagonal for p = 1 mod 6."""
+    mod = _as_modulus(mod)
+    return [[c6_entry_poly(mod, row, col) for col in (1, 2, 3)]
+            for row in (1, 2, 3)]
 
 
 def _reject_singular(mod, r):
@@ -193,12 +172,13 @@ def c6_hw(mod, r) -> HWMatrix:
     return HWMatrix([[element(v, mod) for v in row] for row in grid], mod)
 
 
-def c6_stack(polys: C6CoeffPolys, r):
+def c6_stack(grid, r):
     """The C6 Hasse-Witt matrices at r, a component tuple of ints (one
-    matrix) or int arrays (a stack): a grid of component tuples."""
-    mod = polys.modulus
+    matrix) or int arrays (a stack), from the c6_coeff_polys grid: a grid
+    of component tuples."""
+    mod = grid[0][0].modulus
     return [[horner(poly.coeffs if len(r) == 1 else [(c, 0) for c in poly.coeffs],
-                    r, mod) for poly in row] for row in polys.entries]
+                    r, mod) for poly in row] for row in grid]
 
 
 def _lookup(table, n, p, rank, f):

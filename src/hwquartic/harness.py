@@ -384,20 +384,20 @@ def _suite_c6_structure(report, mod, **_kw):
     p = mod.p
     anti = p % 6 == 5
     live = {(1, 3), (3, 1)} if anti else {(1, 1), (2, 2), (3, 3)}
-    polys = families.c6_coeff_polys(mod)
+    grid = families.c6_coeff_polys(mod)
     problems = [f"slot {(row, col)} nonzero"
                 for row in (1, 2, 3) for col in (1, 2, 3)
                 if (row, col) not in live
-                and not polys.entries[row - 1][col - 1].is_zero]
+                and not grid[row - 1][col - 1].is_zero]
     rs = np.array([r for r in range(p) if r not in (0, 2, p - 2)])
-    rank, _ = grid_ranks(families.c6_stack(polys, (rs,)), mod)
+    rank, _ = grid_ranks(families.c6_stack(grid, (rs,)), mod)
     attained = set((3 - rank).tolist())
     problems += [f"a-number {a} attained" for a in sorted(attained)
                  if (p % 6, a) not in families.TABLE_C6]
     rng = random.Random(f"hw-structure-{p}")
     candidates = [r for r in range(p) if r not in (2, p - 2)]
     for r in rng.sample(candidates, min(3, len(candidates))):
-        if _grid(hw_matrix(families.c6_form(mod, r))) != families.c6_stack(polys, (r,)):
+        if _grid(hw_matrix(families.c6_form(mod, r))) != families.c6_stack(grid, (r,)):
             problems.append(f"entry polynomials disagree with hw_matrix at r={r}")
     report.add(p=p, family="c6",
                status="FAIL" if problems else "PASS",
@@ -471,7 +471,7 @@ def _first_maximal_c6(mod, bound):
     their components (a, b).
     """
     p = mod.p
-    c2 = families.c6_coeff_polys(mod).c2
+    c2 = families.c6_entry_poly(mod, *families.LOCUS_SLOT[5])
     for z in sorted(roots_over(c2, 2), key=lambda z: (z.b != 0, z.a, z.b)):
         rational = z.b == 0
         if rational and z.a in (0, 2, p - 2):

@@ -1,9 +1,10 @@
 """Truncated Gauss hypergeometric series mod p and the identities they satisfy.
 
 G(a,b,c;t) = sum_n (a;n)(b;n) / ((c;n)(1;n)) t^n with the rising
-Pochhammer product (x;n) = x(x+1)...(x+n-1).  Rational parameters are
-reduced to F_p residues before use, so e.g. the parameter written
-(2p+7)/6 is handled as 7/6 mod p.  Read in [1, p], a residue x gives
+Pochhammer product (x;n) = x(x+1)...(x+n-1).  A parameter is an int, a
+same-modulus element or a (num, den) tuple for a rational; each is
+reduced to its F_p residue before use, so e.g. the parameter written
+(2p+7)/6 is passed as (7, 6).  Read in [1, p], a residue x gives
 (x;n) = (x+n-1)!/(x-1)!, or 0 once x+n-1 >= p, so a series row is one
 gather from the factorial table.  Truncations stay below the first
 vanishing denominator factor; hitting one raises PoleError since the
@@ -13,51 +14,32 @@ every r at once on component arrays (ffield.mul/power, unipoly.horner).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .errors import ModulusError, PoleError
-from .families import c6_coeff_polys
+from .families import c6_entry_poly
 from .ffield import (FpElement, _as_modulus, as_element, binomial, components,
                      mul, power)
 from .unipoly import UniPoly, ext2_root_counts, horner
 
 
-@dataclass(frozen=True)
-class RationalParam:
-    """A rational hypergeometric parameter num/den in lowest terms."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den == 0:
-            raise ZeroDivisionError("zero denominator")
-        g = gcd(self.num, self.den)
-        sign = -1 if self.den < 0 else 1
-        object.__setattr__(self, "num", sign * self.num // g)
-        object.__setattr__(self, "den", sign * self.den // g)
-
-    def residue(self, mod) -> FpElement:
-        mod = _as_modulus(mod)
-        if self.den % mod.p == 0:
-            raise ModulusError(
-                f"denominator {self.den} vanishes mod {mod.p}")
-        return FpElement(self.num, mod) / self.den
-
-    def __repr__(self):
-        return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
-
-
-def _as_param(x, mod) -> RationalParam:
-    """x as a RationalParam: a (num, den) tuple, or by ffield.as_element."""
-    if isinstance(x, RationalParam):
-        return x
-    if isinstance(x, tuple):
-        return RationalParam(*x)
-    return RationalParam(int(as_element(x, mod)))
+def _residue(x, mod) -> int:
+    """The residue mod p of a series parameter: a (num, den) tuple of ints
+    for num/den, or a field value by ffield.as_element."""
+    if not isinstance(x, tuple):
+        return int(as_element(x, mod))
+    num, den = map(operator.index, x)
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if den % mod.p == 0:
+        raise ModulusError(f"denominator {den} vanishes mod {mod.p}")
+    return num * pow(den, -1, mod.p) % mod.p
 
 
 def _rising(x1: int, n, mod):
@@ -65,15 +47,6 @@ def _rising(x1: int, n, mod):
     an int or an int array; 0 once x+n-1 >= p, where a factor is p."""
     p, t = mod.p, mod.factorials
     return np.where(x1 + n < p, t.fact[np.minimum(x1 + n, p - 1)] * t.inv_fact[x1] % p, 0)
-
-
-def pochhammer(x, n: int, mod) -> FpElement:
-    """(x; n) = x (x+1) ... (x+n-1) mod p (empty product for n = 0)."""
-    mod = _as_modulus(mod)
-    if n < 0:
-        raise ValueError(f"negative Pochhammer length {n}")
-    x1 = (_as_param(x, mod).residue(mod).value - 1) % mod.p
-    return FpElement(_rising(x1, n, mod), mod)
 
 
 def gauss_truncated(a, b, c, d: int, mod) -> UniPoly:
@@ -86,11 +59,11 @@ def gauss_truncated(a, b, c, d: int, mod) -> UniPoly:
     mod = _as_modulus(mod)
     if d < 0:
         raise ValueError(f"negative truncation degree {d}")
-    a, b, c = (_as_param(x, mod) for x in (a, b, c))
     p, t = mod.p, mod.factorials
-    a1, b1, c1 = ((x.residue(mod).value - 1) % p for x in (a, b, c))
+    a1, b1, c1 = ((_residue(x, mod) - 1) % p for x in (a, b, c))
     if c1 + d >= p:
-        raise PoleError(f"(c;{p - c1}) vanishes mod {p} for c = {c}: "
+        shown = "/".join(map(str, c)) if isinstance(c, tuple) else (c1 + 1) % p
+        raise PoleError(f"(c;{p - c1}) vanishes mod {p} for c = {shown}: "
                         "series truncation too deep")
     n = np.arange(d + 1)
     coeffs = (_rising(a1, n, mod) * _rising(b1, n, mod) % p * t.fact[c1] % p
@@ -116,10 +89,9 @@ def verify_euler(mod) -> bool:
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
-    c = RationalParam(7, 6)
     e = (p + 1) // 3
-    lhs = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
-    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
+    lhs = gauss_truncated((1, 3), (1, 2), (7, 6), (p - 1) // 2, mod)
+    g2 = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, mod)
     rhs = gauss_truncated(-e, 1, 1, e, mod) * g2
     return lhs == rhs
 
@@ -128,10 +100,10 @@ def verify_gauss_lemma(mod) -> bool:
     """The two series-vs-coefficient congruences behind the divisibility
     argument, checked pointwise at every r in F_p away from 2 and -2:
 
-    binom((2p-1)/3, (p+1)/6) * beta^((p-1)/2)
-        * G^((p-1)/2)(1/3, 1/2, (2p+7)/6; alpha/beta)  =  d1(r)
-    binom((p-2)/3, (p+1)/6) * beta^((p-5)/6)
-        * G^((p-5)/6)(5/6, 2/3, (2p+7)/6; alpha/beta)  =  d2(r)
+    sign * binom((2p-1)/3, (p+1)/6) * beta^((p-1)/2)
+        * G^((p-1)/2)(1/3, 1/2, (2p+7)/6; alpha/beta)  =  c1(r)
+    sign * binom((p-2)/3, (p+1)/6) * beta^((p-5)/6)
+        * G^((p-5)/6)(5/6, 2/3, (2p+7)/6; alpha/beta)  =  c2(r)
 
     where alpha, beta = (r +- sqrt(r^2 - 4))/2 in F_{p^2} are the roots of
     Y^2 - r Y + 1, i.e. y^4 + r y^2 + 1 = (y^2 + alpha)(y^2 + beta).  So
@@ -141,13 +113,18 @@ def verify_gauss_lemma(mod) -> bool:
     r.  Everything is computed at every r at once, on component arrays;
     the square roots come from one table of squares, with sqrt(v) =
     w*sqrt(v/s) for a non-residue v.
+
+    c1 and c2 are the (1,3) and (3,1) entries of the C6 matrix
+    (c6_entry_poly), each binom(p-1, k) = (-1)^k times the y-coefficient
+    of (y^4 + r y^2 + 1)^(p-1-k) that its series reproduces.  The two
+    slots' k, (p-2)/3 and (2p-1)/3, differ by (p+1)/3, an even number, so
+    one sign = (-1)^((p-2)/3) serves both.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
-    c = RationalParam(7, 6)
-    g1 = gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
-    g2 = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
-    polys = c6_coeff_polys(mod)
+    g1 = gauss_truncated((1, 3), (1, 2), (7, 6), (p - 1) // 2, mod)
+    g2 = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, mod)
+    sign = -1 if (p - 2) // 3 % 2 else 1
     r = np.array([rv for rv in range(p) if rv not in (2, p - 2)], np.int64)
     x = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.full(p, -1, np.int64)  # root[x^2] = x, -1 at the non-residues
@@ -161,11 +138,12 @@ def verify_gauss_lemma(mod) -> bool:
     alpha = (r + sq[0]) * half % p, sq[1] * half % p
     beta = (r - sq[0]) * half % p, -sq[1] * half % p
     t = mul(alpha, alpha, mod)
-    for n, e, g, d in (((2 * p - 1) // 3, (p - 1) // 2, g1, polys.d1),
-                       ((p - 2) // 3, (p - 5) // 6, g2, polys.d2)):
-        factor = mul(components(binomial(n, (p + 1) // 6, mod)), power(beta, e, mod), mod)
+    for n, e, g, f in (((2 * p - 1) // 3, (p - 1) // 2, g1, c6_entry_poly(mod, 1, 3)),
+                       ((p - 2) // 3, (p - 5) // 6, g2, c6_entry_poly(mod, 3, 1))):
+        factor = mul(components(binomial(n, (p + 1) // 6, mod) * sign),
+                     power(beta, e, mod), mod)
         va, vb = mul(factor, horner([(k, 0) for k in g.coeffs], t, mod), mod)
-        if vb.any() or not np.array_equal(va, horner(d.coeffs, (r,), mod)[0]):
+        if vb.any() or not np.array_equal(va, horner(f.coeffs, (r,), mod)[0]):
             return False
     return True
 
@@ -199,8 +177,7 @@ def expectation_check(mod) -> ExpectationReport:
     if p < 17:
         raise ValueError(
             f"p = {p} < 17: the truncated series has no admissible roots")
-    c = RationalParam(7, 6)
-    g = gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
+    g = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, mod)
     found, squares = ext2_root_counts(g)
     return ExpectationReport(p=p, all_square=squares == found, found=found,
                              degree=g.degree, missing=g.degree - found)

@@ -2,13 +2,15 @@
 
 The program needs two of them in one place each and computes them
 inline there: the derivative in unipoly.is_separable and the embedding
-of F_p into F_{p^2} in ffield.sqrt_fp2_of_fp.  Each docstring states the
-inputs the function is meant for.
+of F_p into F_{p^2} in ffield.sqrt_fp2_of_fp.  pochhammer is the
+series kernel hypergeom._rising at one length.  Each docstring states
+the inputs the function is meant for.
 """
 
 from math import comb
 
-from hwquartic.ffield import Fp2Element, _as_modulus, components
+from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, components
+from hwquartic.hypergeom import _residue, _rising
 from hwquartic.unipoly import UniPoly
 
 
@@ -39,3 +41,14 @@ def elliptic_e0_supersingular(mod) -> bool:
     up to a few thousand."""
     p = _as_modulus(mod).p
     return (p - 1) % 3 != 0 or comb((p - 1) // 2, (p - 1) // 3) % p == 0
+
+
+def pochhammer(x, n: int, mod) -> FpElement:
+    """(x; n) = x (x+1) ... (x+n-1) mod p, the empty product 1 at n = 0,
+    for any n >= 0 (ValueError below; 0 once a factor is p) and x a series
+    parameter as gauss_truncated takes it: an int, an element of F_p of
+    the same modulus, or a (num, den) tuple with p not dividing den."""
+    mod = _as_modulus(mod)
+    if n < 0:
+        raise ValueError(f"negative Pochhammer length {n}")
+    return FpElement(_rising((_residue(x, mod) - 1) % mod.p, n, mod), mod)

@@ -59,44 +59,44 @@ def test_coeff_of_power_matches_the_multinomial_loop(p, data):
 def test_c6_coeff_polys_closed_forms():
     m5 = modulus(5)
     p5 = c6_coeff_polys(m5)
-    assert p5.c2 == UniPoly([4], m5)  # c2 = -1
+    assert p5[2][0] == UniPoly([4], m5)  # c2 = -1
     m11 = modulus(11)
     p11 = c6_coeff_polys(m11)
-    assert p11.c2 == UniPoly([0, 8], m11)  # c2 = -3r
+    assert p11[2][0] == UniPoly([0, 8], m11)  # c2 = -3r
     p13 = c6_coeff_polys(modulus(13))
-    assert p13.ct1.degree == (13 - 1) // 6
+    assert p13[0][0].degree == (13 - 1) // 6
 
 
 def test_c6_coeff_polys_degrees():
     for p in (11, 17, 23, 29, 41):
-        polys = c6_coeff_polys(modulus(p))
-        assert polys.c1.degree == (p - 1) // 2
-        assert polys.c2.degree == (p - 5) // 6
+        grid = c6_coeff_polys(modulus(p))
+        assert grid[0][2].degree == (p - 1) // 2
+        assert grid[2][0].degree == (p - 5) // 6
     for p in (7, 13, 19, 31, 37):
-        polys = c6_coeff_polys(modulus(p))
-        assert polys.ct1.degree == (p - 1) // 6
+        grid = c6_coeff_polys(modulus(p))
+        assert grid[0][0].degree == (p - 1) // 6
 
 
 def test_c6_polys_match_oracle_at_sampled_r():
     for p in (7, 13):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
+        grid = c6_coeff_polys(m)
         for r in range(p):
             if r in (2, p - 2):
                 continue
             H = hw_matrix_oracle(c6_form(m, r))
-            assert polys.ct1.eval(r) == H[1, 1]
-            assert polys.ct2.eval(r) == H[2, 2]
-            assert polys.ct3.eval(r) == H[3, 3]
+            assert grid[0][0].eval(r) == H[1, 1]
+            assert grid[1][1].eval(r) == H[2, 2]
+            assert grid[2][2].eval(r) == H[3, 3]
     for p in (5, 11, 17, 23):
         m = modulus(p)
-        polys = c6_coeff_polys(m)
+        grid = c6_coeff_polys(m)
         for r in range(p):
             if r in (2, p - 2):
                 continue
             H = hw_matrix_oracle(c6_form(m, r))
-            assert polys.c1.eval(r) == H[1, 3]
-            assert polys.c2.eval(r) == H[3, 1]
+            assert grid[0][2].eval(r) == H[1, 3]
+            assert grid[2][0].eval(r) == H[3, 1]
 
 
 def test_c6_entry_poly_structure():
@@ -107,42 +107,38 @@ def test_c6_entry_poly_structure():
             for col in (1, 2, 3):
                 poly = c6_entry_poly(m, row, col)
                 assert poly.is_zero == ((row, col) not in live)
-        polys = c6_coeff_polys(m)
+        grid = c6_coeff_polys(m)
+        assert isinstance(grid, list) and len(grid) == 3
+        assert all(isinstance(row, list) and len(row) == 3 for row in grid)
+        assert all(isinstance(f, UniPoly) and f.modulus == m
+                   for row in grid for f in row)
         for row in (1, 2, 3):
             for col in (1, 2, 3):
-                assert polys.entries[row - 1][col - 1] == c6_entry_poly(m, row, col)
-        E = polys.entries
-        assert (polys.c1, polys.c2) == (E[0][2], E[2][0])
-        assert (polys.ct1, polys.ct2, polys.ct3) == (E[0][0], E[1][1], E[2][2])
-        if p % 6 == 5:
-            assert c6_entry_poly(m, 1, 3) == polys.c1
-            assert c6_entry_poly(m, 3, 1) == polys.c2
-        else:
-            assert c6_entry_poly(m, 1, 1) == polys.ct1
-            assert c6_entry_poly(m, 2, 2) == polys.ct2
-            assert c6_entry_poly(m, 3, 3) == polys.ct3
+                assert grid[row - 1][col - 1] == c6_entry_poly(m, row, col)
 
 
 def test_divisibility_and_root_structure():
     for p in (11, 17, 23, 29, 41, 47):
-        polys = c6_coeff_polys(modulus(p))
-        assert divides(polys.c2, polys.c1)
-        assert is_separable(polys.c2)
-        assert not polys.c2.eval(2).is_zero()
-        assert not polys.c2.eval(p - 2).is_zero()
-        assert polys.c2.eval(0).is_zero() == (p % 12 == 11)
+        grid = c6_coeff_polys(modulus(p))
+        c1, c2 = grid[0][2], grid[2][0]
+        assert divides(c2, c1)
+        assert is_separable(c2)
+        assert not c2.eval(2).is_zero()
+        assert not c2.eval(p - 2).is_zero()
+        assert c2.eval(0).is_zero() == (p % 12 == 11)
     for p in (7, 13, 19, 31, 37, 43):
-        polys = c6_coeff_polys(modulus(p))
-        assert divides(polys.ct1, polys.ct3)
-        assert is_separable(polys.ct1)
-        assert not polys.ct1.eval(2).is_zero()
-        assert not polys.ct1.eval(p - 2).is_zero()
+        grid = c6_coeff_polys(modulus(p))
+        ct1, ct3 = grid[0][0], grid[2][2]
+        assert divides(ct1, ct3)
+        assert is_separable(ct1)
+        assert not ct1.eval(2).is_zero()
+        assert not ct1.eval(p - 2).is_zero()
 
 
 def test_ct2_has_no_roots_besides_pm2():
     for p in (7, 13, 19, 31, 37):
         m = modulus(p)
-        ct2 = c6_coeff_polys(m).ct2
+        ct2 = c6_entry_poly(m, 2, 2)
         allowed = {Fp2Element(2, 0, m), Fp2Element(p - 2, 0, m)}
         assert roots_over(ct2, 2) <= allowed
 
@@ -157,11 +153,10 @@ def test_dt2_is_scaled_power_of_r2_minus_4():
         if p % 6 != 1:
             continue
         m = modulus(p)
-        polys = c6_coeff_polys(m)
         base = UniPoly([-4, 0, 1], m)
         expect = (base ** ((p - 1) // 6)).scale(
             binomial((2 * p - 2) // 3, (p - 1) // 3, m))
-        assert polys.ct2 == expect.scale(binomial(p - 1, (p - 1) // 3, m)), p
+        assert c6_entry_poly(m, 2, 2) == expect.scale(binomial(p - 1, (p - 1) // 3, m)), p
 
 
 def test_c6_hw_values():
@@ -198,7 +193,7 @@ def test_c6_classify_ext2_max_a_parameters():
     # p = 13: the ct1 roots satisfy r^2 = 8, a non-residue, so the two
     # max-a curves have r in F_169 \ F_13 (and r^2 in F_p)
     m = modulus(13)
-    ct1 = c6_coeff_polys(m).ct1
+    ct1 = c6_entry_poly(m, 1, 1)
     roots = roots_over(ct1, 2)
     assert len(roots) == 2
     assert all(z.b != 0 for z in roots)
@@ -224,7 +219,7 @@ def test_c6_classify():
 def test_c6_superspecial_member():
     # p = 17: c2 has roots; any root r gives the zero matrix and a = 3
     m = modulus(17)
-    c2 = c6_coeff_polys(m).c2
+    c2 = c6_entry_poly(m, *LOCUS_SLOT[5])
     roots = [z for z in roots_over(c2, 2) if z.b == 0]
     assert roots, "no F_p-rational superspecial parameter at p = 17"
     r = FpElement(roots[0].a, m)

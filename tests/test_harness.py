@@ -324,7 +324,7 @@ def test_maximal_c6_members_are_superspecial(p, ext):
     """Brute force over every r in F_p^ext (r != +-2): a maximal C_r has
     c2(r) = 0, which is why the --c6-question search counts only there."""
     m = modulus(p)
-    c2 = families.c6_coeff_polys(m).c2
+    c2 = families.c6_entry_poly(m, *families.LOCUS_SLOT[5])
     params = [Fp2Element(a, b, m) for a in range(p)
               for b in range(p if ext == 2 else 1)
               if not (b == 0 and a in (2, p - 2))]

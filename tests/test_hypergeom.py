@@ -2,32 +2,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import embed
+from oracles import embed, pochhammer
 
 from hwquartic import hypergeom
 from hwquartic.errors import ModulusError, PoleError
-from hwquartic.families import c6_coeff_polys
+from hwquartic.families import LOCUS_SLOT, c6_entry_poly
 from hwquartic.ffield import (Fp2Element, FpElement, binomial, is_prime,
                               is_square_fp2, modulus, sqrt_fp2_of_fp)
-from hwquartic.hypergeom import (RationalParam, expectation_check,
-                                 gauss_truncated, pochhammer, verify_euler,
-                                 verify_gauss_lemma)
+from hwquartic.hypergeom import (expectation_check, gauss_truncated,
+                                 verify_euler, verify_gauss_lemma)
 from hwquartic.unipoly import UniPoly, roots_over
 
 
 def test_rational_param_reduction():
-    x = RationalParam(14, -4)
-    assert (x.num, x.den) == (-7, 2)
-    assert RationalParam(7, 6).residue(modulus(11)).value == 7 * pow(6, 9, 11) % 11
-    with pytest.raises(ModulusError):
-        RationalParam(1, 7).residue(modulus(7))
+    """A rational parameter is a (num, den) tuple of ints, reduced to its
+    residue mod p; the pole message still prints it as num/den."""
+    m = modulus(11)
+    assert (gauss_truncated((14, -4), 1, 1, 5, m)
+            == gauss_truncated((-7, 2), 1, 1, 5, m))
+    assert pochhammer((7, 6), 1, m).value == 7 * pow(6, 9, 11) % 11
+    for bad in ((2.5, 1), (1, 2.0)):
+        with pytest.raises(TypeError):
+            gauss_truncated(bad, 1, 1, 2, m)
     with pytest.raises(ZeroDivisionError):
-        RationalParam(1, 0)
+        gauss_truncated((1, 0), 1, 1, 2, m)
+    with pytest.raises(ModulusError):
+        gauss_truncated((1, 7), 1, 1, 2, modulus(7))
+    with pytest.raises(PoleError, match=r"for c = 7/6: series"):
+        gauss_truncated((1, 3), (1, 2), (7, 6), (5 * 11 - 1) // 6, m)
 
 
 def test_pochhammer_basics():
     m = modulus(11)
-    assert pochhammer(RationalParam(1, 3), 0, m).value == 1
+    assert pochhammer((1, 3), 0, m).value == 1
     # (1; n) = n!
     for n in range(11):
         assert pochhammer(1, n, m).value == m.factorials.fact[n]
@@ -47,7 +54,7 @@ def test_pochhammer_recurrence(p, x0, n):
 def test_appendix_congruence_example_p11_i2():
     # (-1)^2 (1/3; 2) = 4 * 5 = 9 mod 11, and 7!/5! = 42 = 9 mod 11
     m = modulus(11)
-    lhs = pochhammer(RationalParam(1, 3), 2, m)
+    lhs = pochhammer((1, 3), 2, m)
     assert lhs.value == 9
     fact = m.factorials.fact.tolist()
     assert lhs == fact[7] * FpElement(fact[5], modulus(11)).inverse()
@@ -64,13 +71,13 @@ def test_appendix_congruences(p):
     c_base = (p + 1) // 6
     for i in range((p - 1) // 2 + 1):
         sgn = (-1) ** i
-        lhs = pochhammer(RationalParam(1, 3), i, m) * sgn
+        lhs = pochhammer((1, 3), i, m) * sgn
         assert lhs.value == fact.fact[one_third_top] * \
             fact.inv_fact[one_third_top - i] % p
-        lhs = pochhammer(RationalParam(1, 2), i, m) * sgn
+        lhs = pochhammer((1, 2), i, m) * sgn
         assert lhs.value == fact.fact[one_half_top] * \
             fact.inv_fact[one_half_top - i] % p
-        lhs = pochhammer(RationalParam(7, 6), i, m)
+        lhs = pochhammer((7, 6), i, m)
         assert lhs.value == fact.fact[c_base + i] * fact.inv_fact[c_base] % p
 
 
@@ -121,7 +128,7 @@ def test_gauss_truncated_matches_the_term_ratio_loop(p, data):
             gauss_truncated(a0, b0, c0, d, m)
     n = data.draw(st.integers(0, 2 * p))
     assert pochhammer(a0, n, m).value == scalar_pochhammer(a0, n, p)
-    assert pochhammer(RationalParam(a0, 1), n, m).value == scalar_pochhammer(a0, n, p)
+    assert pochhammer((a0, 1), n, m).value == scalar_pochhammer(a0, n, p)
 
 
 @pytest.mark.parametrize("p", SERIES_PRIMES)
@@ -233,24 +240,28 @@ def test_verify_gauss_lemma_wrong_class():
 def scalar_gauss_lemma(mod):
     """Reference: both congruences one r at a time, with Fp2Element
     arithmetic and scalar UniPoly.eval.  Reads the series, the binomials
-    and the coefficient polynomials through the hypergeom module, so that
-    a monkeypatched perturbation reaches it too."""
+    and the entry polynomials through the hypergeom module, so that a
+    monkeypatched perturbation reaches it too.  The (1,3) and (3,1)
+    entries are (-1)^k times the series' y-coefficients, with k =
+    (p-2)/3 resp. (2p-1)/3, whose parities agree."""
     p = mod.p
-    c = RationalParam(7, 6)
+    c = (7, 6)
     g1 = hypergeom.gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
     g2 = hypergeom.gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
-    polys = hypergeom.c6_coeff_polys(mod)
-    bin1 = embed(hypergeom.binomial((2 * p - 1) // 3, (p + 1) // 6, mod))
-    bin2 = embed(hypergeom.binomial((p - 2) // 3, (p + 1) // 6, mod))
+    c1 = hypergeom.c6_entry_poly(mod, 1, 3)
+    c2 = hypergeom.c6_entry_poly(mod, 3, 1)
+    sign = (-1) ** ((p - 2) // 3)
+    bin1 = embed(hypergeom.binomial((2 * p - 1) // 3, (p + 1) // 6, mod)) * sign
+    bin2 = embed(hypergeom.binomial((p - 2) // 3, (p + 1) // 6, mod)) * sign
     for rv in range(p):
         if rv in (2, p - 2):
             continue
         r = FpElement(rv, mod)
         alpha, beta = alpha_beta(r, mod)
         t = alpha / beta
-        if bin1 * beta ** ((p - 1) // 2) * g1.eval(t) != embed(polys.d1.eval(r)):
+        if bin1 * beta ** ((p - 1) // 2) * g1.eval(t) != embed(c1.eval(r)):
             return False
-        if bin2 * beta ** ((p - 5) // 6) * g2.eval(t) != embed(polys.d2.eval(r)):
+        if bin2 * beta ** ((p - 5) // 6) * g2.eval(t) != embed(c2.eval(r)):
             return False
     return True
 
@@ -274,21 +285,22 @@ def bump_top(f):
 @pytest.mark.parametrize("p", (11, 17, 29))
 @pytest.mark.parametrize("which", ("d1", "d2", "g1", "g2"))
 def test_gauss_lemma_fails_on_a_perturbed_side(monkeypatch, p, which):
-    series, coeff_polys = hypergeom.gauss_truncated, hypergeom.c6_coeff_polys
+    """d1 and d2 bump the coefficient side, the (1,3) resp. (3,1) entry
+    polynomial; g1 and g2 bump a series."""
+    series, entry_poly = hypergeom.gauss_truncated, hypergeom.c6_entry_poly
     degree = {"g1": (p - 1) // 2, "g2": (p - 5) // 6}.get(which)
+    slot = {"d1": (1, 3), "d2": (3, 1)}.get(which)
 
     def perturbed_series(a, b, c, d, mod):
         g = series(a, b, c, d, mod)
         return bump_top(g) if d == degree else g
 
-    def perturbed_polys(mod):
-        polys = coeff_polys(mod)
-        if which in ("d1", "d2"):
-            setattr(polys, which, bump_top(getattr(polys, which)))
-        return polys
+    def perturbed_entry(mod, row, col):
+        f = entry_poly(mod, row, col)
+        return bump_top(f) if (row, col) == slot else f
 
     monkeypatch.setattr(hypergeom, "gauss_truncated", perturbed_series)
-    monkeypatch.setattr(hypergeom, "c6_coeff_polys", perturbed_polys)
+    monkeypatch.setattr(hypergeom, "c6_entry_poly", perturbed_entry)
     assert verify_gauss_lemma(modulus(p)) is False
     assert scalar_gauss_lemma(modulus(p)) is False
 
@@ -335,7 +347,7 @@ def test_expectation_check_matches_exhaustion():
 def test_c2_roots_match_series_roots(p):
     """c2(r) = 0 iff the degree-(p-5)/6 series vanishes at t = alpha/beta."""
     m = modulus(p)
-    c2 = c6_coeff_polys(m).c2
+    c2 = c6_entry_poly(m, *LOCUS_SLOT[5])
     g = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, m)
     for rv in range(p):
         if rv in (2, p - 2):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from oracles import derivative, divides
 
 from hwquartic.errors import CapacityError, ModulusError
-from hwquartic.families import LOCUS_SLOT, c6_coeff_polys, c6_entry_poly
+from hwquartic.families import LOCUS_SLOT, c6_entry_poly, coeff_of_power
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
+from hwquartic.hwcore import hw_targets
 from hwquartic.unipoly import (UniPoly, _divmod_arrays, eval_all_ext2,
                                ext2_elements, ext2_root_counts, horner,
                                is_separable, poly_gcd, roots_over)
@@ -71,7 +72,7 @@ def test_is_separable():
 
 
 def test_c2_at_17_is_separable_with_two_ext2_roots():
-    c2 = c6_coeff_polys(modulus(17)).c2
+    c2 = c6_entry_poly(modulus(17), *LOCUS_SLOT[5])
     assert c2.degree == 2
     assert is_separable(c2)
     roots = roots_over(c2, 2)
@@ -153,9 +154,14 @@ def test_divides():
 
 
 def test_c2_divides_c1_at_23():
-    polys = c6_coeff_polys(modulus(23))
-    assert divides(polys.c2, polys.c1)
-    assert divides(polys.d2, polys.d1)
+    """Also the raw y-coefficients of (y^4 + r y^2 + 1)^(p-1-i/3) behind
+    c1 and c2, before the binomial scalar."""
+    m = modulus(23)
+    assert divides(c6_entry_poly(m, 3, 1), c6_entry_poly(m, 1, 3))
+    (i1, j1, _), (i2, j2, _) = hw_targets(23)[0][2], hw_targets(23)[2][0]
+    d1 = coeff_of_power(22 - i1 // 3, j1, m)
+    d2 = coeff_of_power(22 - i2 // 3, j2, m)
+    assert divides(d2, d1)
 
 
 @settings(max_examples=60, deadline=None)
