@@ -139,6 +139,8 @@ def c6_entry_poly(mod, row: int, col: int) -> UniPoly:
     """
     mod = _as_modulus(mod)
     p = mod.p
+    if not (0 < row < 4 and 0 < col < 4):  # a list index would wrap
+        raise IndexError(f"entry ({row}, {col}) outside rows and columns 1..3")
     i, j, _ = hw_targets(p)[row - 1][col - 1]
     if i % 3:
         return UniPoly.zero(mod)

@@ -245,7 +245,7 @@ def _cell(f, value):
     if value in ("", None) and f.default is None:
         return None
     is_int = f.name in _INT_COLUMNS
-    if isinstance(value, (int, str) if is_int else str):
+    if isinstance(value, (int, str) if is_int else str) and not isinstance(value, bool):
         return int(value) if is_int else value
     raise ValueError(f"{f.name} = {value!r} is not "
                      + ("an integer" if is_int else "text"))
@@ -329,10 +329,12 @@ _EXPONENT_TRIPLES = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
 
 
 def random_sparse_quartic(rng: random.Random, mod) -> QuarticForm:
-    """Random quartic with 3 to 6 terms and nonzero coefficients."""
-    nterms = rng.randint(3, 6)
-    support = rng.sample(_EXPONENT_TRIPLES, nterms)
-    return QuarticForm({e: rng.randint(1, mod.p - 1) for e in support}, mod)
+    """Random quartic with 3 to 6 terms and nonzero coefficients; a support
+    on a line (always singular, refused by hw_matrix) is drawn again."""
+    while True:
+        support = rng.sample(_EXPONENT_TRIPLES, rng.randint(3, 6))
+        if np.linalg.matrix_rank(support) == 3:
+            return QuarticForm({e: rng.randint(1, mod.p - 1) for e in support}, mod)
 
 
 def oracle_corpus(mod):

@@ -15,13 +15,15 @@ oracle in the test suite; do not transpose it.
 hw_matrix extracts the nine coefficients WITHOUT expanding F^{p-1}: the
 multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
 (which forces sum k_u = p - 1) with k_u >= 0.  coefficient_in_power
-solves r = rank pivot terms by the adjugate of the r x r minor of least
-nonzero |det| and walks the other multiplicities once for all targets:
-one numpy pass per free term, each row tagged by its target and held as
-(parent, k), the values summed by tag at the end.  MAX_CANDIDATES bounds
-the rows of one target at one level; a level over it for all targets
-splits into runs of whole targets.  hw_matrix_oracle expands F^{p-1}
-outright and is feasible for p <= 31; the two must agree everywhere.
+solves three pivot terms by the integer adjugate of the 3 x 3 minor of
+least nonzero |det| and walks the other multiplicities once for all
+targets: one numpy pass per free term, each row tagged by its target and
+held as (parent, k), the values summed by tag at the end.  Exponents on a
+line raise ValueError: a smooth quartic has a term x_i^4 or x_i^3 x_j for
+each i, three independent vectors.  MAX_CANDIDATES bounds the rows of one
+target at one level; a level over it for all targets splits into runs of
+whole targets.  hw_matrix_oracle expands F^{p-1} outright and is feasible
+for p <= 31; the two must agree on every form the walk takes.
 
 Ranks come from one kernel, grid_ranks, on a 3x3 grid of component
 tuples, (a,) over F_p or (a, b) for a + b*w, each an int (one matrix) or
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -59,9 +61,9 @@ MAX_CANDIDATES = 1 << 20
 class QuarticForm:
     """Sparse ternary quartic: map from exponent triples (i,j,k) to coefficients.
 
-    Coefficients may be FpElement or Fp2Element values of the same modulus
-    or ints (ffield.as_element: reduced mod p, floats rejected); explicitly
-    zero coefficients are dropped.
+    Exponents are ints (operator.index) and coefficients FpElement or
+    Fp2Element values of the same modulus or ints (ffield.as_element:
+    reduced mod p); floats are rejected.  Zero coefficients are dropped.
     """
 
     __slots__ = ("terms", "modulus")
@@ -70,7 +72,7 @@ class QuarticForm:
         mod = _as_modulus(mod)
         clean = {}
         for expo, coeff in dict(terms).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(operator.index, expo))
             if len(expo) != 3 or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent triple {expo}")
             if sum(expo) != 4:
@@ -121,6 +123,8 @@ class HWMatrix:
     def __getitem__(self, rc):
         """entry((row, col)), 1-indexed to match the written matrix."""
         r, c = rc
+        if not (0 < r < 4 and 0 < c < 4):  # a list index would wrap
+            raise IndexError(f"entry {rc} outside rows and columns 1..3")
         return self.entries[r - 1][c - 1]
 
     def __eq__(self, other):
@@ -138,32 +142,31 @@ class HWMatrix:
         return "HWMatrix(" + "; ".join(rows) + f", p={self.modulus.p})"
 
 
-def _det(m):
-    """Determinant of a small square integer matrix, by cofactor expansion."""
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
-def _pivot_minor(exponents):
-    """(coords, pivots): an r x r minor of the 3 x t exponent matrix, r its
-    rank, with the least nonzero |det|; the first such choice of terms in
-    index order on ties.  A smaller det leaves fewer rows to discard.  The
-    scan stops at |det| 1, or 4 for r = 3: each exponent column sums to 4."""
-    for r, least in ((3, 4), (2, 1), (1, 1)):
-        minors = []
-        for pivots, coords in product(combinations(range(len(exponents)), r),
-                                      combinations(range(3), r)):
-            if d := abs(_det([[exponents[v][c] for v in pivots] for c in coords])):
-                minors.append((d, list(coords), list(pivots)))
-                if d == least:
-                    break
-        if minors:
-            return min(minors, key=lambda m: m[0])[1:]
-    return [], []
+def _pivots(exps):
+    """(pivots, det, adj): the first three terms in index order whose
+    exponent vectors b0, b1, b2 have the least nonzero |det|, det =
+    b0 . (b1 x b2) made positive, and adj, with B @ adj = det * I for B =
+    [b0 b1 b2].  A smaller det leaves fewer rows to discard; each vector
+    sums to 4, so 4 divides det and the scan stops at 4."""
+    best = None
+    for pivots in combinations(range(len(exps)), 3):
+        b0, b1, b2 = (exps[v] for v in pivots)
+        det = sum(map(operator.mul, b0, _cross(b1, b2)))
+        if det and (best is None or abs(det) < abs(best[1])):
+            best = list(pivots), det
+            if abs(det) == 4:
+                break
+    if best is None:
+        raise ValueError("the exponents lie on a line, so the quartic is singular")
+    pivots, det = best
+    b0, b1, b2 = (exps[v] for v in pivots)
+    adj = [_cross(b1, b2), _cross(b2, b0), _cross(b0, b1)]
+    return pivots, abs(det), np.sign(det) * np.array(adj, np.int64)
 
 
 def _sub(x, y, p):
@@ -200,46 +203,29 @@ def coefficient_in_power(F: QuarticForm, target):
 
     target is a triple, or a list of them (then the result is a list).
     Zero when a target has a negative coordinate or not total degree
-    4(p-1).  Raises CapacityError when the rows of one target at one
-    level of the walk would outnumber MAX_CANDIDATES.
+    4(p-1).  Raises ValueError for exponents on a line (_pivots), and
+    CapacityError past MAX_CANDIDATES rows of one target at one level.
     """
     mod = F.modulus
     p = mod.p
     items = sorted(F.terms.items())
     width = 2 if F.uses_ext_field() else 1
     exps = [e for e, _ in items]
-    E = np.array(exps, np.int64).reshape(-1, 3).T      # 3 x t
-    coords, pivots = _pivot_minor(exps)
+    pivots, det, adj = _pivots(exps)
     free = [u for u in range(len(exps)) if u not in pivots]
-    B = [[exps[v][c] for v in pivots] for c in coords]
-    r = len(B)
-    det = _det(B)
-    sign = 1 if det > 0 else -1
-    det *= sign
-    # sign * adjugate of B, so that B @ adj = det * I with det > 0
-    adj = np.array([[sign * (-1) ** (i + j) * _det(
-        [row[:i] + row[i + 1:] for m, row in enumerate(B) if m != j])
-        for j in range(r)] for i in range(r)], np.int64).reshape(r, r)
     tab = _term_tables([c for _, c in items], mod, width)
     tgt = np.array(target, np.int64).reshape(-1, 3)
     tgt[tgt.sum(axis=1) != 4 * (p - 1)] = -1    # no solution, no rows
     sums = np.zeros((width, len(tgt)), np.int64)
 
-    def finish(rem, e, a, b, row, k, chain):
+    def finish(a, b, row, k, chain):
         """Add each solution among the last rows (row, k) to the sum of
         its tag.  The pivots det * k_v = a - k*b are >= 0 by the interval
-        and divisible by det on these rows; when r < 3 they must also
-        match rem off the minor."""
-        # the multiplicity of the i-th pivot term, on the rows kept so far
-        pivot = lambda i: (a[row, i] - k * b[i]) // det
-        if r < 3:
-            keep = np.all([sum(pivot(i) * E[c, v] for i, v in enumerate(pivots))
-                           + k * e[c] == rem[row, c] for c in range(3)], axis=0)
-            row, k = row[keep], k[keep]
+        and divisible by det on these rows."""
         val = (np.full(len(row), mod.factorials.fact[p - 1]),
                np.zeros(len(row), np.int64))[:width]
         for i, u in enumerate(pivots + free[-1:]):  # one column at a time
-            m = pivot(i) if i < r else k
+            m = (a[row, i] - k * b[i]) // det if i < 3 else k
             val = mul(val, tuple(t[u, m] for t in tab), mod)
         for (parent, k), u in zip(reversed(chain), reversed(free[:-1])):
             val = mul(val, tuple(t[u, k[row]] for t in tab), mod)
@@ -254,7 +240,7 @@ def coefficient_in_power(F: QuarticForm, target):
         chain (tag i owns rows bounds[i]:bounds[i + 1]), on the next free
         term, in runs of whole tags of at most MAX_CANDIDATES rows."""
         last = len(chain) >= len(free) - 1
-        e = E[:, free[len(chain)]] if free else np.zeros(3, np.int64)
+        e = np.array(exps[free[len(chain)]] if free else (0, 0, 0), np.int64)
         # rem sums to 4 times the degree left, so this also caps k by it;
         # with no free term at all, k = 0
         hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]]
@@ -262,8 +248,8 @@ def coefficient_in_power(F: QuarticForm, target):
         lo = np.zeros_like(hi)
         if last:
             # det * (pivot multiplicities) = a - k*b must stay >= 0
-            a = rem[:, coords] @ adj.T
-            b = adj @ e[coords]
+            a = rem @ adj.T
+            b = adj @ e
             for ai, bi in zip(a.T, b):
                 if bi > 0:
                     hi = np.minimum(hi, ai // bi)
@@ -283,14 +269,13 @@ def coefficient_in_power(F: QuarticForm, target):
                 continue
             s = slice(bounds[t0], bounds[t1])
             row, k = _branch(lo[s], counts[s], s.start)
-            if last and det > 1:
+            if last:
                 # keep the rows whose pivots det divides; dropping the rest
                 # here, not in finish, frees them before the values are built
                 keep = np.all([(ai[row] - k * bi) % det == 0
                                for ai, bi in zip(a.T, b)], axis=0)
                 row, k = row[keep], k[keep]
-            if last:
-                finish(rem, e, a, b, row, k, chain)
+                finish(a, b, row, k, chain)
             else:
                 walk(rem[row] - np.outer(k, e), cut[t0:t1 + 1] - cut[t0],
                      chain + [(row, k)])

@@ -115,6 +115,9 @@ def test_c6_entry_poly_structure():
         for row in (1, 2, 3):
             for col in (1, 2, 3):
                 assert grid[row - 1][col - 1] == c6_entry_poly(m, row, col)
+    for row, col in ((0, 1), (1, 0), (-1, 1), (4, 1), (1, 4)):
+        with pytest.raises(IndexError):
+            c6_entry_poly(modulus(11), row, col)
 
 
 def test_divisibility_and_root_structure():

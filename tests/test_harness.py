@@ -278,6 +278,17 @@ def test_cli_overlong_number_is_a_parse_error_at_its_position(capsys, argv,
                                  f"(at position {position})\n")
 
 
+@pytest.mark.parametrize("cmd", ["hw", "classify"])
+@pytest.mark.parametrize("text", ["x^4 + y^4", "x^3*y + z^4"])
+def test_cli_quartic_on_a_line_is_a_usage_error(capsys, cmd, text):
+    """Exponents on a line make every quartic on them singular (a cone
+    over points); the walk refuses them, exit 2 with no row."""
+    assert main([cmd, "--quartic", text, "--p", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("usage error: the exponents lie on a line, "
+                                 "so the quartic is singular\n")
+
+
 def test_cli_degree_too_long_to_print_is_a_parse_error_at_the_term(capsys):
     """Two exponents of 4300 digits each convert, but their 4301-digit sum
     does not print; the degree message says so at the term's position."""
@@ -512,6 +523,8 @@ def test_from_csv_rejects_malformed_records(text):
     '[{"p": 13, "detail": null}]',      # text column holding null
     '[13]',                             # row not an object
     '{"p": 13}',                        # not an array
+    '[{"p": true}]',                    # p a boolean
+    '[{"p": 13, "a_number": false}]',   # a_number a boolean
 ])
 def test_from_json_rejects_malformed_records(text):
     with pytest.raises(ParseError):

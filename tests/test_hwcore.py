@@ -13,7 +13,7 @@ from hwquartic.families import c6_form, c6_hw, c9_form, c9_hw
 from hwquartic.ffield import Fp2Element, FpElement, components, is_prime, modulus
 from hwquartic.harness import fermat_form, random_sparse_quartic
 from hwquartic.hwcore import (MAX_CANDIDATES, ORACLE_PRIME_BOUND, HWMatrix,
-                              QuarticForm, _pivot_minor, a_number,
+                              QuarticForm, _pivots, a_number,
                               coefficient_in_power, hw_matrix,
                               hw_matrix_oracle, hw_targets, rank3, stable_rank)
 
@@ -70,11 +70,23 @@ def test_quartic_form_validation():
 
 
 def test_oracle_on_degenerate_single_term():
-    # z^4: F^{p-1} is a single monomial, far from every matrix slot
+    # z^4: F^{p-1} is a single monomial, far from every matrix slot; its
+    # one exponent vector lies on a line, so the walk refuses it, as it
+    # does the zero form
     for p in (5, 11):
         F = QuarticForm({(0, 0, 4): 1}, modulus(p))
         assert hw_matrix_oracle(F).is_zero()
-        assert hw_matrix(F).is_zero()
+        for G in (F, QuarticForm({}, modulus(p))):
+            with pytest.raises(ValueError, match="lie on a line"):
+                hw_matrix(G)
+
+
+def test_matrix_entries_are_indexed_1_to_3():
+    H = c6_hw(modulus(11), 3)
+    assert H[3, 1] == H.entries[2][0]
+    for rc in ((0, 1), (1, 0), (-1, 3), (4, 1), (1, 4)):
+        with pytest.raises(IndexError):
+            H[rc]
 
 
 def test_fermat_p5_is_scalar():
@@ -142,20 +154,21 @@ def test_coefficient_in_power_total_degree():
     # the coefficient of the full power of one variable is coeff^(p-1)
     p = 11
     m = modulus(p)
-    F = QuarticForm({(4, 0, 0): 3, (0, 4, 0): 1}, m)
+    F = QuarticForm({(4, 0, 0): 3, (0, 4, 0): 1, (0, 0, 4): 1}, m)
     c = coefficient_in_power(F, (4 * (p - 1), 0, 0))
     assert c == pow(3, p - 1, p)
 
 
 @st.composite
 def random_forms(draw):
-    """A quartic on 1-15 random monomials with nonzero int or F_{p^2}
-    coefficients, at p <= 31 (at most 8 terms above p = 13, where the
-    enumeration of a denser support outgrows MAX_CANDIDATES)."""
+    """A quartic on 3-15 random monomials, not all on a line, with nonzero
+    int or F_{p^2} coefficients, at p <= 31 (at most 8 terms above p = 13,
+    where the enumeration of a denser support outgrows MAX_CANDIDATES)."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     m = modulus(p)
-    support = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1,
+    support = draw(st.lists(st.sampled_from(MONOMIALS), min_size=3,
                             max_size=15 if p <= 13 else 8, unique=True))
+    assume(np.linalg.matrix_rank(support) == 3)
     if draw(st.booleans()):
         coeff = st.builds(lambda a, b: Fp2Element(a, b, m),
                           st.integers(0, p - 1), st.integers(0, p - 1))
@@ -203,7 +216,14 @@ def forms_of_each_rank(draw):
 @settings(max_examples=60, deadline=None)
 @given(forms_of_each_rank())
 def test_one_walk_matches_each_target_and_the_oracle(case):
+    """Rank 3: the walk agrees with the oracle target by target.  Rank 1
+    and 2 (the exponents on a line, a singular quartic): ValueError."""
     F, targets = case
+    if np.linalg.matrix_rank(list(F.terms)) < 3:
+        for call in (lambda: coefficient_in_power(F, targets), lambda: hw_matrix(F)):
+            with pytest.raises(ValueError, match="lie on a line"):
+                call()
+        return
     H = hw_matrix_oracle(F)
     expected = {t: H[a + 1, b + 1] for a, row in enumerate(hw_targets(F.modulus.p))
                 for b, t in enumerate(row)}
@@ -220,13 +240,19 @@ def test_one_walk_matches_each_target_and_the_oracle(case):
 ])
 @pytest.mark.parametrize("ext", [False, True])
 def test_hw_matrix_matches_oracle_on_degenerate_supports(support, ext):
+    """The rank-3 support agrees with the oracle; the walk refuses the
+    supports on a line, where every quartic is singular."""
     rng = random.Random(11)
     for p in ORACLE_PRIMES:
         m = modulus(p)
         coeff = ((lambda: Fp2Element(rng.randrange(1, p), rng.randrange(p), m))
                  if ext else (lambda: rng.randrange(1, p)))
         F = QuarticForm({e: coeff() for e in support}, m)
-        assert hw_matrix(F) == hw_matrix_oracle(F)
+        if np.linalg.matrix_rank(support) < 3:
+            with pytest.raises(ValueError, match="lie on a line"):
+                hw_matrix(F)
+        else:
+            assert hw_matrix(F) == hw_matrix_oracle(F)
 
 
 def test_coefficient_in_power_off_range_targets_are_zero():
@@ -237,7 +263,8 @@ def test_coefficient_in_power_off_range_targets_are_zero():
     for target in [(4 * n + 4, -4, 0), (4 * n, 4, -4), (-2, 4 * n, 2),
                    (4 * n, 0, 4), (4 * n - 4, 0, 0), (0, 0, 0)]:
         assert coefficient_in_power(F, target).is_zero()
-    Fx = QuarticForm({(4, 0, 0): Fp2Element(1, 1, modulus(p))}, modulus(p))
+    Fx = QuarticForm({(4, 0, 0): Fp2Element(1, 1, modulus(p)), (0, 4, 0): 1,
+                      (0, 0, 4): 1}, modulus(p))
     zero = coefficient_in_power(Fx, (-4, 4 * n + 4, 0))
     assert isinstance(zero, Fp2Element) and zero.is_zero()
 
@@ -326,39 +353,42 @@ def test_walk_splits_the_targets_into_groups_under_the_cap(monkeypatch):
         coefficient_in_power(F, targets[per_target.index(cap)])
 
 
-def test_pivot_minor_has_the_least_nonzero_det():
-    # terms 0, 1, 2 (the first minor in index order) have |det| 64, terms
+def test_pivots_have_the_least_nonzero_det():
+    # terms 0, 1, 2 (the first triple in index order) have |det| 64, terms
     # 0, 1, 3 and 0, 2, 3 have 16, terms 1, 2, 3 have 32
     support = [(0, 0, 4), (0, 4, 0), (4, 0, 0), (1, 1, 2)]
-    assert _pivot_minor(support) == ([0, 1, 2], [0, 1, 3])
-    # rank 2: terms 0, 1 and 1, 2 on x, y tie at |det| 4, terms 0, 2 have 8
-    assert _pivot_minor([(3, 1, 0), (2, 2, 0), (1, 3, 0)]) == ([0, 1], [0, 1])
+    pivots, det, adj = _pivots(support)
+    assert (pivots, det) == ([0, 1, 3], 16)
+    assert (np.array(support)[pivots].T @ adj == 16 * np.eye(3)).all()
+    # terms on a line: x^3*y, x^2*y^2, x*y^3, and one term
+    for line in ([(3, 1, 0), (2, 2, 0), (1, 3, 0)], [(0, 0, 4)], []):
+        with pytest.raises(ValueError, match="lie on a line"):
+            _pivots(line)
 
 
-def exhaustive_pivot_minor(exponents):
-    """Reference: every r x r minor of the highest rank r, then the least
-    nonzero |det|, the first in index order on ties."""
-    for r in (3, 2, 1):
-        minors = [(abs(d), list(coords), list(pivots))
-                  for pivots in combinations(range(len(exponents)), r)
-                  for coords in combinations(range(3), r)
-                  if (d := hwcore._det([[exponents[v][c] for v in pivots]
-                                        for c in coords]))]
-        if minors:
-            return tuple(min(minors, key=lambda m: m[0])[1:])
-    return [], []
-
-
-QUARTIC_EXPONENTS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+def exhaustive_pivots(exponents):
+    """Reference: (pivots, |det|) of every 3 x 3 minor, the least nonzero
+    |det| and the first in index order on ties; None on a line."""
+    minors = [(abs(round(np.linalg.det([exponents[v] for v in pivots]))),
+               list(pivots)) for pivots in combinations(range(len(exponents)), 3)]
+    minors = [(pivots, d) for d, pivots in minors if d]
+    return min(minors, key=lambda m: m[1]) if minors else None
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(QUARTIC_EXPONENTS), min_size=1, max_size=9,
+@given(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=9,
                 unique=True))
-def test_pivot_minor_stops_where_the_exhaustive_scan_ends(support):
-    """Stopping at |det| 4 (3 x 3) or 1 picks the exhaustive scan's minor;
-    supports of rank 1 and 2 (terms on a line) come up as well."""
-    assert _pivot_minor(support) == exhaustive_pivot_minor(support)
+def test_pivots_stop_where_the_exhaustive_scan_ends(support):
+    """Stopping at |det| 4 picks the exhaustive scan's minor, and adj
+    inverts it up to det; supports on a line come up as well."""
+    expected = exhaustive_pivots(support)
+    if expected is None:
+        with pytest.raises(ValueError, match="lie on a line"):
+            _pivots(support)
+        return
+    pivots, det, adj = _pivots(support)
+    assert (pivots, det) == expected
+    assert (np.array(support)[pivots].T @ adj == det * np.eye(3)).all()
 
 
 def test_rank3_and_a_number():
@@ -541,3 +571,9 @@ def test_quartic_form_takes_ints_and_same_modulus_elements_only():
             QuarticForm({(4, 0, 0): foreign}, m)
     with pytest.raises(TypeError):
         QuarticForm({(4, 0, 0): 2.7}, m)
+    # exponents likewise: numpy ints read as ints, floats and text refused
+    assert QuarticForm({tuple(map(np.int64, (2, 1, 1))): 1}, m).terms == {
+        (2, 1, 1): 1}
+    for expo in ((2.5, 1, 1), (2.0, 1, 1), ("2", 1, 1)):
+        with pytest.raises(TypeError):
+            QuarticForm({expo: 1}, m)
