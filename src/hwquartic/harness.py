@@ -7,7 +7,10 @@ Report schema (CSV columns, JSON keys identical):
 
 status is PASS, FAIL or SKIP; a_number/p_rank are empty when a row does
 not carry a classification.  Exit codes: 0 all rows pass, 1 any failure,
-2 usage error, 3 capacity error.
+2 usage error, 3 capacity error.  A per-prime precondition is raised
+once, where the work is, as a ModulusError or CapacityError whose
+message is the SKIP detail; the one per-prime loop, _sweep, re-raises it
+under --p (exit 2 or 3) and turns it into a SKIP row in a range.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
                      modulus, power)
-from .hwcore import (ORACLE_PRIME_BOUND, HWMatrix, QuarticForm, _grid,
-                     a_number, grid_ranks, hw_matrix, hw_matrix_oracle,
-                     stable_rank)
+from .hwcore import (HWMatrix, QuarticForm, _grid, _pivots,
+                     _require_oracle_prime, a_number, grid_ranks, hw_matrix,
+                     hw_matrix_oracle, stable_rank)
 from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner, roots_over
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
@@ -270,12 +273,8 @@ class SweepReport:
         self.rows.append(ReportRow(**kw))
 
     @property
-    def failed(self) -> bool:
-        return any(r.status == "FAIL" for r in self.rows)
-
-    @property
     def exit_status(self) -> int:
-        return 1 if self.failed else 0
+        return int(any(r.status == "FAIL" for r in self.rows))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -333,8 +332,11 @@ def random_sparse_quartic(rng: random.Random, mod) -> QuarticForm:
     on a line (always singular, refused by hw_matrix) is drawn again."""
     while True:
         support = rng.sample(_EXPONENT_TRIPLES, rng.randint(3, 6))
-        if np.linalg.matrix_rank(support) == 3:
-            return QuarticForm({e: rng.randint(1, mod.p - 1) for e in support}, mod)
+        try:
+            _pivots(support)
+        except ValueError:  # the exponents lie on a line
+            continue
+        return QuarticForm({e: rng.randint(1, mod.p - 1) for e in support}, mod)
 
 
 def oracle_corpus(mod):
@@ -362,21 +364,11 @@ def _matrix_detail(M: HWMatrix) -> str:
                            for row in M.entries) + "]"
 
 
-def _suite_oracle(report, mod, explicit=False, **_kw):
-    p = mod.p
-    if p > ORACLE_PRIME_BOUND:
-        if explicit:
-            raise CapacityError(f"p = {p} exceeds the oracle expansion bound "
-                                f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}")
-        report.add(p=p, family="any", status="SKIP",
-                   detail=f"oracle expansion bound is p <= {ORACLE_PRIME_BOUND}")
-        return
-    bad = []
+def _suite_oracle(report, mod, **_kw):
+    _require_oracle_prime(mod.p)  # before the corpus of p + 50 forms
     forms = oracle_corpus(mod)
-    for name, F in forms:
-        if hw_matrix(F) != hw_matrix_oracle(F):
-            bad.append(name)
-    report.add(p=p, family="any",
+    bad = [name for name, F in forms if hw_matrix(F) != hw_matrix_oracle(F)]
+    report.add(p=mod.p, family="any",
                status="FAIL" if bad else "PASS",
                detail=(f"{len(forms)} forms agree" if not bad
                        else "disagreement on " + ", ".join(bad[:5])))
@@ -428,38 +420,22 @@ def _suite_c9_table(report, mod, **_kw):
                detail=f"p mod 9 = {p % 9}", **_classification_columns(cls))
 
 
-def _wrong_class(report, mod, explicit, what):
-    if explicit:
-        raise ModulusError(f"p = {mod.p}: {what}")
-    report.add(p=mod.p, family="c6", status="SKIP", detail=what)
-
-
-def _suite_euler(report, mod, explicit=False, **_kw):
-    if mod.p % 6 != 5:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
-        return
+def _suite_euler(report, mod, **_kw):
     ok = hypergeom.verify_euler(mod)
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail="truncated Euler transformation")
 
 
-def _suite_gauss_lemma(report, mod, explicit=False, **_kw):
-    if mod.p % 6 != 5:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6")
-        return
+def _suite_gauss_lemma(report, mod, **_kw):
     ok = hypergeom.verify_gauss_lemma(mod)
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail="series/coefficient congruences at all r")
 
 
-def _suite_expectation(report, mod, explicit=False, **_kw):
-    p = mod.p
-    if p % 6 != 5 or p < 17:
-        _wrong_class(report, mod, explicit, "needs p = 5 mod 6 and p >= 17")
-        return
+def _suite_expectation(report, mod, **_kw):
     rep = hypergeom.expectation_check(mod)
     ok = rep.all_square and rep.missing == 0
-    report.add(p=p, family="c6", status="PASS" if ok else "FAIL",
+    report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail=f"roots={rep.found} of deg={rep.degree} "
                       f"all_square={rep.all_square}")
 
@@ -487,20 +463,13 @@ def _first_maximal_c6(mod, bound):
 def _suite_maximality(report, mod, explicit=False, bound=None,
                       c6_question=False, **_kw):
     p = mod.p
-    pb = DEFAULT_POINT_BOUND if bound is None else bound
-    if p > pb:
-        if explicit:
-            raise CapacityError(f"p = {p} exceeds point-count bound {pb}")
-        report.add(p=p, family="c9", status="SKIP",
-                   detail=f"p exceeds point-count bound {pb}")
-        return
     ask = c6_question and p % 6 == 5 and p >= 17
     roots_fit = p * p <= DEFAULT_ROOT_BOUND
     if ask and explicit and not roots_fit:
         raise CapacityError(f"--c6-question: p^2 = {p * p} exceeds the root "
                             f"exhaustion bound {DEFAULT_ROOT_BOUND}")
     top = hasse_weil_window(p)[1]
-    count = count_points_ext2(families.c9_form(mod), bound=pb)
+    count = count_points_ext2(families.c9_form(mod), bound=bound)
     maximal = count == top
     expected = p % 18 == 17
     report.add(p=p, family="c9",
@@ -514,7 +483,7 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
                    detail=f"p^2 exceeds root exhaustion bound {DEFAULT_ROOT_BOUND}")
         return
     # informational search for the open question: is some C_r maximal?
-    found, rational = _first_maximal_c6(mod, pb)
+    found, rational = _first_maximal_c6(mod, bound)
     coverage = "r swept over F_p only" if rational else "r swept over all of F_p2"
     report.add(p=p, family="c6", param=found or "",
                status="PASS",
@@ -522,39 +491,53 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
                       f" ({coverage})")
 
 
+#: suite -> (family of its SKIP rows, rows at one prime)
 _SUITE_FUNCS = {
-    "oracle": _suite_oracle,
-    "c6-structure": _suite_c6_structure,
-    "counts": _suite_counts,
-    "c9-table": _suite_c9_table,
-    "euler": _suite_euler,
-    "gauss-lemma": _suite_gauss_lemma,
-    "expectation": _suite_expectation,
-    "maximality": _suite_maximality,
+    "oracle": ("any", _suite_oracle),
+    "c6-structure": ("c6", _suite_c6_structure),
+    "counts": ("c6", _suite_counts),
+    "c9-table": ("c9", _suite_c9_table),
+    "euler": ("c6", _suite_euler),
+    "gauss-lemma": ("c6", _suite_gauss_lemma),
+    "expectation": ("c6", _suite_expectation),
+    "maximality": ("c9", _suite_maximality),
 }
 
 SUITES = tuple(_SUITE_FUNCS)
+
+
+def _sweep(primes, explicit: bool, family: str, rows) -> SweepReport:
+    """rows(report, mod) at each prime.  A ModulusError or CapacityError
+    from rows is re-raised when the prime was requested explicitly, else a
+    SKIP row of family with the error's message as detail."""
+    report = SweepReport()
+    for p in primes:
+        mod = modulus(int(p))
+        try:
+            rows(report, mod)
+        except (ModulusError, CapacityError) as exc:
+            if explicit:
+                raise
+            report.add(p=mod.p, family=family, status="SKIP", detail=str(exc))
+    return report
 
 
 def run_suite(name: str, primes, explicit: bool = False,
               bound: int | None = None, c6_question: bool = False):
     """Run one verification suite over an iterable of primes.
 
-    Returns (SweepReport, exit_status).  Preconditions not met by a prime
-    give SKIP rows in range mode and hard errors when the prime was
-    requested explicitly.  bound (the prime cap of the point counts) and
-    c6_question (the maximal-C_r search) apply to maximality only.
+    Returns (SweepReport, exit_status); a prime outside a precondition is
+    a SKIP row, or raises when explicit (_sweep).  bound (the prime cap of
+    point counts) and c6_question (the C_r search) are maximality's only.
     """
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if name != "maximality" and (bound is not None or c6_question):
         raise ValueError("--bound and --c6-question apply to the maximality "
                          f"suite only, not {name}")
-    fn = _SUITE_FUNCS[name]
-    report = SweepReport()
-    for p in primes:
-        fn(report, modulus(int(p)), explicit=explicit, bound=bound,
-           c6_question=c6_question)
+    family, fn = _SUITE_FUNCS[name]
+    report = _sweep(primes, explicit, family, partial(
+        fn, explicit=explicit, bound=bound, c6_question=c6_question))
     return report, report.exit_status
 
 
@@ -573,9 +556,7 @@ def _resolve_primes(args):
     if args.p is not None and args.p_range is not None:
         raise ParseError("--p and --p-range are mutually exclusive")
     if args.p is not None:
-        if not is_prime(args.p) or args.p < 5:
-            raise ModulusError(f"{args.p} is not a prime >= 5")
-        return [args.p], True
+        return [modulus(args.p).p], True  # ModulusError unless a prime >= 5
     if args.p_range is not None:
         lo, hi = _parse_range(args.p_range)
         return primes_in(lo, hi), False
@@ -585,7 +566,9 @@ def _resolve_primes(args):
 def _family_at(args, mod):
     """(param, r, F) at p: r the C_r parameter (r != +-2), F the --quartic."""
     if args.family == "general":
-        return args.quartic, None, parse_quartic(args.quartic, mod)
+        F = parse_quartic(args.quartic, mod)
+        _pivots(list(F.terms))  # ValueError for exponents on a line
+        return args.quartic, None, F
     if args.family == "c9":
         return "", None, None
     r = parse_c6_param(args.r, mod)
@@ -728,10 +711,9 @@ def main(argv=None) -> int:
         if command == "verify":
             report, _ = run_suite(args.suite, primes, explicit, args.bound,
                                   args.c6_question)
-        else:
-            report = SweepReport()
-            for p in primes:
-                rows(report, modulus(p), args)
+        else:  # enumerate, which takes no --family, sweeps C6
+            report = _sweep(primes, explicit, getattr(args, "family", "c6"),
+                            partial(rows, args=args))
         print(report.render(args.format), end="")
         return report.exit_status
     except CapacityError as exc:

@@ -300,13 +300,18 @@ def hw_matrix(F: QuarticForm) -> HWMatrix:
     return HWMatrix([values[k:k + 3] for k in (0, 3, 6)], F.modulus)
 
 
+def _require_oracle_prime(p: int):
+    """hw_matrix_oracle's bound, checked by verify oracle before its corpus."""
+    if p > ORACLE_PRIME_BOUND:
+        raise CapacityError(f"oracle expansion needs p <= ORACLE_PRIME_BOUND "
+                            f"= {ORACLE_PRIME_BOUND}, got {p}")
+
+
 def hw_matrix_oracle(F: QuarticForm) -> HWMatrix:
     """Hasse-Witt matrix by full expansion of F^(p-1) (p <= 31 only)."""
     mod = F.modulus
     p = mod.p
-    if p > ORACLE_PRIME_BOUND:
-        raise CapacityError(
-            f"oracle expansion needs p <= {ORACLE_PRIME_BOUND}, got {p}")
+    _require_oracle_prime(p)
     ext = F.uses_ext_field()
     s = mod.nonresidue if ext else 0
     base = {e: components(c) for e, c in F.terms.items()}

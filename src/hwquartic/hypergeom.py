@@ -74,7 +74,7 @@ def gauss_truncated(a, b, c, d: int, mod) -> UniPoly:
 def _require_residue_5_mod_6(mod):
     mod = _as_modulus(mod)
     if mod.p % 6 != 5:
-        raise ModulusError(f"p = {mod.p} is not 5 mod 6")
+        raise ModulusError("needs p = 5 mod 6")
     return mod
 
 
@@ -169,14 +169,13 @@ def expectation_check(mod) -> ExpectationReport:
 
     For p = 5 mod 6, p >= 17: count the roots of the degree-(p-5)/6
     truncated series g in F_{p^2}, and the squares among them (g(0) = 1),
-    by one powmod.  This op reports; the statement remains a conjecture
-    and nothing here asserts it.
+    by one powmod (below 17 the series has no admissible roots).  This op
+    reports; the statement remains a conjecture and nothing here asserts it.
     """
-    mod = _require_residue_5_mod_6(mod)
+    mod = _as_modulus(mod)
     p = mod.p
-    if p < 17:
-        raise ValueError(
-            f"p = {p} < 17: the truncated series has no admissible roots")
+    if p % 6 != 5 or p < 17:
+        raise ModulusError("needs p = 5 mod 6 and p >= 17")
     g = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, mod)
     found, squares = ext2_root_counts(g)
     return ExpectationReport(p=p, all_square=squares == found, found=found,

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwquartic import families
-from hwquartic.errors import CapacityError, IntegrityError, ParseError
+from hwquartic.errors import (CapacityError, IntegrityError, ModulusError,
+                              ParseError)
 from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
 from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
                                SweepReport, _count_points_grid, build_parser,
@@ -278,11 +279,12 @@ def test_cli_overlong_number_is_a_parse_error_at_its_position(capsys, argv,
                                  f"(at position {position})\n")
 
 
-@pytest.mark.parametrize("cmd", ["hw", "classify"])
+@pytest.mark.parametrize("cmd", ["hw", "classify", "count-points"])
 @pytest.mark.parametrize("text", ["x^4 + y^4", "x^3*y + z^4"])
 def test_cli_quartic_on_a_line_is_a_usage_error(capsys, cmd, text):
     """Exponents on a line make every quartic on them singular (a cone
-    over points); the walk refuses them, exit 2 with no row."""
+    over points); every --quartic command refuses them by the walk's
+    pivot check, exit 2 with no row."""
     assert main([cmd, "--quartic", text, "--p", "13"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == ("usage error: the exponents lie on a line, "
@@ -556,20 +558,28 @@ def test_run_suite_oracle():
 
 
 def test_cli_oracle_above_its_bound_is_a_capacity_error(capsys):
-    """An explicitly requested prime above the expansion bound exits 3;
-    in range mode it stays a SKIP row."""
+    """An explicitly requested prime above the expansion bound exits 3,
+    before the corpus of p + 50 forms is built; in range mode it is a
+    SKIP row whose detail is the same message."""
     assert main(["verify", "oracle", "--p", "37"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("capacity error: ")
     assert f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}" in err
     rep, status = run_suite("oracle", [37])
     assert status == 0 and [r.status for r in rep.rows] == ["SKIP"]
+    assert f"capacity error: {rep.rows[0].detail}\n" == err
+    start = time.perf_counter()
+    assert main(["verify", "oracle", "--p", "1000003"]) == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_run_suite_skips_wrong_class_in_range_mode():
     rep, status = run_suite("euler", [7, 11])
     assert status == 0
-    assert [r.status for r in rep.rows] == ["SKIP", "PASS"]
+    assert [(r.family, r.status) for r in rep.rows] == [("c6", "SKIP"), ("c6", "PASS")]
+    assert rep.rows[0].detail == "needs p = 5 mod 6"
+    with pytest.raises(ModulusError, match="^needs p = 5 mod 6$"):
+        run_suite("euler", [7], explicit=True)
 
 
 @pytest.mark.parametrize("kw", [{"sweep_ext2": True}, {"no_such_option": 1}])
@@ -786,7 +796,7 @@ def test_build_parser_asks_the_terminal_size_once(capsys, monkeypatch):
     ["hw", "--quartic", "x^4 - x^4", "--p", "7"],
     ["classify", "--quartic", "7*x^4", "--p", "7"],
     ["count-points", "--quartic", "x^4 - x^4", "--p", "7"],
-    ["count-points", "--quartic", "7*x^4", "--p-range", "5..7"],
+    ["count-points", "--quartic", "7*x^4 + 7*y^4 + 7*z^4", "--p-range", "5..7"],
 ])
 def test_cli_rejects_the_zero_form(capsys, argv):
     """A --quartic with no term left mod p is a usage error, and one such
@@ -938,16 +948,69 @@ def test_cli_strong_pseudoprime_takes_the_usage_exit(capsys, p):
     assert err.startswith("usage error: ")
 
 
+#: all 15 monomials, with coefficients 1 to 15
+DENSE = " + ".join(f"{n}*x^{i}*y^{j}*z^{k}"
+                   for n, (i, j, k) in enumerate(_EXPONENT_TRIPLES, 1))
+
+
 def test_cli_dense_quartic_takes_the_capacity_exit(capsys):
-    dense = " + ".join(f"{n}*x^{i}*y^{j}*z^{4 - i - j}"
-                       for n, (i, j) in enumerate(
-                           ((i, j) for i in range(5) for j in range(5 - i)), 1))
     start = time.perf_counter()
-    code = main(["classify", "--quartic", dense, "--p", "211"])
+    code = main(["classify", "--quartic", DENSE, "--p", "211"])
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("capacity error: coefficient extraction needs")
+
+
+def test_count_points_skips_the_primes_past_the_point_bound(capsys):
+    """In a range a prime past the point bound is a SKIP row with the
+    bound's message, as in verify maximality; under --p it exits 3."""
+    code, out = run_cli(capsys, "count-points", "--family", "c9",
+                        "--p-range", "53..67")
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert [(r.p, r.family, r.status) for r in rows] == [
+        (53, "c9", "PASS"), (59, "c9", "PASS"), (61, "c9", "SKIP"),
+        (67, "c9", "SKIP")]
+    assert rows[2].detail == "point counting needs p <= 60, got 61"
+    assert main(["count-points", "--family", "c9", "--p", "61"]) == 3
+    assert capsys.readouterr().err == f"capacity error: {rows[2].detail}\n"
+
+
+@pytest.mark.parametrize("cmd", ["hw", "classify"])
+def test_dense_quartic_range_skips_the_primes_past_the_walk_cap(
+        capsys, monkeypatch, cmd):
+    """Under a cap of 1000 rows the dense support is computed at p = 5 and
+    7 and needs more at 11 and 13: SKIP rows in a range, exit 3 under --p."""
+    from hwquartic import hwcore
+
+    monkeypatch.setattr(hwcore, "MAX_CANDIDATES", 1000)
+    code, out = run_cli(capsys, cmd, "--quartic", DENSE, "--p-range", "5..13")
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert [(r.p, r.family, r.status) for r in rows] == [
+        (5, "general", "PASS"), (7, "general", "PASS"),
+        (11, "general", "SKIP"), (13, "general", "SKIP")]
+    assert all(r.detail.startswith("coefficient extraction needs")
+               and r.a_number is None for r in rows[2:])
+    assert main([cmd, "--quartic", DENSE, "--p", "11"]) == 3
+
+
+def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):
+    """A prime past ffield.MAX_TABLE_PRIME (here lowered to 105) is a SKIP
+    row of enumerate in a range and exit 3 under --p."""
+    from hwquartic import ffield
+
+    modulus.cache_clear()  # no factorial table of an earlier test is reused
+    monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
+    code, out = run_cli(capsys, "enumerate", "--p-range", "101..109")
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert {r.p for r in rows if r.status == "PASS"} == {101, 103}
+    assert [(r.p, r.family, r.status, r.detail) for r in rows[-2:]] == [
+        (p, "c6", "SKIP", f"factorial tables mod p need p <= 105, got {p}")
+        for p in (107, 109)]
+    assert main(["enumerate", "--p", "107"]) == 3
 
 
 def test_cli_failure_exit_code(capsys, monkeypatch):
@@ -956,7 +1019,7 @@ def test_cli_failure_exit_code(capsys, monkeypatch):
     def fake_suite(report, mod, **kw):
         report.add(p=mod.p, family="c6", status="FAIL", detail="injected")
 
-    monkeypatch.setitem(harness._SUITE_FUNCS, "counts", fake_suite)
+    monkeypatch.setitem(harness._SUITE_FUNCS, "counts", ("c6", fake_suite))
     assert main(["verify", "counts", "--p", "13"]) == 1
 
 

@@ -193,7 +193,7 @@ def test_verify_euler(p):
 
 
 def test_verify_euler_wrong_class():
-    with pytest.raises(ModulusError):
+    with pytest.raises(ModulusError, match="^needs p = 5 mod 6$"):
         verify_euler(modulus(7))
 
 
@@ -233,7 +233,7 @@ def test_verify_gauss_lemma(p):
 
 
 def test_verify_gauss_lemma_wrong_class():
-    with pytest.raises(ModulusError):
+    with pytest.raises(ModulusError, match="^needs p = 5 mod 6$"):
         verify_gauss_lemma(modulus(13))
 
 
@@ -325,10 +325,10 @@ def test_expectation_check_p23():
 
 
 def test_expectation_check_preconditions():
-    with pytest.raises(ValueError):
-        expectation_check(modulus(11))  # p >= 17 required
-    with pytest.raises(ModulusError):
-        expectation_check(modulus(13))  # wrong residue class
+    # one message for both conditions: the SKIP detail of verify expectation
+    for p in (11, 13):  # p < 17, and the wrong residue class
+        with pytest.raises(ModulusError, match=r"^needs p = 5 mod 6 and p >= 17$"):
+            expectation_check(modulus(p))
 
 
 def test_expectation_check_matches_exhaustion():
