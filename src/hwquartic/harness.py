@@ -21,7 +21,6 @@ import io
 import json
 import random
 import re
-import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -506,10 +505,11 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def _sweep(primes, explicit: bool, family: str, rows) -> SweepReport:
+def _sweep(primes, explicit: bool, family: str, rows,
+           param=lambda mod: "") -> SweepReport:
     """rows(report, mod) at each prime.  A ModulusError or CapacityError
     from rows is re-raised when the prime was requested explicitly, else a
-    SKIP row of family with the error's message as detail."""
+    SKIP row of family and param(mod), with the error's message as detail."""
     report = SweepReport()
     for p in primes:
         mod = modulus(int(p))
@@ -518,7 +518,8 @@ def _sweep(primes, explicit: bool, family: str, rows) -> SweepReport:
         except (ModulusError, CapacityError) as exc:
             if explicit:
                 raise
-            report.add(p=mod.p, family=family, status="SKIP", detail=str(exc))
+            report.add(p=mod.p, family=family, param=param(mod),
+                       status="SKIP", detail=str(exc))
     return report
 
 
@@ -574,6 +575,11 @@ def _family_at(args, mod):
     r = parse_c6_param(args.r, mod)
     families._reject_singular(mod, r)
     return str(r), r, None
+
+
+def _param_at(args, mod) -> str:
+    """The param column of a command's rows at p ("" for enumerate)."""
+    return _family_at(args, mod)[0] if "family" in args else ""
 
 
 def _hw_row(report, mod, args, detail=None):
@@ -662,13 +668,13 @@ _ARGUMENTS = {
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of command, holding the arguments COMMANDS gives it (all
     of them when command is not one), so a flag the command does not take
-    is unrecognized and abbreviations resolve among its own flags."""
+    is unrecognized and abbreviations resolve among its own flags.  main
+    takes each parser from _PARSERS, built once at import; --help wraps to
+    the terminal width at the time it prints (HelpFormatter reads it then)."""
     takes = (("--p", "--p-range", "--format") + COMMANDS[command][1]
              if command in COMMANDS else _ARGUMENTS)
-    # HelpFormatter's own width, asked once, not by every formatter argparse makes
     ap = argparse.ArgumentParser(
-        prog="hwquartic", formatter_class=partial(
-            argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2),
+        prog="hwquartic",
         description="Hasse-Witt matrices and invariants of the C6/C9 "
                     "genus-3 quartic families over prime fields.")
     ap.add_argument("command", choices=COMMANDS,
@@ -678,6 +684,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         if name in takes:
             ap.add_argument(name, **kw)
     return ap
+
+
+#: the parser of each command, and of no command (None)
+_PARSERS = {command: build_parser(command) for command in (*COMMANDS, None)}
 
 
 def _settle_family(args):
@@ -698,7 +708,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _PARSERS.get(command, _PARSERS[None]).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -713,7 +723,7 @@ def main(argv=None) -> int:
                                   args.c6_question)
         else:  # enumerate, which takes no --family, sweeps C6
             report = _sweep(primes, explicit, getattr(args, "family", "c6"),
-                            partial(rows, args=args))
+                            partial(rows, args=args), partial(_param_at, args))
         print(report.render(args.format), end="")
         return report.exit_status
     except CapacityError as exc:

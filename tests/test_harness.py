@@ -776,20 +776,49 @@ def test_cli_help_and_usage_match_the_default_formatter(capsys, monkeypatch,
         assert (code, got) == (exc.value.code, capsys.readouterr()), argv
 
 
-def test_build_parser_asks_the_terminal_size_once(capsys, monkeypatch):
-    calls = []
+def test_main_builds_no_parser_and_asks_no_terminal_size(capsys, monkeypatch):
+    """The parsers are built once, at import: a call that prints no help
+    constructs no ArgumentParser and never asks the terminal size."""
+    built, asked = [], []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self)
+                        or init(self, *a, **kw))
     size = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size",
-                        lambda *a: calls.append(a) or size(*a))
-    for cmd in (*COMMANDS, None):
-        calls.clear()
-        build_parser(cmd)
-        assert len(calls) == 1, cmd
-    # and each call builds its own parser
-    calls.clear()
+                        lambda *a: asked.append(a) or size(*a))
     for _ in range(2):
         assert main(["verify", "c9-table", "--p", "7"]) == 0
-    assert len(calls) == 2
+    assert (built, asked) == ([], [])
+    # the counters see a build
+    build_parser("verify")
+    assert len(built) == 1 and asked
+
+
+def test_shared_parsers_keep_no_state_between_calls(capsys):
+    """One parser per command serves every call in a process: a flag, a
+    usage error or another command's call leaves nothing for the next."""
+    maximality = ["verify", "maximality", "--p", "17"]
+    code, out = run_cli(capsys, *maximality, "--c6-question")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out = run_cli(capsys, *maximality)
+    assert code == 0 and len(out.splitlines()) == 2
+
+    def call(argv):
+        return main(argv), capsys.readouterr()
+
+    good = ["verify", "c9-table", "--p", "7"]
+    alone = call(good)
+    code, (out, err) = call(["verify", "--bogus"])
+    assert code == 2 and out == "" and err
+    assert call(good) == alone
+
+    hw = ["hw", "--family", "c6", "--r", "3", "--p", "13"]
+    hw_alone = call(hw)
+    assert hw_alone[0] == 0
+    for _ in range(2):
+        assert call(hw) == hw_alone
+        assert call(good) == alone
 
 
 @pytest.mark.parametrize("argv", [
@@ -993,7 +1022,27 @@ def test_dense_quartic_range_skips_the_primes_past_the_walk_cap(
         (11, "general", "SKIP"), (13, "general", "SKIP")]
     assert all(r.detail.startswith("coefficient extraction needs")
                and r.a_number is None for r in rows[2:])
+    # a SKIP row carries the form, as a PASS row does
+    assert all(r.param == DENSE for r in rows)
     assert main([cmd, "--quartic", DENSE, "--p", "11"]) == 3
+
+
+@pytest.mark.parametrize("cmd", ["hw", "classify"])
+def test_c6_range_skip_rows_carry_the_reduced_parameter(capsys, monkeypatch,
+                                                        cmd):
+    """Past ffield.MAX_TABLE_PRIME (here lowered to 105) a --r range gives
+    SKIP rows whose param is r mod p, as a PASS row's is."""
+    from hwquartic import ffield
+
+    modulus.cache_clear()  # no factorial table of an earlier test is reused
+    monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
+    code, out = run_cli(capsys, cmd, "--r", "110", "--p-range", "101..109")
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert [(r.p, r.family, r.param, r.status) for r in rows] == [
+        (101, "c6", "9", "PASS"), (103, "c6", "7", "PASS"),
+        (107, "c6", "3", "SKIP"), (109, "c6", "1", "SKIP")]
+    assert main([cmd, "--r", "110", "--p", "107"]) == 3
 
 
 def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):

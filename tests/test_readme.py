@@ -1,8 +1,11 @@
 """README's "Library tour" block runs as written and gives the values its
-comments state, so a renamed or deleted public name cannot stay in it."""
+comments state, so a renamed or deleted public name cannot stay in it; its
+`hwquartic --help` block is what the CLI prints at 80 columns."""
 
 import ast
 from pathlib import Path
+
+from hwquartic.harness import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +35,11 @@ def test_library_tour_values():
     assert not H.is_zero()
     assert values["hq.verify_euler(101)"] is True
     assert len(values) == 8
+
+
+def test_cli_help_block(capsys, monkeypatch):
+    prompt = "```\n$ hwquartic --help\n"
+    block = README.read_text(encoding="utf-8").split(prompt, 1)[1]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == block.split("```", 1)[0]
