@@ -22,6 +22,7 @@ n! (p-1-n)! = (-1)^(n+1) mod p.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -84,62 +85,50 @@ class FactorialTable:
         for j in range(1, w):
             t[:, j] = t[:, j] * t[:, j - 1] % p
         carry = accumulate(t[:-1, -1].tolist(), lambda x, y: x * y % p, initial=1)
-        self.p = p
         self.fact = (t * np.fromiter(carry, np.int64, len(t))[:, None] % p).ravel()[:p]
         # 1/n! = (-1)^(n+1) (p-1-n)!: negate the even slots of the reversal
         self.inv_fact = self.fact[::-1].copy()
         self.inv_fact[0::2] = p - self.inv_fact[0::2]
 
 
+#: primes whose modulus, factorial table and non-residue stay cached: a
+#: range sweep holds at most this many tables, CACHED_PRIMES * 16 MiB at
+#: MAX_TABLE_PRIME
+CACHED_PRIMES = 8
+_factorials = lru_cache(maxsize=CACHED_PRIMES)(FactorialTable)
+
+
+@lru_cache(maxsize=CACHED_PRIMES)
+def _nonresidue(p: int) -> int:
+    return next(s for s in range(2, p) if pow(s, (p - 1) // 2, p) == p - 1)
+
+
+@dataclass(frozen=True, slots=True)
 class PrimeModulus:
-    """A prime p >= 5 together with per-prime cached data.
+    """A prime p >= 5; its per-prime data comes from caches keyed by p, so
+    independently constructed moduli compare equal and share it."""
 
-    Instances compare equal by p, so independently constructed moduli
-    interoperate; use :func:`modulus` to share the cached tables.
-    """
+    p: int
 
-    __slots__ = ("p", "_factorials", "_nonresidue")
-
-    def __init__(self, p: int):
+    def __post_init__(self):
+        p = self.p
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise ModulusError(f"modulus {p!r} is not a prime")
         if p < 5:
             raise ModulusError(f"modulus {p} is too small (need p >= 5)")
-        self.p = p
-        self._factorials = None
-        self._nonresidue = None
 
     @property
     def factorials(self) -> FactorialTable:
-        if self._factorials is None:
-            self._factorials = FactorialTable(self.p)
-        return self._factorials
+        return _factorials(self.p)
 
     @property
     def nonresidue(self) -> int:
         """Smallest positive quadratic non-residue mod p (the s with w^2 = s)."""
-        if self._nonresidue is None:
-            p = self.p
-            for s in range(2, p):
-                if pow(s, (p - 1) // 2, p) == p - 1:
-                    self._nonresidue = s
-                    break
-        return self._nonresidue
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeModulus) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def __repr__(self):
-        return f"PrimeModulus({self.p})"
+        return _nonresidue(self.p)
 
 
-@lru_cache(maxsize=None)
-def modulus(p: int) -> PrimeModulus:
-    """Shared PrimeModulus instance for p (factorial tables built once)."""
-    return PrimeModulus(p)
+#: the shared PrimeModulus of p
+modulus = lru_cache(maxsize=CACHED_PRIMES)(PrimeModulus)
 
 
 def _as_modulus(mod) -> PrimeModulus:

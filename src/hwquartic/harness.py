@@ -215,11 +215,6 @@ def hasse_weil_window(p: int):
     return p * p + 1 - 6 * p, p * p + 1 + 6 * p
 
 
-def is_maximal_ext2(F: QuarticForm, bound: int | None = None) -> bool:
-    """True iff the F_{p^2} point count attains p^2 + 1 + 6p."""
-    return count_points_ext2(F, bound=bound) == hasse_weil_window(F.modulus.p)[1]
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -240,6 +235,7 @@ _FIELDS = fields(ReportRow)
 _CSV_COLUMNS = tuple(f.name for f in _FIELDS)
 #: the integer columns; a_number and p_rank may be empty (None)
 _INT_COLUMNS = ("p", "a_number", "p_rank")
+_STATUSES = ("PASS", "FAIL", "SKIP")
 
 
 def _cell(f, value):
@@ -256,10 +252,12 @@ def _cell(f, value):
 def _report_row(values, where: str) -> ReportRow:
     """A ReportRow from column -> value; a malformed record is a ParseError."""
     try:
-        if not isinstance(values, dict) or values.keys() - set(_CSV_COLUMNS):
+        if not isinstance(values, dict) or values.keys() != set(_CSV_COLUMNS):
             raise ValueError(f"want the fields {_CSV_COLUMNS}")
-        return ReportRow(**{f.name: _cell(f, values[f.name])
-                            for f in _FIELDS if f.name in values})
+        row = ReportRow(**{f.name: _cell(f, values[f.name]) for f in _FIELDS})
+        if row.status not in _STATUSES:
+            raise ValueError(f"status {row.status!r} is not one of {_STATUSES}")
+        return row
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}; got {values!r}") from None
 
@@ -303,11 +301,6 @@ class SweepReport:
             raise ParseError("want a JSON array of report rows")
         return cls([_report_row(obj, f"JSON row {i}")
                     for i, obj in enumerate(objs)])
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        return self.to_csv()
 
 
 def _classification_columns(cls: families.Classification) -> dict:
@@ -383,10 +376,11 @@ def _suite_c6_structure(report, mod, **_kw):
                 if (row, col) not in live
                 and not grid[row - 1][col - 1].is_zero]
     rs = np.array([r for r in range(p) if r not in (0, 2, p - 2)])
-    rank, _ = grid_ranks(families.c6_stack(grid, (rs,)), mod)
-    attained = set((3 - rank).tolist())
-    problems += [f"a-number {a} attained" for a in sorted(attained)
-                 if (p % 6, a) not in families.TABLE_C6]
+    rank, f = grid_ranks(families.c6_stack(grid, (rs,)), mod)
+    try:
+        families._lookup(families.TABLE_C6, 6, p, rank, f)
+    except IntegrityError as exc:
+        problems.append(str(exc))
     rng = random.Random(f"hw-structure-{p}")
     candidates = [r for r in range(p) if r not in (2, p - 2)]
     for r in rng.sample(candidates, min(3, len(candidates))):
@@ -396,7 +390,7 @@ def _suite_c6_structure(report, mod, **_kw):
                status="FAIL" if problems else "PASS",
                detail="; ".join(problems) if problems else
                ("anti-diagonal" if anti else "diagonal")
-               + f", a-numbers attained {sorted(attained)}")
+               + f", a-numbers attained {sorted(set((3 - rank).tolist()))}")
 
 
 def _suite_counts(report, mod, **_kw):
@@ -433,7 +427,7 @@ def _suite_gauss_lemma(report, mod, **_kw):
 
 def _suite_expectation(report, mod, **_kw):
     rep = hypergeom.expectation_check(mod)
-    ok = rep.all_square and rep.missing == 0
+    ok = rep.all_square and rep.found == rep.degree
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail=f"roots={rep.found} of deg={rep.degree} "
                       f"all_square={rep.all_square}")
@@ -448,13 +442,14 @@ def _first_maximal_c6(mod, bound):
     their components (a, b).
     """
     p = mod.p
+    top = hasse_weil_window(p)[1]
     c2 = families.c6_entry_poly(mod, *families.LOCUS_SLOT[5])
     for z in sorted(roots_over(c2, 2), key=lambda z: (z.b != 0, z.a, z.b)):
         rational = z.b == 0
         if rational and z.a in (0, 2, p - 2):
             continue
         r = z.a if rational else z
-        if is_maximal_ext2(families.c6_form(mod, r), bound=bound):
+        if count_points_ext2(families.c6_form(mod, r), bound=bound) == top:
             return str(r), rational
     return None, False
 
@@ -525,11 +520,11 @@ def _sweep(primes, explicit: bool, family: str, rows,
 
 def run_suite(name: str, primes, explicit: bool = False,
               bound: int | None = None, c6_question: bool = False):
-    """Run one verification suite over an iterable of primes.
+    """The SweepReport of one verification suite over an iterable of primes.
 
-    Returns (SweepReport, exit_status); a prime outside a precondition is
-    a SKIP row, or raises when explicit (_sweep).  bound (the prime cap of
-    point counts) and c6_question (the C_r search) are maximality's only.
+    A prime outside a precondition is a SKIP row, or raises when explicit
+    (_sweep).  bound (the prime cap of point counts) and c6_question (the
+    C_r search) are maximality's only.
     """
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -537,9 +532,8 @@ def run_suite(name: str, primes, explicit: bool = False,
         raise ValueError("--bound and --c6-question apply to the maximality "
                          f"suite only, not {name}")
     family, fn = _SUITE_FUNCS[name]
-    report = _sweep(primes, explicit, family, partial(
+    return _sweep(primes, explicit, family, partial(
         fn, explicit=explicit, bound=bound, c6_question=c6_question))
-    return report, report.exit_status
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +713,13 @@ def main(argv=None) -> int:
             _settle_family(args)
         primes, explicit = _resolve_primes(args)
         if command == "verify":
-            report, _ = run_suite(args.suite, primes, explicit, args.bound,
-                                  args.c6_question)
+            report = run_suite(args.suite, primes, explicit, args.bound,
+                               args.c6_question)
         else:  # enumerate, which takes no --family, sweeps C6
             report = _sweep(primes, explicit, getattr(args, "family", "c6"),
                             partial(rows, args=args), partial(_param_at, args))
-        print(report.render(args.format), end="")
+        print(report.to_json() if args.format == "json" else report.to_csv(),
+              end="")
         return report.exit_status
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -152,16 +152,14 @@ def verify_gauss_lemma(mod) -> bool:
 class ExpectationReport:
     """Roots of G^((p-5)/6)(5/6, 2/3, (2p+7)/6; t) inside F_{p^2}.
 
-    found counts the distinct roots in F_{p^2}, all_square says whether
-    each is a square in F_{p^2}^x, and missing = degree - found counts
-    the rest (outside F_{p^2} or repeated; 0 means g splits there).
+    found counts the distinct roots in F_{p^2} and all_square says whether
+    each is a square in F_{p^2}^x; the other degree - found roots lie
+    outside F_{p^2} or repeat, so found == degree means g splits there.
     """
 
-    p: int
     all_square: bool
     found: int
     degree: int
-    missing: int
 
 
 def expectation_check(mod) -> ExpectationReport:
@@ -178,5 +176,5 @@ def expectation_check(mod) -> ExpectationReport:
         raise ModulusError("needs p = 5 mod 6 and p >= 17")
     g = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, mod)
     found, squares = ext2_root_counts(g)
-    return ExpectationReport(p=p, all_square=squares == found, found=found,
-                             degree=g.degree, missing=g.degree - found)
+    return ExpectationReport(all_square=squares == found, found=found,
+                             degree=g.degree)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import random
@@ -20,11 +21,11 @@ from hwquartic.errors import (CapacityError, IntegrityError, ModulusError,
                               ParseError)
 from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
 from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
-                               SweepReport, _count_points_grid, build_parser,
-                               count_points_ext2, fermat_form,
-                               hasse_weil_window, is_maximal_ext2, main,
-                               oracle_corpus, parse_c6_param, parse_quartic,
-                               primes_in, run_suite)
+                               ReportRow, SweepReport, _count_points_grid,
+                               build_parser, count_points_ext2, fermat_form,
+                               hasse_weil_window, main, oracle_corpus,
+                               parse_c6_param, parse_quartic, primes_in,
+                               run_suite)
 from hwquartic.hwcore import ORACLE_PRIME_BOUND, QuarticForm
 
 
@@ -305,6 +306,11 @@ def test_cli_degree_too_long_to_print_is_a_parse_error_at_the_term(capsys):
 # ---------------------------------------------------------------------------
 # point counting
 
+def is_maximal(F):
+    """True iff the F_{p^2} point count attains p^2 + 1 + 6p."""
+    return count_points_ext2(F) == hasse_weil_window(F.modulus.p)[1]
+
+
 def test_count_points_degenerate_line():
     # z^4 = 0 cuts out the projective line z = 0, which has p^2 + 1 points
     for p in (5, 7):
@@ -315,7 +321,7 @@ def test_count_points_degenerate_line():
 def test_count_points_c9_17_is_maximal():
     F = families.c9_form(modulus(17))
     assert count_points_ext2(F) == 392 == 17 * 17 + 1 + 6 * 17
-    assert is_maximal_ext2(F)
+    assert is_maximal(F)
 
 
 def test_count_points_c9_19_below_bound():
@@ -325,10 +331,10 @@ def test_count_points_c9_19_below_bound():
 
 
 def test_maximality_examples():
-    assert not is_maximal_ext2(families.c9_form(modulus(13)))
+    assert not is_maximal(families.c9_form(modulus(13)))
     # no C_r over F_7 is F_49-maximal (maximality needs p = 5 mod 6)
     m = modulus(7)
-    assert not any(is_maximal_ext2(families.c6_form(m, r))
+    assert not any(is_maximal(families.c6_form(m, r))
                    for r in range(7) if r not in (2, 5))
 
 
@@ -342,7 +348,7 @@ def test_maximal_c6_members_are_superspecial(p, ext):
               for b in range(p if ext == 2 else 1)
               if not (b == 0 and a in (2, p - 2))]
     maximal = [r for r in params
-               if is_maximal_ext2(families.c6_form(m, r))]
+               if is_maximal(families.c6_form(m, r))]
     assert maximal
     assert all(c2.eval(r).is_zero() for r in maximal)
 
@@ -356,13 +362,15 @@ def test_c6_question_search_order(monkeypatch, accept):
 
     tried = []
 
-    def fake_is_maximal(F, bound=None):
+    def fake_count(F, bound=None):
+        if (0, 2, 2) not in F.terms:  # the C9 curve, counted first
+            return count_points_ext2(F, bound)
         r = str(F.terms[(0, 2, 2)])
         tried.append(r)
-        return r == accept
+        return hasse_weil_window(29)[1] if r == accept else 0
 
-    monkeypatch.setattr(harness, "is_maximal_ext2", fake_is_maximal)
-    rep, _ = run_suite("maximality", [29], c6_question=True)
+    monkeypatch.setattr(harness, "count_points_ext2", fake_count)
+    rep = run_suite("maximality", [29], c6_question=True)
     assert tried == ["5", "24", "0+1*w", "0+28*w"]
     row = rep.rows[1]
     assert row.param == (accept or "")
@@ -510,11 +518,23 @@ _HEADER = "p,family,param,a_number,p_rank,newton_polygon,eo_type,status,detail\n
     _HEADER + "x,c6,,,,,,PASS,\n",               # p = x
     _HEADER + ",c6,,,,,,PASS,\n",                # p empty
     _HEADER + "13,c6,,two,,,,PASS,\n",           # a_number not an integer
+    _HEADER + "13,c6,,,,,,fail,\n",              # status not PASS/FAIL/SKIP
+    _HEADER + "13,c6,,,,,,,\n",                  # status empty
     "",                                          # no header
 ])
 def test_from_csv_rejects_malformed_records(text):
     with pytest.raises(ParseError):
         SweepReport.from_csv(text)
+
+
+#: a well-formed JSON report row
+_JSON_ROW = dict(p=13, family="c6", param="", a_number=None, p_rank=None,
+                 newton_polygon="", eo_type="", status="PASS", detail="")
+
+
+def test_from_json_reads_a_complete_row():
+    assert SweepReport.from_json(json.dumps([_JSON_ROW])).rows == [
+        ReportRow(**_JSON_ROW)]
 
 
 @pytest.mark.parametrize("text", [
@@ -527,6 +547,13 @@ def test_from_csv_rejects_malformed_records(text):
     '{"p": 13}',                        # not an array
     '[{"p": true}]',                    # p a boolean
     '[{"p": 13, "a_number": false}]',   # a_number a boolean
+    '[{"p": 5}]',                       # the other eight keys missing
+    # one bad value in a row that has every key
+    *(pytest.param(json.dumps([{**_JSON_ROW, key: value}]),
+                   id=f"{key}={value!r}")
+      for key, value in (("p", "x"), ("p", 13.5), ("p", True),
+                         ("a_number", False), ("detail", None),
+                         ("status", "fail"), ("status", "OK"))),
 ])
 def test_from_json_rejects_malformed_records(text):
     with pytest.raises(ParseError):
@@ -552,8 +579,8 @@ def test_oracle_corpus_is_deterministic():
 
 
 def test_run_suite_oracle():
-    rep, status = run_suite("oracle", [5, 7])
-    assert status == 0
+    rep = run_suite("oracle", [5, 7])
+    assert rep.exit_status == 0
     assert all(r.status == "PASS" for r in rep.rows)
 
 
@@ -565,8 +592,8 @@ def test_cli_oracle_above_its_bound_is_a_capacity_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("capacity error: ")
     assert f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}" in err
-    rep, status = run_suite("oracle", [37])
-    assert status == 0 and [r.status for r in rep.rows] == ["SKIP"]
+    rep = run_suite("oracle", [37])
+    assert rep.exit_status == 0 and [r.status for r in rep.rows] == ["SKIP"]
     assert f"capacity error: {rep.rows[0].detail}\n" == err
     start = time.perf_counter()
     assert main(["verify", "oracle", "--p", "1000003"]) == 3
@@ -574,8 +601,8 @@ def test_cli_oracle_above_its_bound_is_a_capacity_error(capsys):
 
 
 def test_run_suite_skips_wrong_class_in_range_mode():
-    rep, status = run_suite("euler", [7, 11])
-    assert status == 0
+    rep = run_suite("euler", [7, 11])
+    assert rep.exit_status == 0
     assert [(r.family, r.status) for r in rep.rows] == [("c6", "SKIP"), ("c6", "PASS")]
     assert rep.rows[0].detail == "needs p = 5 mod 6"
     with pytest.raises(ModulusError, match="^needs p = 5 mod 6$"):
@@ -1034,7 +1061,7 @@ def test_c6_range_skip_rows_carry_the_reduced_parameter(capsys, monkeypatch,
     SKIP rows whose param is r mod p, as a PASS row's is."""
     from hwquartic import ffield
 
-    modulus.cache_clear()  # no factorial table of an earlier test is reused
+    ffield._factorials.cache_clear()  # no table of an earlier test is reused
     monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
     code, out = run_cli(capsys, cmd, "--r", "110", "--p-range", "101..109")
     assert code == 0
@@ -1050,7 +1077,7 @@ def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):
     row of enumerate in a range and exit 3 under --p."""
     from hwquartic import ffield
 
-    modulus.cache_clear()  # no factorial table of an earlier test is reused
+    ffield._factorials.cache_clear()  # no table of an earlier test is reused
     monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
     code, out = run_cli(capsys, "enumerate", "--p-range", "101..109")
     assert code == 0
@@ -1060,6 +1087,19 @@ def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):
         (p, "c6", "SKIP", f"factorial tables mod p need p <= 105, got {p}")
         for p in (107, 109)]
     assert main(["enumerate", "--p", "107"]) == 3
+
+
+def test_a_range_sweep_keeps_at_most_the_cached_factorial_tables(capsys):
+    """A range of about 300 primes leaves no more factorial tables alive
+    than ffield.CACHED_PRIMES: each prime's table goes once the cache
+    holds that many newer ones."""
+    from hwquartic import ffield
+
+    assert main(["verify", "counts", "--p-range", "5..2000"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    alive = sum(isinstance(o, ffield.FactorialTable) for o in gc.get_objects())
+    assert 0 < alive <= ffield.CACHED_PRIMES
 
 
 def test_cli_failure_exit_code(capsys, monkeypatch):
@@ -1109,7 +1149,28 @@ def test_c6_structure_fails_on_an_a_number_off_the_table(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "c6-structure", "--p", "43")
     assert code == 1
     [row] = SweepReport.from_csv(out).rows
-    assert (row.status, row.detail) == ("FAIL", "a-number 2 attained")
+    assert (row.status, row.detail) == (
+        "FAIL", "a-number 2 not admissible for p = 1 mod 6")
+
+
+def test_c6_structure_fails_on_a_p_rank_off_the_table(capsys, monkeypatch):
+    """The suite checks p-ranks against TABLE_C6 too: one computed p-rank
+    raised by one at 43 = 1 mod 6, where a = 2 has p-rank 1, fails it."""
+    from hwquartic import harness
+    grid_ranks = harness.grid_ranks
+
+    def raise_one(M, mod):
+        rank, f = grid_ranks(M, mod)
+        f = f.copy()
+        f[np.flatnonzero(3 - rank == 2)[0]] += 1
+        return rank, f
+
+    monkeypatch.setattr(harness, "grid_ranks", raise_one)
+    code, out = run_cli(capsys, "verify", "c6-structure", "--p", "43")
+    assert code == 1
+    [row] = SweepReport.from_csv(out).rows
+    assert (row.status, row.detail) == (
+        "FAIL", "computed p-rank 2 disagrees with the table value 1")
 
 
 def test_c6_structure_fails_when_hw_matrix_disagrees(capsys, monkeypatch):

@@ -313,15 +313,14 @@ def series(p):
 def test_expectation_check_p17():
     rep = expectation_check(modulus(17))
     assert rep.all_square is True
-    assert rep.degree == 2 and rep.missing == 0
+    assert rep.degree == 2 and rep.found == 2
     assert {(z.a, z.b) for z in roots_over(series(17), 2)} == {(8, 0), (15, 0)}
-    assert rep.found == 2
 
 
 def test_expectation_check_p23():
     rep = expectation_check(modulus(23))
     assert rep.all_square is True
-    assert rep.degree == 3 and rep.missing == 0
+    assert rep.degree == 3 and rep.found == 3
 
 
 def test_expectation_check_preconditions():
@@ -339,7 +338,7 @@ def test_expectation_check_matches_exhaustion():
         rep = expectation_check(modulus(p))
         assert rep.found == len(roots), p
         assert rep.all_square == all(map(is_square_fp2, roots)), p
-        assert rep.missing == rep.degree - len(roots), p
+        assert rep.degree == series(p).degree, p
     assert len(primes) == 21
 
 
