@@ -9,7 +9,7 @@ from .families import (Classification, TABLE_C6, TABLE_C9, c6_classify,
 from .ffield import (FactorialTable, Fp2Element, FpElement, PrimeModulus,
                      binomial, is_prime, modulus, multinomial)
 from .harness import (ReportRow, SweepReport, count_points_ext2, main,
-                      parse_c6_param, parse_quartic, run_suite)
+                      parse_c6_param, parse_quartic)
 from .hwcore import (HWMatrix, QuarticForm, a_number, hw_matrix,
                      hw_matrix_oracle, hw_targets, rank3, stable_rank)
 from .hypergeom import (ExpectationReport, expectation_check, gauss_truncated,

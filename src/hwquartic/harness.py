@@ -7,10 +7,12 @@ Report schema (CSV columns, JSON keys identical):
 
 status is PASS, FAIL or SKIP; a_number/p_rank are empty when a row does
 not carry a classification.  Exit codes: 0 all rows pass, 1 any failure,
-2 usage error, 3 capacity error.  A per-prime precondition is raised
-once, where the work is, as a ModulusError or CapacityError whose
-message is the SKIP detail; the one per-prime loop, _sweep, re-raises it
-under --p (exit 2 or 3) and turns it into a SKIP row in a range.
+2 usage error, 3 capacity error.  Every command, verify included, is a
+row of COMMANDS: a rows function at one prime, which for verify runs the
+suite's.  A per-prime precondition is raised once, where the work is, as
+a ModulusError or CapacityError whose message is the SKIP detail; the
+one per-prime loop, _sweep, re-raises it under --p (exit 2 or 3) and
+turns it into a SKIP row in a range.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import random
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -239,14 +240,23 @@ _STATUSES = ("PASS", "FAIL", "SKIP")
 
 
 def _cell(f, value):
-    """value, CSV text or a JSON value, as field f holds it."""
-    if value in ("", None) and f.default is None:
+    """A JSON value as field f holds it: an int (not a bool) or, where f may
+    be empty, None in an integer column, a str in any other."""
+    if value is None and f.default is None:
         return None
-    is_int = f.name in _INT_COLUMNS
-    if isinstance(value, (int, str) if is_int else str) and not isinstance(value, bool):
-        return int(value) if is_int else value
+    want = int if f.name in _INT_COLUMNS else str
+    if type(value) is want:
+        return value
     raise ValueError(f"{f.name} = {value!r} is not "
-                     + ("an integer" if is_int else "text"))
+                     + ("an integer" if want is int else "text"))
+
+
+def _csv_value(column, text):
+    """A CSV cell as JSON holds it: in an integer column "" is None and the
+    ASCII digits that str(int) writes are an int; other text stays text."""
+    if column in _INT_COLUMNS and re.fullmatch(r"|0|-?[1-9][0-9]*", text):
+        return int(text) if text else None
+    return text
 
 
 def _report_row(values, where: str) -> ReportRow:
@@ -287,7 +297,7 @@ class SweepReport:
         header = next(rd, None)
         if header is None or tuple(header) != _CSV_COLUMNS:
             raise ParseError(f"unexpected CSV header {header}")
-        return cls([_report_row(dict(zip(_CSV_COLUMNS, rec))
+        return cls([_report_row({c: _csv_value(c, t) for c, t in zip(_CSV_COLUMNS, rec)}
                                 if len(rec) == len(_CSV_COLUMNS) else rec,
                                 f"CSV line {rd.line_num}") for rec in rd])
 
@@ -356,7 +366,7 @@ def _matrix_detail(M: HWMatrix) -> str:
                            for row in M.entries) + "]"
 
 
-def _suite_oracle(report, mod, **_kw):
+def _suite_oracle(report, mod, args):
     _require_oracle_prime(mod.p)  # before the corpus of p + 50 forms
     forms = oracle_corpus(mod)
     bad = [name for name, F in forms if hw_matrix(F) != hw_matrix_oracle(F)]
@@ -366,7 +376,7 @@ def _suite_oracle(report, mod, **_kw):
                        else "disagreement on " + ", ".join(bad[:5])))
 
 
-def _suite_c6_structure(report, mod, **_kw):
+def _suite_c6_structure(report, mod, args):
     p = mod.p
     anti = p % 6 == 5
     live = {(1, 3), (3, 1)} if anti else {(1, 1), (2, 2), (3, 3)}
@@ -393,7 +403,7 @@ def _suite_c6_structure(report, mod, **_kw):
                + f", a-numbers attained {sorted(set((3 - rank).tolist()))}")
 
 
-def _suite_counts(report, mod, **_kw):
+def _suite_counts(report, mod, args):
     p = mod.p
     n = families.c6_count_max_a(mod)
     per_class = (p - 5) // 12 if p % 6 == 5 else (p - 1) // 12
@@ -402,7 +412,7 @@ def _suite_counts(report, mod, **_kw):
                detail=f"count={n} floor(p/12)={p // 12} class-form={per_class}")
 
 
-def _suite_c9_table(report, mod, **_kw):
+def _suite_c9_table(report, mod, args):
     p = mod.p
     try:
         cls = families.c9_classify(mod)
@@ -413,19 +423,19 @@ def _suite_c9_table(report, mod, **_kw):
                detail=f"p mod 9 = {p % 9}", **_classification_columns(cls))
 
 
-def _suite_euler(report, mod, **_kw):
+def _suite_euler(report, mod, args):
     ok = hypergeom.verify_euler(mod)
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail="truncated Euler transformation")
 
 
-def _suite_gauss_lemma(report, mod, **_kw):
+def _suite_gauss_lemma(report, mod, args):
     ok = hypergeom.verify_gauss_lemma(mod)
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
                detail="series/coefficient congruences at all r")
 
 
-def _suite_expectation(report, mod, **_kw):
+def _suite_expectation(report, mod, args):
     rep = hypergeom.expectation_check(mod)
     ok = rep.all_square and rep.found == rep.degree
     report.add(p=mod.p, family="c6", status="PASS" if ok else "FAIL",
@@ -454,16 +464,15 @@ def _first_maximal_c6(mod, bound):
     return None, False
 
 
-def _suite_maximality(report, mod, explicit=False, bound=None,
-                      c6_question=False, **_kw):
+def _suite_maximality(report, mod, args):
     p = mod.p
-    ask = c6_question and p % 6 == 5 and p >= 17
+    ask = args.c6_question and p % 6 == 5 and p >= 17
     roots_fit = p * p <= DEFAULT_ROOT_BOUND
-    if ask and explicit and not roots_fit:
+    if ask and args.p is not None and not roots_fit:
         raise CapacityError(f"--c6-question: p^2 = {p * p} exceeds the root "
                             f"exhaustion bound {DEFAULT_ROOT_BOUND}")
     top = hasse_weil_window(p)[1]
-    count = count_points_ext2(families.c9_form(mod), bound=bound)
+    count = count_points_ext2(families.c9_form(mod), bound=args.bound)
     maximal = count == top
     expected = p % 18 == 17
     report.add(p=p, family="c9",
@@ -477,7 +486,7 @@ def _suite_maximality(report, mod, explicit=False, bound=None,
                    detail=f"p^2 exceeds root exhaustion bound {DEFAULT_ROOT_BOUND}")
         return
     # informational search for the open question: is some C_r maximal?
-    found, rational = _first_maximal_c6(mod, bound)
+    found, rational = _first_maximal_c6(mod, args.bound)
     coverage = "r swept over F_p only" if rational else "r swept over all of F_p2"
     report.add(p=p, family="c6", param=found or "",
                status="PASS",
@@ -500,42 +509,6 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def _sweep(primes, explicit: bool, family: str, rows,
-           param=lambda mod: "") -> SweepReport:
-    """rows(report, mod) at each prime.  A ModulusError or CapacityError
-    from rows is re-raised when the prime was requested explicitly, else a
-    SKIP row of family and param(mod), with the error's message as detail."""
-    report = SweepReport()
-    for p in primes:
-        mod = modulus(int(p))
-        try:
-            rows(report, mod)
-        except (ModulusError, CapacityError) as exc:
-            if explicit:
-                raise
-            report.add(p=mod.p, family=family, param=param(mod),
-                       status="SKIP", detail=str(exc))
-    return report
-
-
-def run_suite(name: str, primes, explicit: bool = False,
-              bound: int | None = None, c6_question: bool = False):
-    """The SweepReport of one verification suite over an iterable of primes.
-
-    A prime outside a precondition is a SKIP row, or raises when explicit
-    (_sweep).  bound (the prime cap of point counts) and c6_question (the
-    C_r search) are maximality's only.
-    """
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if name != "maximality" and (bound is not None or c6_question):
-        raise ValueError("--bound and --c6-question apply to the maximality "
-                         f"suite only, not {name}")
-    family, fn = _SUITE_FUNCS[name]
-    return _sweep(primes, explicit, family, partial(
-        fn, explicit=explicit, bound=bound, c6_question=c6_question))
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -547,14 +520,13 @@ def _parse_range(text: str):
 
 
 def _resolve_primes(args):
-    """(primes, explicit) from --p / --p-range."""
+    """The primes of --p / --p-range."""
     if args.p is not None and args.p_range is not None:
         raise ParseError("--p and --p-range are mutually exclusive")
     if args.p is not None:
-        return [modulus(args.p).p], True  # ModulusError unless a prime >= 5
+        return [modulus(args.p).p]  # ModulusError unless a prime >= 5
     if args.p_range is not None:
-        lo, hi = _parse_range(args.p_range)
-        return primes_in(lo, hi), False
+        return primes_in(*_parse_range(args.p_range))
     raise ParseError("one of --p or --p-range is required")
 
 
@@ -572,8 +544,26 @@ def _family_at(args, mod):
 
 
 def _param_at(args, mod) -> str:
-    """The param column of a command's rows at p ("" for enumerate)."""
-    return _family_at(args, mod)[0] if "family" in args else ""
+    """The param column of a command's rows at p ("" for verify and
+    enumerate, which take no --quartic)."""
+    return _family_at(args, mod)[0] if "quartic" in args else ""
+
+
+def _sweep(primes, args, rows) -> SweepReport:
+    """rows(report, mod, args) at each prime.  A ModulusError or
+    CapacityError from rows is re-raised under --p, else a SKIP row of
+    args.family and _param_at, with the error's message as detail."""
+    report = SweepReport()
+    for p in primes:
+        mod = modulus(int(p))
+        try:
+            rows(report, mod, args)
+        except (ModulusError, CapacityError) as exc:
+            if args.p is not None:
+                raise
+            report.add(p=mod.p, family=args.family, param=_param_at(args, mod),
+                       status="SKIP", detail=str(exc))
+    return report
 
 
 def _hw_row(report, mod, args, detail=None):
@@ -631,6 +621,10 @@ def _count_points_row(report, mod, args):
                detail=f"points={n} maximal={n == hi} window=[{lo},{hi}]")
 
 
+def _verify_rows(report, mod, args):
+    _SUITE_FUNCS[args.suite][1](report, mod, args)
+
+
 _FAMILY_FLAGS = ("--family", "--r", "--quartic")
 
 #: command -> (rows at one prime, arguments beyond --p, --p-range, --format)
@@ -639,7 +633,7 @@ COMMANDS = {
     "classify": (_classify_row, _FAMILY_FLAGS),
     "enumerate": (_enumerate_rows, ()),
     "count-points": (_count_points_row, _FAMILY_FLAGS + ("--bound",)),
-    "verify": (None, ("suite", "--bound", "--c6-question")),
+    "verify": (_verify_rows, ("suite", "--bound", "--c6-question")),
 }
 
 #: every argument after the command, declared once
@@ -684,8 +678,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 _PARSERS = {command: build_parser(command) for command in (*COMMANDS, None)}
 
 
-def _settle_family(args):
-    """--family from --quartic or --r when not given; reject a mismatch."""
+def _settle(args):
+    """args.family, the family of every row and SKIP row: the suite's for
+    verify, c6 for enumerate, else --family, or the family that --quartic
+    or --r implies.  Rejects a flag that cannot apply."""
+    if "suite" in args and args.suite != "maximality" and (
+            args.bound is not None or args.c6_question):
+        raise ParseError("--bound and --c6-question apply to the "
+                         f"maximality suite only, not {args.suite}")
+    if "quartic" not in args:  # verify and enumerate
+        args.family = _SUITE_FUNCS[args.suite][0] if "suite" in args else "c6"
+        return
     fam = args.family or ("general" if args.quartic is not None
                           else "c6" if args.r is not None else None)
     if fam is None:
@@ -708,16 +711,8 @@ def main(argv=None) -> int:
     try:
         if args.command != command:
             raise ParseError(f"the command must come first, not {command!r}")
-        rows, takes = COMMANDS[command]
-        if "--family" in takes:
-            _settle_family(args)
-        primes, explicit = _resolve_primes(args)
-        if command == "verify":
-            report = run_suite(args.suite, primes, explicit, args.bound,
-                               args.c6_question)
-        else:  # enumerate, which takes no --family, sweeps C6
-            report = _sweep(primes, explicit, getattr(args, "family", "c6"),
-                            partial(rows, args=args), partial(_param_at, args))
+        _settle(args)
+        report = _sweep(_resolve_primes(args), args, COMMANDS[command][0])
         print(report.to_json() if args.format == "json" else report.to_csv(),
               end="")
         return report.exit_status

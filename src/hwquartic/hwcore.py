@@ -15,6 +15,7 @@ oracle in the test suite; do not transpose it.
 hw_matrix extracts the nine coefficients WITHOUT expanding F^{p-1}: the
 multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
 (which forces sum k_u = p - 1) with k_u >= 0.  coefficient_in_power
+takes a list of targets and returns the list of their coefficients.  It
 solves three pivot terms by the integer adjugate of the 3 x 3 minor of
 least nonzero |det| and walks the other multiplicities once for all
 targets: one numpy pass per free term, each row tagged by its target and
@@ -198,10 +199,10 @@ def _branch(lo, counts, start):
     return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-def coefficient_in_power(F: QuarticForm, target):
-    """The coefficient of x^i y^j z^k in F^(p-1), without expanding.
+def coefficient_in_power(F: QuarticForm, targets):
+    """The coefficients of x^i y^j z^k in F^(p-1), without expanding, one
+    per (i, j, k) of the list targets.
 
-    target is a triple, or a list of them (then the result is a list).
     Zero when a target has a negative coordinate or not total degree
     4(p-1).  Raises ValueError for exponents on a line (_pivots), and
     CapacityError past MAX_CANDIDATES rows of one target at one level.
@@ -214,7 +215,7 @@ def coefficient_in_power(F: QuarticForm, target):
     pivots, det, adj = _pivots(exps)
     free = [u for u in range(len(exps)) if u not in pivots]
     tab = _term_tables([c for _, c in items], mod, width)
-    tgt = np.array(target, np.int64).reshape(-1, 3)
+    tgt = np.array(targets, np.int64).reshape(len(targets), 3)  # also for []
     tgt[tgt.sum(axis=1) != 4 * (p - 1)] = -1    # no solution, no rows
     sums = np.zeros((width, len(tgt)), np.int64)
 
@@ -282,8 +283,7 @@ def coefficient_in_power(F: QuarticForm, target):
             t0 = t1
 
     walk(tgt, np.arange(len(tgt) + 1), [])
-    values = [element(c, mod) for c in zip(*(sums % p).tolist())]
-    return values[0] if np.ndim(target) == 1 else values
+    return [element(c, mod) for c in zip(*(sums % p).tolist())]
 
 
 def hw_targets(p):

@@ -1,8 +1,9 @@
 """Golden CLI outputs: exit code and sha256 of stdout and stderr per command.
 
 The digests in cli_golden.json pin the byte-identical output promise of
-the verify suites, enumerate and count-points.  A change that alters a
-report on purpose regenerates them with
+the verify suites, enumerate and count-points; each output also reads
+back through SweepReport.from_csv / from_json and writes the same bytes.
+A change that alters a report on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hwquartic.harness import main
+from hwquartic.harness import SweepReport, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -58,14 +59,14 @@ def _sha256(text):
 
 
 def run(argv):
-    """The golden record of one CLI call."""
+    """The golden record of one CLI call, and its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return {"argv": list(argv), "exit": code,
             "stdout_sha256": _sha256(out.getvalue()),
             "stderr_sha256": _sha256(err.getvalue()),
-            "stdout_lines": out.getvalue().count("\n")}
+            "stdout_lines": out.getvalue().count("\n")}, out.getvalue()
 
 
 def _golden():
@@ -78,9 +79,14 @@ def test_golden_covers_every_command():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_output_matches_golden(argv):
-    assert run(argv) == _golden()[" ".join(argv)]
+    record, out = run(argv)
+    assert record == _golden()[" ".join(argv)]
+    if "json" in argv:
+        assert SweepReport.from_json(out).to_json() == out
+    else:
+        assert SweepReport.from_csv(out).to_csv() == out
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    GOLDEN.write_text(json.dumps([run(argv) for argv in COMMANDS], indent=1) + "\n")
+    GOLDEN.write_text(json.dumps([run(argv)[0] for argv in COMMANDS], indent=1) + "\n")
     print(f"wrote {len(COMMANDS)} records to {GOLDEN}")

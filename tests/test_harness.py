@@ -17,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwquartic import families
-from hwquartic.errors import (CapacityError, IntegrityError, ModulusError,
-                              ParseError)
+from hwquartic.errors import CapacityError, IntegrityError, ParseError
 from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
 from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
                                ReportRow, SweepReport, _count_points_grid,
                                build_parser, count_points_ext2, fermat_form,
                                hasse_weil_window, main, oracle_corpus,
-                               parse_c6_param, parse_quartic, primes_in,
-                               run_suite)
+                               parse_c6_param, parse_quartic, primes_in)
 from hwquartic.hwcore import ORACLE_PRIME_BOUND, QuarticForm
 
 
@@ -354,7 +352,7 @@ def test_maximal_c6_members_are_superspecial(p, ext):
 
 
 @pytest.mark.parametrize("accept", [None, "0+28*w"])
-def test_c6_question_search_order(monkeypatch, accept):
+def test_c6_question_search_order(capsys, monkeypatch, accept):
     """F_p roots of c2 in ascending order first, then the roots off F_p by
     (a, b); at p = 29 they are 5, 24 and +-w.  The fake count rejects
     every F_p root, so the search must reach F_{p^2}."""
@@ -370,7 +368,10 @@ def test_c6_question_search_order(monkeypatch, accept):
         return hasse_weil_window(29)[1] if r == accept else 0
 
     monkeypatch.setattr(harness, "count_points_ext2", fake_count)
-    rep = run_suite("maximality", [29], c6_question=True)
+    code, out = run_cli(capsys, "verify", "maximality", "--p-range", "29..29",
+                        "--c6-question")
+    assert code == 0
+    rep = SweepReport.from_csv(out)
     assert tried == ["5", "24", "0+1*w", "0+28*w"]
     row = rep.rows[1]
     assert row.param == (accept or "")
@@ -560,6 +561,24 @@ def test_from_json_rejects_malformed_records(text):
         SweepReport.from_json(text)
 
 
+@pytest.mark.parametrize("reader, text", [
+    *(pytest.param(SweepReport.from_json, json.dumps([{**_JSON_ROW, key: value}]),
+                   id=f"json-{key}={value!r}")
+      for key, value in (("p", "13"), ("a_number", " 2"), ("p_rank", "1"),
+                         ("a_number", ""))),
+    *(pytest.param(SweepReport.from_csv, _HEADER + f"{p},c6,,{a},,,,PASS,\n",
+                   id=f"csv-p={p!r}-a_number={a!r}")
+      for p, a in ((" 13 ", ""), ("+13", ""), ("1_3", ""), ("013", ""),
+                   ("١٣", ""), ("13", "+2"), ("13", "-0"), ("13", " 2"))),
+])
+def test_report_readers_take_only_the_integer_form_they_write(reader, text):
+    """A JSON integer column takes a JSON integer (or null where it may be
+    empty), a CSV one only the ASCII text str(int) writes; the same value
+    in any other form is a ParseError."""
+    with pytest.raises(ParseError, match="is not an integer"):
+        reader(text)
+
+
 def test_hasse_weil_window_is_genus_three():
     assert hasse_weil_window(13) == (170 - 78, 170 + 78)
 
@@ -578,9 +597,11 @@ def test_oracle_corpus_is_deterministic():
     assert sum(1 for name, _ in a if name.startswith("random")) == 50
 
 
-def test_run_suite_oracle():
-    rep = run_suite("oracle", [5, 7])
-    assert rep.exit_status == 0
+def test_run_suite_oracle(capsys):
+    code, out = run_cli(capsys, "verify", "oracle", "--p-range", "5..7")
+    rep = SweepReport.from_csv(out)
+    assert code == rep.exit_status == 0
+    assert [r.p for r in rep.rows] == [5, 7]
     assert all(r.status == "PASS" for r in rep.rows)
 
 
@@ -592,32 +613,67 @@ def test_cli_oracle_above_its_bound_is_a_capacity_error(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("capacity error: ")
     assert f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}" in err
-    rep = run_suite("oracle", [37])
-    assert rep.exit_status == 0 and [r.status for r in rep.rows] == ["SKIP"]
+    code, out = run_cli(capsys, "verify", "oracle", "--p-range", "37..37")
+    rep = SweepReport.from_csv(out)
+    assert code == rep.exit_status == 0
+    assert [r.status for r in rep.rows] == ["SKIP"]
     assert f"capacity error: {rep.rows[0].detail}\n" == err
     start = time.perf_counter()
     assert main(["verify", "oracle", "--p", "1000003"]) == 3
     assert time.perf_counter() - start < 1.0
 
 
-def test_run_suite_skips_wrong_class_in_range_mode():
-    rep = run_suite("euler", [7, 11])
-    assert rep.exit_status == 0
+def test_run_suite_skips_wrong_class_in_range_mode(capsys):
+    code, out = run_cli(capsys, "verify", "euler", "--p-range", "7..11")
+    rep = SweepReport.from_csv(out)
+    assert code == rep.exit_status == 0
     assert [(r.family, r.status) for r in rep.rows] == [("c6", "SKIP"), ("c6", "PASS")]
     assert rep.rows[0].detail == "needs p = 5 mod 6"
-    with pytest.raises(ModulusError, match="^needs p = 5 mod 6$"):
-        run_suite("euler", [7], explicit=True)
+    assert main(["verify", "euler", "--p", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: needs p = 5 mod 6\n"
 
 
-@pytest.mark.parametrize("kw", [{"sweep_ext2": True}, {"no_such_option": 1}])
-def test_run_suite_rejects_unknown_keywords(kw):
-    with pytest.raises(TypeError):
-        run_suite("counts", [13], **kw)
+def test_run_suite_unknown_name(capsys):
+    assert main(["verify", "nope", "--p", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err and "'nope'" in err
 
 
-def test_run_suite_unknown_name():
-    with pytest.raises(ValueError):
-        run_suite("nope", [5])
+#: the least prime past ffield.MAX_TABLE_PRIME, where every suite that
+#: needs a factorial table skips
+_PAST_TABLES = 1048583
+
+#: suite -> (a range with primes outside the suite's preconditions, its
+#: SKIP rows as (p, family, detail))
+_SUITE_SKIPS = {
+    "oracle": ("37..37", [(37, "any", "oracle expansion needs p <= "
+                                      f"ORACLE_PRIME_BOUND = {ORACLE_PRIME_BOUND}, got 37")]),
+    **{suite: (f"{_PAST_TABLES}..{_PAST_TABLES}", [(
+        _PAST_TABLES, family,
+        f"factorial tables mod p need p <= 1048576, got {_PAST_TABLES}")])
+       for suite, family in (("c6-structure", "c6"), ("counts", "c6"),
+                             ("c9-table", "c9"), ("gauss-lemma", "c6"))},
+    "euler": ("5..13", [(7, "c6", "needs p = 5 mod 6"),
+                        (13, "c6", "needs p = 5 mod 6")]),
+    "expectation": ("11..11", [(11, "c6", "needs p = 5 mod 6 and p >= 17")]),
+    "maximality": ("61..61", [(61, "c9", "point counting needs p <= 60, got 61")]),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_skip_rows_carry_the_suite_family(capsys, suite):
+    """In a range each suite's SKIP row has that suite's family, an empty
+    param and the precondition's message; the sweep still exits 0."""
+    from hwquartic import ffield
+
+    assert primes_in(ffield.MAX_TABLE_PRIME, _PAST_TABLES) == [_PAST_TABLES]
+    p_range, skips = _SUITE_SKIPS[suite]
+    code, out = run_cli(capsys, "verify", suite, "--p-range", p_range)
+    assert code == 0
+    rows = SweepReport.from_csv(out).rows
+    assert [(r.p, r.family, r.param, r.detail) for r in rows
+            if r.status == "SKIP"] == [(p, fam, "", detail) for p, fam, detail in skips]
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +924,7 @@ def test_cli_rejects_the_zero_form(capsys, argv):
     ["count-points", "--family", "c9", "--r", "3", "--p-range", "24..28"],
     ["verify", "counts", "--p-range", "30..10"],       # reversed range
     ["hw", "--family", "c9", "--p-range", "30..10"],
+    ["verify", "counts", "--p-range", "24..28", "--bound", "7"],  # not maximality
 ])
 def test_cli_usage_errors_without_primes(capsys, argv):
     """Flags and ranges are checked once, before the first prime, so a
@@ -1105,7 +1162,7 @@ def test_a_range_sweep_keeps_at_most_the_cached_factorial_tables(capsys):
 def test_cli_failure_exit_code(capsys, monkeypatch):
     from hwquartic import harness
 
-    def fake_suite(report, mod, **kw):
+    def fake_suite(report, mod, args):
         report.add(p=mod.p, family="c6", status="FAIL", detail="injected")
 
     monkeypatch.setitem(harness._SUITE_FUNCS, "counts", ("c6", fake_suite))
