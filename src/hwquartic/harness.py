@@ -237,6 +237,8 @@ _CSV_COLUMNS = tuple(f.name for f in _FIELDS)
 #: the integer columns; a_number and p_rank may be empty (None)
 _INT_COLUMNS = ("p", "a_number", "p_rank")
 _STATUSES = ("PASS", "FAIL", "SKIP")
+#: the families of --family; a row may also name "any" (the oracle suite)
+_FAMILIES = ("c6", "c9", "general")
 
 
 def _cell(f, value):
@@ -260,13 +262,23 @@ def _csv_value(column, text):
 
 
 def _report_row(values, where: str) -> ReportRow:
-    """A ReportRow from column -> value; a malformed record is a ParseError."""
+    """A ReportRow from column -> value; a malformed record, or one that
+    the writer cannot emit (p < 5, an a-number or p-rank outside 0..3, an
+    unknown family or status), is a ParseError."""
     try:
         if not isinstance(values, dict) or values.keys() != set(_CSV_COLUMNS):
             raise ValueError(f"want the fields {_CSV_COLUMNS}")
         row = ReportRow(**{f.name: _cell(f, values[f.name]) for f in _FIELDS})
         if row.status not in _STATUSES:
             raise ValueError(f"status {row.status!r} is not one of {_STATUSES}")
+        families = (*_FAMILIES, "any")
+        if row.family not in families:
+            raise ValueError(f"family {row.family!r} is not one of {families}")
+        if row.p < 5:
+            raise ValueError(f"p = {row.p} is below 5")
+        for name in ("a_number", "p_rank"):
+            if getattr(row, name) not in (None, 0, 1, 2, 3):
+                raise ValueError(f"{name} = {getattr(row, name)} is outside 0..3")
         return row
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}; got {values!r}") from None
@@ -642,7 +654,7 @@ _ARGUMENTS = {
     "--p": dict(type=int, help="a single prime >= 5"),
     "--p-range": dict(metavar="A..B", help="sweep all primes in [A, B]"),
     "--format": dict(choices=("csv", "json"), default="csv"),
-    "--family": dict(choices=("c6", "c9", "general")),
+    "--family": dict(choices=_FAMILIES),
     "--r": dict(help="C6 parameter: integer or a+b*w"),
     "--quartic": dict(metavar="EXPR",
                       help='general quartic, e.g. "x^3*z + y^4 + z^4"'),

@@ -3,10 +3,17 @@
 Coefficients are stored low-to-high as plain ints in [0, p); the zero
 polynomial is the empty coefficient tuple (degree -1), so trimming keeps
 the representation canonical.  The constructor takes coefficients by
-the ffield.as_element rule, _reduced takes residues.  Kronecker products;
-powmod by a precomputed inverse of rev(m); divmod and gcd by one long
-division in place on int64 arrays (object dtype at p >= 2^31), its scalar
-steps on Python ints; a gcd converts to arrays once.
+the ffield.as_element rule, _reduced takes residues.  The array kernels
+hold residues as int64 while p < 2^31, where every product of two fits,
+and as object dtype above (_dtype).  Products by one Kronecker kernel,
+_mul_arrays: numpy packs each factor's residues into k-byte slots (the
+little-endian bytes of uint64 limbs, k of them kept), one int product,
+and numpy unpacks the slots and reduces them mod p, one uint64 per slot
+while k <= 8 (every p <= 2^20), 8-byte limbs combined mod p above.
+powmod on arrays from the reduced base to the result, left to right,
+each reduction two truncated products with a precomputed inverse of
+rev(m); divmod and gcd by one long division in place on arrays, its
+scalar steps on Python ints; a gcd converts to arrays once.
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
@@ -89,35 +96,24 @@ class UniPoly:
         return UniPoly._reduced([-c % p for c in self.coeffs], self.modulus)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        """Kronecker substitution: one int product of the factors packed
-        into k-byte slots, wide enough for any coefficient of the result."""
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(self.modulus)
-        p = self.modulus.p
-        k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-        n = k * (len(a) + len(b) - 1)
-        prod = (_pack(a, k) * _pack(b, k)).to_bytes(n, "little")
-        return UniPoly._reduced([int.from_bytes(prod[i:i + k], "little") % p
-                                 for i in range(0, n, k)], self.modulus)
+        return UniPoly._reduced(
+            _mul_arrays(self.coeffs, other.coeffs, self.modulus.p).tolist(),
+            self.modulus)
 
     def __pow__(self, e: int, m: "UniPoly | None" = None) -> "UniPoly":
-        """self**e; pow(self, e, m) reduces mod m at every step, each
-        reduction two products with the inverse of rev(m) (_Reducer)."""
+        """self**e; pow(self, e, m) reduces mod m at every step on residue
+        arrays (_Reducer) and converts back once."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        base, reduce = self, lambda f: f
-        if m is not None:
-            base, reduce = self.divmod(m)[1], _Reducer(m)
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else reduce(out * base)
-            e >>= 1
-            if e:
-                base = reduce(base * base)
-        return reduce(UniPoly((1,), self.modulus)) if out is None else out
+        if m is None:
+            return _power(self, e, lambda f, g: f * g, UniPoly((1,), self.modulus))
+        p = self.modulus.p
+        base = np.asarray(self.divmod(m)[1].coeffs, _dtype(p))
+        reduce = _Reducer(m)
+        out = _power(base, e, lambda f, g: reduce(_mul_arrays(f, g, p)),
+                     reduce(np.ones(1, base.dtype)))
+        return UniPoly._reduced(out.tolist(), self.modulus)
 
     def scale(self, c) -> "UniPoly":
         c, p = int(as_element(c, self.modulus)), self.modulus.p
@@ -167,13 +163,40 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + f", p={self.modulus.p})"
 
 
+def _dtype(p: int):
+    """int64 holds every product of two residues while p < 2^31; object
+    dtype (Python ints) above."""
+    return np.int64 if p < 2 ** 31 else object
+
+
+def _trimmed(r):
+    """r without its high zero coefficients (a view)."""
+    n = len(r)
+    while n and not r.item(n - 1):
+        n -= 1
+    return r[:n]
+
+
+def _power(base, e: int, mul, one):
+    """base**e under mul, left to right: a square per bit below the top bit,
+    then a product by base where the bit is set (linear while base is
+    short, as t is in the powmods of ext2_root_counts)."""
+    if not e:
+        return one
+    out = base
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
+    return out
+
+
 def _divmod_arrays(a, b, p: int, quotient=True):
     """Long division of trimmed coefficient sequences (low degree first, b
     nonzero): arrays (q, r) with a = q*b + r and r trimmed, q None unless
-    asked.  int64 holds every product of two residues while p < 2^31;
-    object dtype above.  An array a of that dtype is divided in place (r
-    is a view of it); the scalar steps run on Python ints."""
-    dtype = np.int64 if p < 2 ** 31 else object
+    asked, in the dtype of _dtype(p).  An array a of that dtype is divided
+    in place (r is a view of it); the scalar steps run on Python ints."""
+    dtype = _dtype(p)
     r, b = np.asarray(a, dtype), np.asarray(b, dtype)
     db = len(b) - 1
     q = np.zeros(max(len(r) - db, 0), dtype) if quotient else None
@@ -186,45 +209,83 @@ def _divmod_arrays(a, b, p: int, quotient=True):
             seg = r[i:i + db + 1]
             seg -= c * b
             seg %= p
-    n = min(db, len(r))
-    while n and not r.item(n - 1):
-        n -= 1
-    return q, r[:n]
+    return q, _trimmed(r[:min(db, len(r))])
 
 
-def _pack(coeffs, k: int) -> int:
-    """The int with coeffs[i] in little-endian byte slot i of k bytes."""
-    return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in coeffs]),
-                          "little")
+def _mul_arrays(a, b, p: int, n=None):
+    """The coefficients of a*b below t^n (all of them if n is None), for
+    residue sequences a, b low degree first, as an array of _dtype(p).
+
+    Kronecker substitution: each factor is packed into little-endian slots
+    of k bytes, k wide enough for any coefficient of the product (at most
+    min(len a, len b) (p-1)^2), and the two ints are multiplied once (a
+    square when b is a).  Packing and unpacking run on uint64 rows of
+    ceil(k/8) limbs, each row viewed as bytes with k of them kept.  A slot
+    of k <= 8 bytes (at every p <= 2^20 below 2^24 coefficients) is one
+    uint64 reduced by % p; a wider slot is combined from its 8-byte limbs
+    mod p, in int64 while p < 2^31 (there k <= 16, two limbs, and every
+    partial sum stays below 2^63) and in object dtype above."""
+    dtype = _dtype(p)
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype)
+    k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    x = _packed(np.asarray(a, dtype), k)
+    full = len(a) + len(b) - 1
+    prod = (x * x if b is a else x * _packed(np.asarray(b, dtype), k))
+    n = full if n is None else min(n, full)
+    w = -(-k // 8)
+    rows = np.zeros((n, 8 * w), np.uint8)
+    rows[:, :k] = np.frombuffer(prod.to_bytes(k * full, "little"), np.uint8,
+                                k * n).reshape(n, k)
+    limbs = rows.view("<u8")
+    limbs = limbs.astype(object) % p if dtype is object else (limbs % p).view(dtype)
+    out = limbs[:, -1]
+    for j in range(w - 2, -1, -1):
+        out = (out * pow(2, 64, p) + limbs[:, j]) % p
+    return out
+
+
+def _packed(a, k: int) -> int:
+    """The int with the residue a[i] in little-endian k-byte slot i."""
+    u = np.zeros((len(a), -(-k // 8)), "<u8")
+    if a.dtype.hasobject:
+        for j in range(u.shape[1]):
+            u[:, j] = (a >> 64 * j) & 0xFFFF_FFFF_FFFF_FFFF
+    else:
+        u[:, 0] = a
+    return int.from_bytes(u.view(np.uint8)[:, :k].tobytes(), "little")
 
 
 class _Reducer:
-    """f mod m for deg f < 2 deg m, by two products.
+    """f mod m for deg f < 2 deg m, on residue arrays, by two truncated
+    products.
 
     With n = deg m and rev_d(f) = t^d f(1/t), the quotient of f (degree
     D) by m is rev_{D-n}(rev_D(f) / rev_n(m) mod t^(D-n+1)) (von zur
-    Gathen-Gerhard, Modern Computer Algebra, 9.1).  The power series
-    1/rev_n(m) is computed once, to precision n, by Newton iteration
-    g <- g (2 - rev_n(m) g)."""
+    Gathen-Gerhard, Modern Computer Algebra, 9.1), and the remainder is
+    f - q m, of which only the low n coefficients are formed.  The power
+    series 1/rev_n(m) is computed once, to precision n, by Newton
+    iteration g <- g (2 - rev_n(m) g)."""
 
     def __init__(self, m: UniPoly):
-        self.m, self.n, mod = m, m.degree, m.modulus
-        rev = m.coeffs[::-1]
-        g, prec = UniPoly((pow(rev[0], mod.p - 2, mod.p),), mod), 1
+        p = self.p = m.modulus.p
+        c = np.asarray(m.coeffs, _dtype(p))
+        self.n, self.low = len(c) - 1, c[:-1]
+        rev, g, prec = c[::-1], np.array([pow(c.item(-1), -1, p)], c.dtype), 1
         while prec < self.n:
             prec = min(2 * prec, self.n)
-            e = UniPoly._reduced(rev[:prec], mod) * g
-            g = UniPoly._reduced((g * (UniPoly((2,), mod) - e)).coeffs[:prec], mod)
-        self.inv = g.coeffs
+            e = -_mul_arrays(rev[:prec], g, p, prec)
+            e[0] += 2
+            g = _mul_arrays(g, e % p, p, prec)
+        self.inv = g
 
-    def __call__(self, f: UniPoly) -> UniPoly:
-        d = len(f.coeffs) - self.n
+    def __call__(self, f):
+        n, p = self.n, self.p
+        d = len(f) - n
         if d <= 0:
             return f
-        mod = f.modulus
-        qrev = (UniPoly._reduced(f.coeffs[:-d - 1:-1], mod)
-                * UniPoly._reduced(self.inv[:d], mod)).coeffs[:d]
-        return f - UniPoly._reduced((0,) * (d - len(qrev)) + qrev[::-1], mod) * self.m
+        q = _mul_arrays(f[:-d - 1:-1], self.inv[:d], p, d)[::-1]
+        return _trimmed((f[:n] - _mul_arrays(q, self.low, p, n)) % p)
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -324,9 +385,15 @@ def ext2_root_counts(f: UniPoly):
     t^((q+1)/2) - t, which mod f are t*h^2 - t and t*h - t for
     h = t^((q-1)/2) mod f; each count is the degree of a gcd with f.  One
     powmod (Cantor-Zassenhaus, Math. Comp. 1981)."""
-    t = UniPoly((0, 1), f.modulus)
-    h = pow(t, (f.modulus.p ** 2 - 1) // 2, f)
-    return poly_gcd(f, t * h * h - t).degree, poly_gcd(f, t * h - t).degree
+    mod, p = f.modulus, f.modulus.p
+    h = np.asarray(pow(UniPoly((0, 1), mod), (p * p - 1) // 2, f).coeffs or (0,),
+                   _dtype(p))
+    th = _mul_arrays(np.array([0, 1], h.dtype), h, p)
+    counts = []
+    for g in (_mul_arrays(th, h, p), th):  # t*h^2 and t*h, >= 2 coefficients
+        g[1] = (g[1] - 1) % p
+        counts.append(poly_gcd(f, UniPoly._reduced(g.tolist(), mod)).degree)
+    return tuple(counts)
 
 
 def roots_over(f: UniPoly, ext: int):

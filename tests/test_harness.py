@@ -521,6 +521,14 @@ _HEADER = "p,family,param,a_number,p_rank,newton_polygon,eo_type,status,detail\n
     _HEADER + "13,c6,,two,,,,PASS,\n",           # a_number not an integer
     _HEADER + "13,c6,,,,,,fail,\n",              # status not PASS/FAIL/SKIP
     _HEADER + "13,c6,,,,,,,\n",                  # status empty
+    # values the writer cannot emit: p >= 5, a_number and p_rank in 0..3,
+    # family c6, c9, general or any
+    _HEADER + "-7,c6,,9,-1,,,PASS,\n",
+    _HEADER + "4,nofamily,,,,,,SKIP,\n",
+    _HEADER + "3,c6,,,,,,PASS,\n",
+    _HEADER + "13,c6,,4,,,,PASS,\n",
+    _HEADER + "13,c6,,,-1,,,PASS,\n",
+    _HEADER + "13,,,,,,,PASS,\n",
     "",                                          # no header
 ])
 def test_from_csv_rejects_malformed_records(text):
@@ -549,12 +557,15 @@ def test_from_json_reads_a_complete_row():
     '[{"p": true}]',                    # p a boolean
     '[{"p": 13, "a_number": false}]',   # a_number a boolean
     '[{"p": 5}]',                       # the other eight keys missing
+    json.dumps([{**_JSON_ROW, "p": -7, "a_number": 9, "p_rank": -1}]),
+    json.dumps([{**_JSON_ROW, "p": 4, "family": "nofamily", "status": "SKIP"}]),
     # one bad value in a row that has every key
     *(pytest.param(json.dumps([{**_JSON_ROW, key: value}]),
                    id=f"{key}={value!r}")
       for key, value in (("p", "x"), ("p", 13.5), ("p", True),
                          ("a_number", False), ("detail", None),
-                         ("status", "fail"), ("status", "OK"))),
+                         ("status", "fail"), ("status", "OK"), ("p", 3),
+                         ("a_number", 4), ("p_rank", -1), ("family", ""))),
 ])
 def test_from_json_rejects_malformed_records(text):
     with pytest.raises(ParseError):

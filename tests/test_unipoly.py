@@ -229,9 +229,10 @@ PRIMES = st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]
                          + [MERSENNE_61])
 
 
-#: the division kernel runs on int64 below 2^31 and on Python ints above
-WIDE_PRIMES = (2 ** 31 - 1, 2 ** 31 + 11, MERSENNE_61)
-DIVISION_PRIMES = st.one_of(
+#: the array kernels (division, products, powmod) run on int64 below 2^31
+#: and on Python ints above; above 2^64 a residue packs as two limbs
+WIDE_PRIMES = (2 ** 31 - 1, 2 ** 31 + 11, MERSENNE_61, 2 ** 64 + 13)
+ARRAY_PRIMES = st.one_of(
     st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]),
     st.sampled_from(WIDE_PRIMES))
 
@@ -253,12 +254,13 @@ def test_mul_matches_schoolbook(p, data):
     assert f ** e == reduce(schoolbook_mul, [f] * e, P([1], p))
 
 
-@pytest.mark.parametrize("p", (7, 127, 9973, MERSENNE_61))
+@pytest.mark.parametrize("p", (7, 127, 9973, 2 ** 29 - 3, MERSENNE_61, 2 ** 64 + 13))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128))
 def test_mul_at_slot_width_steps(p, n):
     """All coefficients p - 1 fill every slot of the product to its
     largest value n (p-1)^2; the slot width steps up where the shorter
-    length n crosses a power of 2."""
+    length n crosses a power of 2.  At p = 2^29 - 3 a slot is 8 bytes, one
+    uint64, up to n = 63 and 9 bytes, two limbs, from n = 64."""
     f = P([p - 1] * n, p)
     for g in (f, P([p - 1] * (n + 5), p), P([p - 1], p), P([3], p)):
         assert f * g == schoolbook_mul(f, g)
@@ -275,7 +277,7 @@ def test_mul_zero_and_constants():
 
 
 @settings(max_examples=200, deadline=None)
-@given(PRIMES, st.data(), st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6)))
+@given(ARRAY_PRIMES, st.data(), st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6)))
 def test_pow_mod_matches_divmod_oracle(p, data, e):
     f = data.draw(polys(p, 20))
     m = data.draw(polys(p, 9).filter(lambda m: not m.is_zero))
@@ -315,14 +317,14 @@ def check_kernel(f, g):
 
 
 @settings(max_examples=200, deadline=None)
-@given(DIVISION_PRIMES, st.data())
+@given(ARRAY_PRIMES, st.data())
 def test_divmod_matches_schoolbook(p, data):
     f, g = data.draw(polys(p, 30)), data.draw(nonzero(p, 12))
     check_kernel(f, g)
 
 
 @settings(max_examples=150, deadline=None)
-@given(DIVISION_PRIMES, st.data())
+@given(ARRAY_PRIMES, st.data())
 def test_gcd_matches_schoolbook(p, data):
     """A common factor h makes the gcd nontrivial most of the time."""
     f, g = data.draw(polys(p, 12)), data.draw(polys(p, 12))
@@ -422,6 +424,28 @@ def test_pow_uses_one_product_per_squaring(monkeypatch):
         counts.update(mul=0, divmod=0)
         pow(f, 2 ** k, m)
         assert counts["divmod"] == 1
+
+
+def test_powmod_converts_to_a_polynomial_a_fixed_number_of_times(monkeypatch):
+    """The powmod runs on arrays from the reduced base to the result: the
+    UniPoly rows it builds (the divmod's quotient and remainder, the
+    result) do not grow with the exponent."""
+    calls = []
+    reduced = UniPoly._reduced.__func__
+
+    def counting_reduced(cls, coeffs, mod):
+        calls.append(len(coeffs))
+        return reduced(cls, coeffs, mod)
+
+    monkeypatch.setattr(UniPoly, "_reduced", classmethod(counting_reduced))
+    f, m = P([1, 2, 3, 4, 5, 6, 7], 9973), P([3, 1, 4, 1, 5, 9, 2, 6, 5, 1], 9973)
+    counts = []
+    for e in (0, 1, 2, 3, 2 ** 10 + 5, 2 ** 20, 2 ** 20 - 1):
+        calls.clear()
+        got = pow(f, e, m)
+        counts.append(len(calls))
+        assert got == divmod_powmod(f, e, m)
+    assert counts == [3] * 7
 
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
