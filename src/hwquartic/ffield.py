@@ -7,10 +7,11 @@ parsed and compared reproducibly.
 
 The field operations are written once, on component tuples: (a,) over
 F_p or (a, b) for a + b*w, of ints or int64 arrays.  mul is the one
-F_{p^2} product and power its square-and-multiply; vectorized code calls
-them directly.  FpElement and Fp2Element are the width-1 and width-2
-cases of one element class, whose operators run mul, power and the
-componentwise sum on x.comps, the tuple at the element's own width.
+F_{p^2} product; power runs it in _power, the one square-and-multiply
+loop, which unipoly's powers run too.  Vectorized code calls them
+directly.  FpElement and Fp2Element are the width-1 and width-2 cases of
+one element class, whose operators run mul, power and the componentwise
+sum on x.comps, the tuple at the element's own width.
 Other modules convert through one pair: components(x) = (a, b), padded
 to width 2, and element(c, mod) back; as_element(x, mod) is the input
 rule for values handed in (an int or an element of the same modulus).
@@ -183,16 +184,23 @@ def mul(x, y, mod):
     return (xa * ya + mod.nonresidue * (xb * yb % p)) % p, (xa * yb + xb * ya) % p
 
 
-def power(x, e: int, mod):
-    """x^e (e >= 0) on a component tuple, by square-and-multiply."""
-    out = (1, 0)[:len(x)]
-    while e:
-        if e & 1:
-            out = mul(out, x, mod)
-        e >>= 1
-        if e:
-            x = mul(x, x, mod)
+def _power(base, e: int, mul, one):
+    """base**e under mul, left to right: a square per bit below the top bit,
+    then a product by base where the bit is set (linear while base is
+    short, as t is in the powmods of unipoly.ext2_root_counts)."""
+    if not e:
+        return one
+    out = base
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
     return out
+
+
+def power(x, e: int, mod):
+    """x^e (e >= 0) on a component tuple: _power under mul."""
+    return _power(x, e, lambda u, v: mul(u, v, mod), (1, 0)[:len(x)])
 
 
 def _inverse(c, mod):

@@ -263,8 +263,8 @@ def _csv_value(column, text):
 
 def _report_row(values, where: str) -> ReportRow:
     """A ReportRow from column -> value; a malformed record, or one that
-    the writer cannot emit (p < 5, an a-number or p-rank outside 0..3, an
-    unknown family or status), is a ParseError."""
+    the writer cannot emit (p not a prime >= 5, a or f outside 0..3 or a +
+    f > 3, an unknown family or status), is a ParseError."""
     try:
         if not isinstance(values, dict) or values.keys() != set(_CSV_COLUMNS):
             raise ValueError(f"want the fields {_CSV_COLUMNS}")
@@ -274,11 +274,13 @@ def _report_row(values, where: str) -> ReportRow:
         families = (*_FAMILIES, "any")
         if row.family not in families:
             raise ValueError(f"family {row.family!r} is not one of {families}")
-        if row.p < 5:
-            raise ValueError(f"p = {row.p} is below 5")
+        if row.p < 5 or not is_prime(row.p):
+            raise ValueError(f"p = {row.p} is not a prime >= 5")
         for name in ("a_number", "p_rank"):
             if getattr(row, name) not in (None, 0, 1, 2, 3):
                 raise ValueError(f"{name} = {getattr(row, name)} is outside 0..3")
+        if None not in (row.a_number, row.p_rank) and row.a_number + row.p_rank > 3:
+            raise ValueError(f"a_number + p_rank = {row.a_number + row.p_rank} > 3")
         return row
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}; got {values!r}") from None

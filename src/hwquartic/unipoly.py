@@ -6,14 +6,14 @@ the representation canonical.  The constructor takes coefficients by
 the ffield.as_element rule, _reduced takes residues.  The array kernels
 hold residues as int64 while p < 2^31, where every product of two fits,
 and as object dtype above (_dtype).  Products by one Kronecker kernel,
-_mul_arrays: numpy packs each factor's residues into k-byte slots (the
-little-endian bytes of uint64 limbs, k of them kept), one int product,
-and numpy unpacks the slots and reduces them mod p, one uint64 per slot
-while k <= 8 (every p <= 2^20), 8-byte limbs combined mod p above.
-powmod on arrays from the reduced base to the result, left to right,
-each reduction two truncated products with a precomputed inverse of
-rev(m); divmod and gcd by one long division in place on arrays, its
-scalar steps on Python ints; a gcd converts to arrays once.
+_mul_arrays: numpy packs each factor's residues into k-byte slots, one
+int product, and numpy reads each slot back as one uint64 reduced mod p,
+which holds in the table range (k <= 8 at every p <= 2^20); beyond it
+products are schoolbook on Python ints, as division is.  powmod by
+ffield._power on arrays from the reduced base to the result, each
+reduction two truncated products with a precomputed inverse of rev(m);
+divmod and gcd by one long division in place on arrays, its scalar
+steps on Python ints; a gcd converts to arrays once.
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ModulusError
-from .ffield import Fp2Element, FpElement, _as_modulus, as_element, element, mul
+from .ffield import (Fp2Element, FpElement, _as_modulus, _power, as_element,
+                     element, mul)
 
 #: cap on p**ext for exhaustive root finding (p <= 500 for ext=2)
 DEFAULT_ROOT_BOUND = 250_000
@@ -37,20 +38,14 @@ class UniPoly:
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs, mod):
-        mod = _as_modulus(mod)
-        cl = [int(as_element(c, mod)) for c in coeffs]
-        while cl and cl[-1] == 0:
-            cl.pop()
-        self.coeffs = tuple(cl)
-        self.modulus = mod
+        self.modulus = mod = _as_modulus(mod)
+        self.coeffs = tuple(_trimmed([int(as_element(c, mod)) for c in coeffs]))
 
     @classmethod
     def _reduced(cls, coeffs, mod) -> "UniPoly":
         """From residues in [0, p) and a PrimeModulus: only trims zeros."""
-        f, n = cls.__new__(cls), len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
-        f.coeffs, f.modulus = tuple(coeffs[:n]), mod
+        f = cls.__new__(cls)
+        f.coeffs, f.modulus = tuple(_trimmed(coeffs)), mod
         return f
 
     @classmethod
@@ -170,25 +165,11 @@ def _dtype(p: int):
 
 
 def _trimmed(r):
-    """r without its high zero coefficients (a view)."""
+    """r, a sequence or an array, without its high zeros (a slice)."""
     n = len(r)
-    while n and not r.item(n - 1):
+    while n and not r[n - 1]:
         n -= 1
     return r[:n]
-
-
-def _power(base, e: int, mul, one):
-    """base**e under mul, left to right: a square per bit below the top bit,
-    then a product by base where the bit is set (linear while base is
-    short, as t is in the powmods of ext2_root_counts)."""
-    if not e:
-        return one
-    out = base
-    for bit in bin(e)[3:]:
-        out = mul(out, out)
-        if bit == "1":
-            out = mul(out, base)
-    return out
 
 
 def _divmod_arrays(a, b, p: int, quotient=True):
@@ -218,42 +199,32 @@ def _mul_arrays(a, b, p: int, n=None):
 
     Kronecker substitution: each factor is packed into little-endian slots
     of k bytes, k wide enough for any coefficient of the product (at most
-    min(len a, len b) (p-1)^2), and the two ints are multiplied once (a
-    square when b is a).  Packing and unpacking run on uint64 rows of
-    ceil(k/8) limbs, each row viewed as bytes with k of them kept.  A slot
-    of k <= 8 bytes (at every p <= 2^20 below 2^24 coefficients) is one
-    uint64 reduced by % p; a wider slot is combined from its 8-byte limbs
-    mod p, in int64 while p < 2^31 (there k <= 16, two limbs, and every
-    partial sum stays below 2^63) and in object dtype above."""
+    min(len a, len b) (p-1)^2), the two ints are multiplied once (a square
+    when b is a), and each slot is read back as one uint64 reduced by % p.
+    That needs k <= 8, which holds at every p <= 2^20 below 2^24
+    coefficients; a wider slot takes np.convolve on Python ints, the
+    schoolbook regime of _divmod_arrays at those primes."""
     dtype = _dtype(p)
     if not len(a) or not len(b):
         return np.zeros(0, dtype)
-    k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    x = _packed(np.asarray(a, dtype), k)
     full = len(a) + len(b) - 1
-    prod = (x * x if b is a else x * _packed(np.asarray(b, dtype), k))
     n = full if n is None else min(n, full)
-    w = -(-k // 8)
-    rows = np.zeros((n, 8 * w), np.uint8)
-    rows[:, :k] = np.frombuffer(prod.to_bytes(k * full, "little"), np.uint8,
-                                k * n).reshape(n, k)
-    limbs = rows.view("<u8")
-    limbs = limbs.astype(object) % p if dtype is object else (limbs % p).view(dtype)
-    out = limbs[:, -1]
-    for j in range(w - 2, -1, -1):
-        out = (out * pow(2, 64, p) + limbs[:, j]) % p
-    return out
+    k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    if k > 8:
+        return (np.convolve(np.asarray(a, object), np.asarray(b, object))[:n]
+                % p).astype(dtype)
+    x = _packed(a, k)
+    prod = x * x if b is a else x * _packed(b, k)
+    slots = np.zeros((n, 8), np.uint8)
+    slots[:, :k] = np.frombuffer(prod.to_bytes(k * full, "little"), np.uint8,
+                                 k * n).reshape(n, k)
+    return (slots.view("<u8")[:, 0] % p).astype(dtype)
 
 
 def _packed(a, k: int) -> int:
     """The int with the residue a[i] in little-endian k-byte slot i."""
-    u = np.zeros((len(a), -(-k // 8)), "<u8")
-    if a.dtype.hasobject:
-        for j in range(u.shape[1]):
-            u[:, j] = (a >> 64 * j) & 0xFFFF_FFFF_FFFF_FFFF
-    else:
-        u[:, 0] = a
-    return int.from_bytes(u.view(np.uint8)[:, :k].tobytes(), "little")
+    u = np.asarray(a, "<u8").view(np.uint8).reshape(-1, 8)
+    return int.from_bytes(u[:, :k].tobytes(), "little")
 
 
 class _Reducer:
@@ -328,10 +299,11 @@ def horner(coeffs, x, mod):
     [0, p) and may be an int or an int64 array (p < 2^31); arrays
     broadcast, so a column of coefficients against a row of points gives
     a 2-D table.  Returns the value's component tuple, of x's width.
-    With arrays x, residue coeffs and 5 <= m = isqrt(d+1) <= (2^63-1) //
-    (p-1)^2 (exact block sums), _blocks first writes f(x) = sum_i B_i(x)
-    (x^m)^i, all B_i in <= 2^23 cells from one int64 product per component
-    pair (Paterson-Stockmeyer, SIAM J. Comput. 2(1), 1973).
+    With arrays x, F_p coeffs (pairs (c, 0) at width 2) and 5 <= m =
+    isqrt(d+1) <= (2^63-1) // (p-1)^2 (exact block sums), _blocks first
+    writes f(x) = sum_i B_i(x) (x^m)^i, all B_i in <= 2^23 cells from one
+    int64 product per component (Paterson-Stockmeyer, SIAM J. Comput. 2(1),
+    1973).
     """
     p = mod.p
     coeffs, x = _blocks(coeffs, x, mod)
@@ -355,18 +327,16 @@ def _blocks(coeffs, x, mod):
     m = min(int(len(coeffs) ** 0.5), (2 ** 63 - 1) // (p - 1) ** 2)
     if (m < 5 or not isinstance(x[0], np.ndarray)
             or isinstance(coeffs[0] if w == 1 else coeffs[0][0], np.ndarray)
-            or w * (m + len(coeffs) // m + 1) * np.broadcast(*x).size > 2 ** 23):
+            or w * (m + len(coeffs) // m + 1) * np.broadcast(*x).size > 2 ** 23
+            or w == 2 and any(b for _, b in coeffs)):
         return coeffs, x
     table = np.zeros((w, m) + np.broadcast(*x).shape, np.int64)  # x^0..x^(m-1)
     table[0, 0] = 1
     for k in range(1, m):
         table[:, k] = mul(tuple(table[:, k - 1]), x, mod)
-    c = np.zeros((w, -(-len(coeffs) // m), m), np.int64)  # last block padded
-    c.reshape(w, -1)[:, :len(coeffs)] = np.reshape(coeffs, (len(coeffs), w)).T
-    b = [np.tensordot(c[0], t, 1) % p for t in table]
-    if w == 2 and c[1].any():
-        b = [(b[0] + mod.nonresidue * (np.tensordot(c[1], table[1], 1) % p)) % p,
-             (b[1] + np.tensordot(c[1], table[0], 1) % p) % p]
+    c = np.zeros((-(-len(coeffs) // m), m), np.int64)  # last block padded
+    c.reshape(-1)[:len(coeffs)] = coeffs if w == 1 else [a for a, _ in coeffs]
+    b = [np.tensordot(c, t, 1) % p for t in table]
     return b[0] if w == 1 else list(zip(*b)), mul(tuple(table[:, -1]), x, mod)
 
 
@@ -388,7 +358,7 @@ def ext2_root_counts(f: UniPoly):
     mod, p = f.modulus, f.modulus.p
     h = np.asarray(pow(UniPoly((0, 1), mod), (p * p - 1) // 2, f).coeffs or (0,),
                    _dtype(p))
-    th = _mul_arrays(np.array([0, 1], h.dtype), h, p)
+    th = np.concatenate(([0], h))
     counts = []
     for g in (_mul_arrays(th, h, p), th):  # t*h^2 and t*h, >= 2 coefficients
         g[1] = (g[1] - 1) % p

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import embed
 
+from hwquartic import ffield
 from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.ffield import (MAX_TABLE_PRIME, FactorialTable, Fp2Element,
                               FpElement, PrimeModulus, binomial, is_prime,
@@ -193,6 +194,29 @@ def test_fp2_mul_commutes_and_distributes(p, a, b, c, d):
     x, y = Fp2Element(a, b, m), Fp2Element(c, d, m)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
+
+
+@pytest.mark.parametrize("x", ((3, 5), (7,)))
+@pytest.mark.parametrize("e", (0, 1, 2, 3, 5, 6, 1025))
+def test_power_makes_one_product_per_square_and_set_bit(monkeypatch, x, e):
+    """Left to right: a square per bit below the top bit and a product per
+    set bit below it, (bitlen e - 1) + (popcount e - 1) products, none at
+    e = 0; the value equals e products by x starting from 1."""
+    mod = modulus(13)
+    expect = (1, 0)[:len(x)]
+    for _ in range(e):
+        expect = ffield.mul(expect, x, mod)
+    calls = []
+    mul = ffield.mul
+
+    def counting_mul(u, v, m):
+        calls.append(1)
+        return mul(u, v, m)
+
+    monkeypatch.setattr(ffield, "mul", counting_mul)
+    got = ffield.power(x, e, mod)
+    assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+    assert got == expect
 
 
 def _squares(p):

@@ -572,6 +572,33 @@ def test_from_json_rejects_malformed_records(text):
         SweepReport.from_json(text)
 
 
+@pytest.mark.parametrize("p, a, f, match", [
+    (9, None, None, "p = 9 is not a prime >= 5"),
+    (10 ** 25, None, None, "primality .* is undecided"),
+    (13, 3, 3, "a_number \\+ p_rank = 6 > 3"),
+    (13, 2, 2, "a_number \\+ p_rank = 4 > 3"),
+], ids=("composite-p", "undecided-p", "a+f=6", "a+f=4"))
+def test_report_readers_reject_rows_the_writer_cannot_emit(p, a, f, match):
+    """p is always prime, and a + f <= 3 since a = 3 - rank and f <= rank;
+    each reader refuses a row that breaks either, and still reads the
+    same row at a prime p with a + f = 3."""
+    def csv_text(p, a, f):
+        a, f = ("" if v is None else v for v in (a, f))
+        return _HEADER + f"{p},c9,,{a},{f},,,PASS,\n"
+
+    def json_text(p, a, f):
+        return json.dumps([{**_JSON_ROW, "p": p, "family": "c9",
+                            "a_number": a, "p_rank": f}])
+
+    for reader, text in ((SweepReport.from_csv, csv_text),
+                         (SweepReport.from_json, json_text)):
+        with pytest.raises(ParseError, match=match):
+            reader(text(p, a, f))
+        good = (11, a, None if a is None else 3 - a)
+        [row] = reader(text(*good)).rows
+        assert (row.p, row.a_number, row.p_rank) == good
+
+
 @pytest.mark.parametrize("reader, text", [
     *(pytest.param(SweepReport.from_json, json.dumps([{**_JSON_ROW, key: value}]),
                    id=f"json-{key}={value!r}")

@@ -10,8 +10,9 @@ from hwquartic.errors import CapacityError, ModulusError
 from hwquartic.families import LOCUS_SLOT, c6_entry_poly, coeff_of_power
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
+from hwquartic.harness import main
 from hwquartic.hwcore import hw_targets
-from hwquartic.unipoly import (UniPoly, _divmod_arrays, eval_all_ext2,
+from hwquartic.unipoly import (UniPoly, _blocks, _divmod_arrays, eval_all_ext2,
                                ext2_elements, ext2_root_counts, horner,
                                is_separable, poly_gcd, roots_over)
 
@@ -230,7 +231,9 @@ PRIMES = st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]
 
 
 #: the array kernels (division, products, powmod) run on int64 below 2^31
-#: and on Python ints above; above 2^64 a residue packs as two limbs
+#: and on Python ints above; a product there needs slots wider than 8
+#: bytes (but for a factor of 1-3 coefficients at 2^31 - 1) and takes the
+#: convolution on Python ints; above 2^64 a residue is wider than a uint64
 WIDE_PRIMES = (2 ** 31 - 1, 2 ** 31 + 11, MERSENNE_61, 2 ** 64 + 13)
 ARRAY_PRIMES = st.one_of(
     st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]),
@@ -254,16 +257,37 @@ def test_mul_matches_schoolbook(p, data):
     assert f ** e == reduce(schoolbook_mul, [f] * e, P([1], p))
 
 
-@pytest.mark.parametrize("p", (7, 127, 9973, 2 ** 29 - 3, MERSENNE_61, 2 ** 64 + 13))
+@pytest.mark.parametrize("p", (7, 127, 9973, 1048573, 2 ** 29 - 3, MERSENNE_61,
+                               2 ** 64 + 13))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128))
 def test_mul_at_slot_width_steps(p, n):
     """All coefficients p - 1 fill every slot of the product to its
     largest value n (p-1)^2; the slot width steps up where the shorter
-    length n crosses a power of 2.  At p = 2^29 - 3 a slot is 8 bytes, one
-    uint64, up to n = 63 and 9 bytes, two limbs, from n = 64."""
+    length n crosses a power of 2.  At 1048573, the largest table prime,
+    a slot is at most 6 bytes.  At p = 2^29 - 3 a slot is 8 bytes, one
+    uint64, up to n = 63; from n = 64 it would be 9 bytes, and such
+    products now take the convolution on Python ints, as every product
+    at 2^61 - 1 and 2^64 + 13 does."""
     f = P([p - 1] * n, p)
     for g in (f, P([p - 1] * (n + 5), p), P([p - 1], p), P([3], p)):
         assert f * g == schoolbook_mul(f, g)
+
+
+def test_production_products_stay_on_the_uint64_slots(monkeypatch, capsys):
+    """With np.convolve, the wide-slot product, made to raise, the Euler
+    identity and the expectation check still pass at primes near 3000
+    (series products, powmods and gcds); a product at 2^61 - 1 reaches
+    the patched convolution."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    for argv in (["verify", "euler", "--p", "2909"],
+                 ["verify", "expectation", "--p", "2999"]):
+        assert main(argv) == 0
+        assert ",PASS," in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="np.convolve called"):
+        P([1, 2], MERSENNE_61) * P([3, 4], MERSENNE_61)
 
 
 def test_mul_zero_and_constants():
@@ -679,7 +703,9 @@ def test_horner_matches_the_power_sum_on_both_sides_of_the_crossover(case):
 def test_horner_blocks_at_the_int64_edge(p, width):
     """1358187913 is the largest prime with 5 (p - 1)^2 < 2^63: the cap
     lets blocks of 5 run there, where blocks of isqrt(401) = 20 would
-    overflow; at the next prime it forces the plain loop."""
+    overflow; at the next prime it forces the plain loop.  At width 2
+    these pairs have b != 0 and take the plain loop at both primes;
+    test_blocks_take_fp_coefficients_only runs width-2 blocks here."""
     mod = modulus(p)
     top = (p - 1, p - 1) if width == 2 else p - 1
     coeffs = [top] * 394 + [(3, 1) if width == 2 else 3] * 7
@@ -690,6 +716,24 @@ def test_horner_blocks_at_the_int64_edge(p, width):
         point = tuple(int(c[i]) for c in x)
         assert tuple(int(v[i]) for v in got) == power_sum(
             coeffs, point, p, mod.nonresidue)
+
+
+@pytest.mark.parametrize("p", (1009, 1358187913))
+def test_blocks_take_fp_coefficients_only(p):
+    """At width 2 the blocked step takes the pairs (c, 0), also at the
+    int64 edge of blocks of 5, and declines a list with any b != 0, which
+    the plain loop evaluates; both agree with the power sum."""
+    mod = modulus(p)
+    row = np.array([p - 1, 1, 0, 12345 % p, p // 2 + 7], np.int64)
+    x = row, row.copy()
+    real = [(p - 1, 0)] * 394 + [(3, 0)] * 7
+    for coeffs, blocked in ((real, True), (real[:-1] + [(3, 1)], False)):
+        assert (_blocks(coeffs, x, mod)[0] is not coeffs) == blocked
+        got = horner(coeffs, x, mod)
+        for i in range(5):
+            point = tuple(int(c[i]) for c in x)
+            assert tuple(int(v[i]) for v in got) == power_sum(
+                coeffs, point, p, mod.nonresidue)
 
 
 def test_eval_all_and_eval_all_ext2_match_eval_at_every_point():
