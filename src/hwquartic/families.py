@@ -179,8 +179,7 @@ def c6_stack(grid, r):
     matrix) or int arrays (a stack), from the c6_coeff_polys grid: a grid
     of component tuples."""
     mod = grid[0][0].modulus
-    return [[horner(poly.coeffs if len(r) == 1 else [(c, 0) for c in poly.coeffs],
-                    r, mod) for poly in row] for row in grid]
+    return [[horner(poly.coeffs, r, mod) for poly in row] for row in grid]
 
 
 def _lookup(table, n, p, rank, f):

@@ -8,10 +8,10 @@ parsed and compared reproducibly.
 The field operations are written once, on component tuples: (a,) over
 F_p or (a, b) for a + b*w, of ints or int64 arrays.  mul is the one
 F_{p^2} product; power runs it in _power, the one square-and-multiply
-loop, which unipoly's powers run too.  Vectorized code calls them
-directly.  FpElement and Fp2Element are the width-1 and width-2 cases of
-one element class, whose operators run mul, power and the componentwise
-sum on x.comps, the tuple at the element's own width.
+loop, which unipoly's powers and sqrt_fp (Cipolla) run too.  Vectorized
+code calls them directly.  FpElement and Fp2Element are the width-1 and
+width-2 cases of one element class, whose operators run mul, power and
+the componentwise sum on x.comps, the tuple at the element's own width.
 Other modules convert through one pair: components(x) = (a, b), padded
 to width 2, and element(c, mod) back; as_element(x, mod) is the input
 rule for values handed in (an int or an element of the same modulus).
@@ -352,33 +352,19 @@ def as_element(x, mod):
 
 
 def sqrt_fp(x) -> "FpElement | None":
-    """A square root of x in F_p via Tonelli-Shanks, or None if x is not a square."""
-    mod = x.modulus
-    p = mod.p
-    a = x.value
+    """A square root of x in F_p, or None if x is not a square.  Cipolla:
+    for the least t with d = t^2 - x a non-residue, (t + u)^((p+1)/2) in
+    F_p[u], u^2 = d, lies in F_p and squares to x."""
+    p, a = x.modulus.p, x.value
     if a == 0:
-        return FpElement(0, mod)
+        return x
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return FpElement(pow(a, (p + 1) // 4, p), mod)
-    # Tonelli-Shanks, p = 1 mod 4
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = mod.nonresidue
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return FpElement(r, mod)
+    t = next(t for t in range(1, p) if pow(t * t - a, (p - 1) // 2, p) == p - 1)
+    d = (t * t - a) % p
+    r, _ = _power((t, 1), (p + 1) // 2, lambda u, v: (
+        (u[0] * v[0] + d * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p), (1, 0))
+    return FpElement(r, x.modulus)
 
 
 def sqrt_fp2_of_fp(x) -> Fp2Element:

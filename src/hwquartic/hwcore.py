@@ -18,13 +18,15 @@ multinomial exponents k_u of the t terms e_u solve sum k_u * e_u = target
 takes a list of targets and returns the list of their coefficients.  It
 solves three pivot terms by the integer adjugate of the 3 x 3 minor of
 least nonzero |det| and walks the other multiplicities once for all
-targets: one numpy pass per free term, each row tagged by its target and
-held as (parent, k), the values summed by tag at the end.  Exponents on a
-line raise ValueError: a smooth quartic has a term x_i^4 or x_i^3 x_j for
-each i, three independent vectors.  MAX_CANDIDATES bounds the rows of one
-target at one level; a level over it for all targets splits into runs of
-whole targets.  hw_matrix_oracle expands F^{p-1} outright and is feasible
-for p <= 31; the two must agree on every form the walk takes.
+targets in one forward pass: each free term's level branches every row
+and multiplies its c^k/k! into the row's value, and the last level adds
+the values of its solutions into the sums of their targets.  Exponents
+on a line raise ValueError: a smooth quartic has a term x_i^4 or x_i^3
+x_j for each i, three independent vectors.  MAX_CANDIDATES bounds the
+rows of one target at one level; a level over it for all targets splits
+into runs of whole targets.  hw_matrix_oracle expands F^{p-1} outright
+and is feasible for p <= 31; the two must agree on every form the walk
+takes.
 
 Ranks come from one kernel, grid_ranks, on a 3x3 grid of component
 tuples, (a,) over F_p or (a, b) for a + b*w, each an int (one matrix) or
@@ -218,30 +220,16 @@ def coefficient_in_power(F: QuarticForm, targets):
     tgt = np.array(targets, np.int64).reshape(len(targets), 3)  # also for []
     tgt[tgt.sum(axis=1) != 4 * (p - 1)] = -1    # no solution, no rows
     sums = np.zeros((width, len(tgt)), np.int64)
+    start = sums + [[mod.factorials.fact[p - 1]], [0]][:width]  # (p-1)! each
 
-    def finish(a, b, row, k, chain):
-        """Add each solution among the last rows (row, k) to the sum of
-        its tag.  The pivots det * k_v = a - k*b are >= 0 by the interval
-        and divisible by det on these rows."""
-        val = (np.full(len(row), mod.factorials.fact[p - 1]),
-               np.zeros(len(row), np.int64))[:width]
-        for i, u in enumerate(pivots + free[-1:]):  # one column at a time
-            m = (a[row, i] - k * b[i]) // det if i < 3 else k
-            val = mul(val, tuple(t[u, m] for t in tab), mod)
-        for (parent, k), u in zip(reversed(chain), reversed(free[:-1])):
-            val = mul(val, tuple(t[u, k[row]] for t in tab), mod)
-            row = parent[row]
-        # row is now the tag of each solution, in nondecreasing order
-        edges = np.searchsorted(row, np.arange(len(tgt) + 1))
-        for s, v in zip(sums, val):
-            s += np.diff(np.concatenate(([0], np.cumsum(v)))[edges])
-
-    def walk(rem, bounds, chain):
-        """Branch the rows rem, the target left after the free terms of
-        chain (tag i owns rows bounds[i]:bounds[i + 1]), on the next free
-        term, in runs of whole tags of at most MAX_CANDIDATES rows."""
-        last = len(chain) >= len(free) - 1
-        e = np.array(exps[free[len(chain)]] if free else (0, 0, 0), np.int64)
+    def walk(rem, bounds, val, out, terms):
+        """Branch the rows rem, the target left after the free terms
+        before terms (tag i owns rows bounds[i]:bounds[i + 1] and the sum
+        out[:, i]), on terms[0], in runs of whole tags of at most
+        MAX_CANDIDATES rows; val holds each row's (p-1)! times c^k/k! of
+        each free term it has branched on."""
+        last = len(terms) <= 1
+        e = np.array(exps[terms[0]] if terms else (0, 0, 0), np.int64)
         # rem sums to 4 times the degree left, so this also caps k by it;
         # with no free term at all, k = 0
         hi = np.min([rem[:, c] // e[c] for c in range(3) if e[c]]
@@ -270,19 +258,29 @@ def coefficient_in_power(F: QuarticForm, targets):
                 continue
             s = slice(bounds[t0], bounds[t1])
             row, k = _branch(lo[s], counts[s], s.start)
+            edges = cut[t0:t1 + 1] - cut[t0]  # tag t0 + i's rows start at [i]
             if last:
-                # keep the rows whose pivots det divides; dropping the rest
-                # here, not in finish, frees them before the values are built
+                # solutions: det divides each det * k_v = a - k*b (>= 0 by
+                # the interval); their values take the pivots' and k's factors
                 keep = np.all([(ai[row] - k * bi) % det == 0
                                for ai, bi in zip(a.T, b)], axis=0)
                 row, k = row[keep], k[keep]
-                finish(a, b, row, k, chain)
+                v = tuple(c[row] for c in val)
+                for i, u in enumerate(pivots + terms):  # one column at a time
+                    m = (a[row, i] - k * b[i]) // det if i < 3 else k
+                    v = mul(v, tuple(t[u, m] for t in tab), mod)
+                edges = np.concatenate(([0], np.cumsum(keep)))[edges]
+                for total, c in zip(out[:, t0:t1], v):
+                    total += np.diff(np.concatenate(([0], np.cumsum(c)))[edges])
             else:
-                walk(rem[row] - np.outer(k, e), cut[t0:t1 + 1] - cut[t0],
-                     chain + [(row, k)])
+                rest = rem[row] - np.outer(k, e)
+                v = mul(tuple(c[row] for c in val),
+                        tuple(t[terms[0], k] for t in tab), mod)
+                del row, k  # not held across the recursion
+                walk(rest, edges, v, out[:, t0:t1], terms[1:])
             t0 = t1
 
-    walk(tgt, np.arange(len(tgt) + 1), [])
+    walk(tgt, np.arange(len(tgt) + 1), start, sums, free)
     return [element(c, mod) for c in zip(*(sums % p).tolist())]
 
 

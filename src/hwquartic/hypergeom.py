@@ -142,7 +142,7 @@ def verify_gauss_lemma(mod) -> bool:
                        ((p - 2) // 3, (p - 5) // 6, g2, c6_entry_poly(mod, 3, 1))):
         factor = mul(components(binomial(n, (p + 1) // 6, mod) * sign),
                      power(beta, e, mod), mod)
-        va, vb = mul(factor, horner([(k, 0) for k in g.coeffs], t, mod), mod)
+        va, vb = mul(factor, horner(g.coeffs, t, mod), mod)
         if vb.any() or not np.array_equal(va, horner(f.coeffs, (r,), mod)[0]):
             return False
     return True

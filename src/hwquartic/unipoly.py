@@ -18,8 +18,10 @@ ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
 lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
 (a, b) for a + b*w in F_{p^2}, of ints or broadcasting int64 arrays, on
-arrays in blocks of ~sqrt(d) coefficients if d is long.  eval, eval_all,
-eval_all_ext2, the point counts and the C6 matrices all call it.
+arrays in blocks of ~sqrt(d) coefficients if d is long.  Coefficients
+are residues (in F_p, at either width of x) or pairs (a, b) (in F_{p^2}).
+eval, eval_all, eval_all_ext2, the point counts and the C6 matrices all
+call it.
 """
 
 from __future__ import annotations
@@ -139,9 +141,7 @@ class UniPoly:
     def eval(self, x):
         """Value at an FpElement, an Fp2Element or an int."""
         mod = self.modulus
-        x = as_element(x, mod).comps
-        coeffs = self.coeffs if len(x) == 1 else [(c, 0) for c in self.coeffs]
-        return element(horner(coeffs, x, mod), mod)
+        return element(horner(self.coeffs, as_element(x, mod).comps, mod), mod)
 
     def eval_all(self) -> np.ndarray:
         """Values at 0, 1, ..., p-1 as an int64 array."""
@@ -294,16 +294,15 @@ def horner(coeffs, x, mod):
     """Horner's rule at x, a component tuple: (a,) for a in F_p, or (a, b)
     for a + b*w in F_{p^2} = F_p[w], w^2 = s.
 
-    coeffs lists the coefficients low degree first: residues for x = (a,),
-    component pairs (a, b) for x = (a, b).  Every component lies in
-    [0, p) and may be an int or an int64 array (p < 2^31); arrays
-    broadcast, so a column of coefficients against a row of points gives
-    a 2-D table.  Returns the value's component tuple, of x's width.
-    With arrays x, F_p coeffs (pairs (c, 0) at width 2) and 5 <= m =
-    isqrt(d+1) <= (2^63-1) // (p-1)^2 (exact block sums), _blocks first
-    writes f(x) = sum_i B_i(x) (x^m)^i, all B_i in <= 2^23 cells from one
-    int64 product per component (Paterson-Stockmeyer, SIAM J. Comput. 2(1),
-    1973).
+    coeffs lists the coefficients low degree first: residues (F_p, at
+    either width of x) or pairs (a, b) (F_{p^2}, at width 2).  Every
+    component lies in [0, p) and may be an int or an int64 array
+    (p < 2^31); arrays broadcast, so a column of coefficients against a
+    row of points gives a 2-D table.  Returns the value's component
+    tuple, of x's width.  With arrays x, residues and 5 <= m = isqrt(d+1)
+    <= (2^63-1) // (p-1)^2 (exact block sums), _blocks first writes
+    f(x) = sum_i B_i(x) (x^m)^i, all B_i in <= 2^23 cells from one int64
+    product per component (Paterson-Stockmeyer, SIAM J. Comput. 2(1), 1973).
     """
     p = mod.p
     coeffs, x = _blocks(coeffs, x, mod)
@@ -316,26 +315,26 @@ def horner(coeffs, x, mod):
     xa, xb = x
     sxb = mod.nonresidue * xb % p
     va = vb = 0 * xa
-    for ca, cb in reversed(coeffs):
+    for c in reversed(coeffs):
+        ca, cb = c if isinstance(c, tuple) else (c, 0)
         va, vb = (va * xa + vb * sxb + ca) % p, (va * xb + vb * xa + cb) % p
     return va, vb
 
 
 def _blocks(coeffs, x, mod):
-    """(B_i(x) for each i, x^m) or (coeffs, x); crossover 20-25 coefficients."""
+    """(B_i(x) for each i, x^m) for residues, or (coeffs, x); crossover 20-25."""
     p, w = mod.p, len(x)
     m = min(int(len(coeffs) ** 0.5), (2 ** 63 - 1) // (p - 1) ** 2)
     if (m < 5 or not isinstance(x[0], np.ndarray)
-            or isinstance(coeffs[0] if w == 1 else coeffs[0][0], np.ndarray)
-            or w * (m + len(coeffs) // m + 1) * np.broadcast(*x).size > 2 ** 23
-            or w == 2 and any(b for _, b in coeffs)):
+            or isinstance(coeffs[0], (tuple, np.ndarray))
+            or w * (m + len(coeffs) // m + 1) * np.broadcast(*x).size > 2 ** 23):
         return coeffs, x
     table = np.zeros((w, m) + np.broadcast(*x).shape, np.int64)  # x^0..x^(m-1)
     table[0, 0] = 1
     for k in range(1, m):
         table[:, k] = mul(tuple(table[:, k - 1]), x, mod)
     c = np.zeros((-(-len(coeffs) // m), m), np.int64)  # last block padded
-    c.reshape(-1)[:len(coeffs)] = coeffs if w == 1 else [a for a, _ in coeffs]
+    c.reshape(-1)[:len(coeffs)] = coeffs
     b = [np.tensordot(c, t, 1) % p for t in table]
     return b[0] if w == 1 else list(zip(*b)), mul(tuple(table[:, -1]), x, mod)
 
@@ -343,8 +342,7 @@ def _blocks(coeffs, x, mod):
 def eval_all_ext2(f: UniPoly):
     """Values of f over all of F_{p^2}: component arrays (va, vb) of
     length p^2, indexed as ext2_elements."""
-    return horner([(c, 0) for c in f.coeffs], ext2_elements(f.modulus.p),
-                  f.modulus)
+    return horner(f.coeffs, ext2_elements(f.modulus.p), f.modulus)
 
 
 def ext2_root_counts(f: UniPoly):

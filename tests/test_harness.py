@@ -1251,8 +1251,7 @@ def test_c6_structure_fails_on_an_a_number_off_the_table(capsys, monkeypatch):
 def test_c6_structure_fails_on_a_p_rank_off_the_table(capsys, monkeypatch):
     """The suite checks p-ranks against TABLE_C6 too: one computed p-rank
     raised by one at 43 = 1 mod 6, where a = 2 has p-rank 1, fails it."""
-    from hwquartic import harness
-    grid_ranks = harness.grid_ranks
+    grid_ranks = families.grid_ranks
 
     def raise_one(M, mod):
         rank, f = grid_ranks(M, mod)
@@ -1260,7 +1259,7 @@ def test_c6_structure_fails_on_a_p_rank_off_the_table(capsys, monkeypatch):
         f[np.flatnonzero(3 - rank == 2)[0]] += 1
         return rank, f
 
-    monkeypatch.setattr(harness, "grid_ranks", raise_one)
+    monkeypatch.setattr(families, "grid_ranks", raise_one)
     code, out = run_cli(capsys, "verify", "c6-structure", "--p", "43")
     assert code == 1
     [row] = SweepReport.from_csv(out).rows

@@ -321,8 +321,15 @@ def test_capacity_boundary_of_the_dense_support():
     assert harness.main(["hw", "--quartic", text, "--p", "17"]) == 3
 
 
-def test_walk_splits_the_targets_into_groups_under_the_cap(monkeypatch):
-    F = QuarticForm({e: n + 1 for n, e in enumerate(MONOMIALS)}, modulus(7))
+@pytest.mark.parametrize("field", ("fp", "fp2"))
+def test_walk_splits_the_targets_into_groups_under_the_cap(monkeypatch, field):
+    """Run splitting at both widths: over F_{p^2} one coefficient is 1 + w.
+    The largest level of one target has 984 rows, the nine together 4499."""
+    mod = modulus(7)
+    terms = {e: n + 1 for n, e in enumerate(MONOMIALS)}
+    if field == "fp2":
+        terms[MONOMIALS[0]] = Fp2Element(1, 1, mod)
+    F = QuarticForm(terms, mod)
     targets = [t for row in hw_targets(7) for t in row]
     sizes = []  # the row count of every level the walk allocates
     branch = hwcore._branch

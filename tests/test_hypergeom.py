@@ -206,8 +206,8 @@ def test_verify_euler_up_to_200():
 
 def alpha_beta(r, mod):
     """Reference: the pair with alpha + beta = r and alpha * beta = 1 in
-    F_{p^2}, the roots of Y^2 - r Y + 1, from a Tonelli-Shanks square root
-    and Fp2Element arithmetic."""
+    F_{p^2}, the roots of Y^2 - r Y + 1, from sqrt_fp2_of_fp (Cipolla) and
+    Fp2Element arithmetic."""
     root = sqrt_fp2_of_fp(r * r - 4)
     half = embed(FpElement(2, mod).inverse())
     return (embed(r) + root) * half, (embed(r) - root) * half
@@ -268,7 +268,7 @@ def scalar_gauss_lemma(mod):
 
 def test_gauss_lemma_matches_scalar_oracle():
     """The batched check takes its square roots from a table of squares,
-    the oracle from Tonelli-Shanks.  Swapping alpha and beta left the
+    the oracle from sqrt_fp2_of_fp.  Swapping alpha and beta left the
     oracle true at every p = 5 mod 6 in 11..59 and at 683, so the choice
     of root must not matter; this comparison pins that."""
     primes = [p for p in range(5, 200) if p % 6 == 5 and is_prime(p)] + [683]

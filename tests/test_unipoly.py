@@ -720,20 +720,21 @@ def test_horner_blocks_at_the_int64_edge(p, width):
 
 @pytest.mark.parametrize("p", (1009, 1358187913))
 def test_blocks_take_fp_coefficients_only(p):
-    """At width 2 the blocked step takes the pairs (c, 0), also at the
-    int64 edge of blocks of 5, and declines a list with any b != 0, which
-    the plain loop evaluates; both agree with the power sum."""
+    """At width 2 the blocked step takes residue coefficients, also at the
+    int64 edge of blocks of 5, and declines a list of pairs, even with
+    every b = 0, which the plain loop evaluates; both agree with the power
+    sum."""
     mod = modulus(p)
     row = np.array([p - 1, 1, 0, 12345 % p, p // 2 + 7], np.int64)
     x = row, row.copy()
-    real = [(p - 1, 0)] * 394 + [(3, 0)] * 7
-    for coeffs, blocked in ((real, True), (real[:-1] + [(3, 1)], False)):
+    pairs = [(p - 1, 0)] * 394 + [(3, 0)] * 7
+    for coeffs, blocked in (([a for a, _ in pairs], True), (pairs, False)):
         assert (_blocks(coeffs, x, mod)[0] is not coeffs) == blocked
         got = horner(coeffs, x, mod)
         for i in range(5):
             point = tuple(int(c[i]) for c in x)
             assert tuple(int(v[i]) for v in got) == power_sum(
-                coeffs, point, p, mod.nonresidue)
+                pairs, point, p, mod.nonresidue)
 
 
 def test_eval_all_and_eval_all_ext2_match_eval_at_every_point():
