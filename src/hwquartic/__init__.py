@@ -4,8 +4,8 @@ with cyclic automorphism group of order 6 or 9, over prime fields."""
 from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .families import (Classification, TABLE_C6, TABLE_C9, c6_classify,
-                       c6_coeff_polys, c6_count_max_a, c6_entry_poly, c6_form,
-                       c6_hw, c9_classify, c9_form, c9_hw, coeff_of_power)
+                       c6_coeff_polys, c6_count_max_a, c6_form, c6_hw,
+                       c9_classify, c9_form, c9_hw, coeff_of_power)
 from .ffield import (FactorialTable, Fp2Element, FpElement, PrimeModulus,
                      binomial, is_prime, modulus, multinomial)
 from .harness import (ReportRow, SweepReport, count_points_ext2, main,

@@ -8,11 +8,11 @@ Both fill the 3x3 grid of exponent targets that hwcore.hw_targets fixes.
 For C6 each target reduces to a single binomial split: the x-exponent
 pins the multiplicity of the x^3*z term, and what remains is the y^m
 coefficient of (y^4 + r y^2 + 1)^s (coeff_of_power), a polynomial in r.
-So the C6 closed form is a 3x3 grid of polynomials in r, a list of rows
+So the C6 closed form is one 3x3 grid of polynomials in r per prime,
 indexed like hw_targets (c6_coeff_polys), and c6_stack evaluates it by
 unipoly.horner at r given as a component tuple: ints for one matrix
 (c6_hw, c6_classify) or int arrays for a stack (c6_classify_all).
-c6_count_max_a builds only the root-locus entry and certifies it
+c6_count_max_a gathers only the unscaled root locus and certifies it
 separable by its Gegenbauer equation, in O(p), no gcd.
 For C9 each target is hit by at most one multinomial term.
 
@@ -25,6 +25,7 @@ once, at import.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,31 +130,23 @@ def coeff_of_power(s: int, m: int, mod) -> UniPoly:
     return UniPoly._reduced(coeffs.tolist(), mod)
 
 
-def c6_entry_poly(mod, row: int, col: int) -> UniPoly:
-    """Entry (row, col) of the C6 Hasse-Witt matrix as a polynomial in r.
-
-    The x^3*z term must be used exactly i/3 times, so the entry is
-    binom(p-1, i/3) * [y^j](y^4 + r y^2 + 1)^(p-1-i/3); slots whose
-    x-exponent is not a multiple of 3, or whose y-exponent is odd, come
-    out identically zero.
-    """
+@lru_cache(maxsize=1)
+def c6_coeff_polys(mod) -> tuple:
+    """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r,
+    rows of UniPoly indexed like hw_targets, built once for the last p
+    asked.  The x^3*z term is used exactly i/3 times, so entry (i, j, k)
+    is binom(p-1, i/3) * coeff_of_power(p-1-i/3, j), zero unless 3 | i.
+    Only (1,3) and (3,1) are nonzero for p = 5 mod 6, only the diagonal
+    for p = 1 mod 6."""
     mod = _as_modulus(mod)
     p = mod.p
-    if not (0 < row < 4 and 0 < col < 4):  # a list index would wrap
-        raise IndexError(f"entry ({row}, {col}) outside rows and columns 1..3")
-    i, j, _ = hw_targets(p)[row - 1][col - 1]
-    if i % 3:
-        return UniPoly.zero(mod)
-    return coeff_of_power(p - 1 - i // 3, j, mod).scale(binomial(p - 1, i // 3, mod))
 
+    def entry(i, j, _k):
+        if i % 3:
+            return UniPoly.zero(mod)
+        return coeff_of_power(p - 1 - i // 3, j, mod).scale(binomial(p - 1, i // 3, mod))
 
-def c6_coeff_polys(mod) -> list:
-    """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r:
-    entry [a][b] is c6_entry_poly(mod, a + 1, b + 1).  Only (1,3) and
-    (3,1) are nonzero for p = 5 mod 6, only the diagonal for p = 1 mod 6."""
-    mod = _as_modulus(mod)
-    return [[c6_entry_poly(mod, row, col) for col in (1, 2, 3)]
-            for row in (1, 2, 3)]
+    return tuple(tuple(entry(*t) for t in row) for row in hw_targets(p))
 
 
 def _reject_singular(mod, r):
@@ -224,9 +217,10 @@ def c6_count_max_a(mod) -> int:
     maximal a-number (3 for p = 5 mod 6, 2 for p = 1 mod 6).
 
     The count is the degree of the root locus minus its root at 0, halved
-    (r and -r give isomorphic curves).  Up to sign the locus is the
-    Gegenbauer polynomial P(r) = [u^n](1 + r u + u^2)^s = C_n^(-s)(-r/2),
-    so 4(k+1)(k+2) a_{k+2} = (k-n)(k+n-2s) a_k (Szego, Orthogonal
+    (r and -r give isomorphic curves).  The locus is the LOCUS_SLOT entry
+    without its binomial factor, which moves no root: the Gegenbauer
+    polynomial P(r) = [u^n](1 + r u + u^2)^s = C_n^(-s)(-r/2), so
+    4(k+1)(k+2) a_{k+2} = (k-n)(k+n-2s) a_k (Szego, Orthogonal
     Polynomials, 4.7), checked here in one pass over its gathered
     coefficients.  With deg P < p, Igusa's Taylor argument (PNAS 44,
     1958) makes P separable away from +-2, and P(+-2) = +-binom(2s, n)
@@ -237,7 +231,7 @@ def c6_count_max_a(mod) -> int:
     row, col = LOCUS_SLOT[p % 6]
     i, j, _ = hw_targets(p)[row - 1][col - 1]
     s, n = p - 1 - i // 3, j // 2
-    locus = c6_entry_poly(mod, row, col)
+    locus = coeff_of_power(s, j, mod)
     a = np.array(locus.coeffs + (0, 0), np.int64)
     k = np.arange(len(a) - 2)
     bad = np.flatnonzero(4 * (k + 1) * (k + 2) % p * a[2:] % p

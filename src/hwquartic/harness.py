@@ -34,7 +34,7 @@ from .errors import (CapacityError, IntegrityError, ModulusError, ParseError,
                      PoleError)
 from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
                      modulus, power)
-from .hwcore import (HWMatrix, QuarticForm, _grid, _pivots,
+from .hwcore import (HWMatrix, QuarticForm, _pivots,
                      _require_oracle_prime, a_number, hw_matrix, hw_matrix_oracle,
                      stable_rank)
 from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner, roots_over
@@ -407,7 +407,7 @@ def _suite_c6_structure(report, mod, args):
     rng = random.Random(f"hw-structure-{p}")
     candidates = [r for r in range(p) if r not in (2, p - 2)]
     for r in rng.sample(candidates, min(3, len(candidates))):
-        if _grid(hw_matrix(families.c6_form(mod, r))) != families.c6_stack(grid, (r,)):
+        if hw_matrix(families.c6_form(mod, r)) != families.c6_hw(mod, r):
             problems.append(f"entry polynomials disagree with hw_matrix at r={r}")
     report.add(p=p, family="c6",
                status="FAIL" if problems else "PASS",
@@ -466,7 +466,8 @@ def _first_maximal_c6(mod, bound):
     """
     p = mod.p
     top = hasse_weil_window(p)[1]
-    c2 = families.c6_entry_poly(mod, *families.LOCUS_SLOT[5])
+    row, col = families.LOCUS_SLOT[5]
+    c2 = families.c6_coeff_polys(mod)[row - 1][col - 1]
     for z in sorted(roots_over(c2, 2), key=lambda z: (z.b != 0, z.a, z.b)):
         rational = z.b == 0
         if rational and z.a in (0, 2, p - 2):
@@ -527,9 +528,11 @@ SUITES = tuple(_SUITE_FUNCS)
 
 def _parse_range(text: str):
     m = re.match(r"^(\d+)\.\.(\d+)$", text)
-    if m is None or int(m.group(1)) > int(m.group(2)):
+    if m is not None:
+        lo, hi = _number(m, 1), _number(m, 2)
+    if m is None or lo > hi:
         raise ParseError(f"bad range {text!r}: want A..B with A <= B")
-    return int(m.group(1)), int(m.group(2))
+    return lo, hi
 
 
 def _resolve_primes(args):

@@ -8,7 +8,8 @@ reduced to its F_p residue before use, so e.g. the parameter written
 (x;n) = (x+n-1)!/(x-1)!, or 0 once x+n-1 >= p, so a series row is one
 gather from the factorial table.  Truncations stay below the first
 vanishing denominator factor; hitting one raises PoleError since the
-parameter choices used here never do.  The Gauss-lemma check runs at
+parameter choices used here never do.  The Gauss-lemma check reads its
+two C6 entries off the one families.c6_coeff_polys grid of p and runs at
 every r at once on component arrays (ffield.mul/power, unipoly.horner).
 """
 
@@ -21,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ModulusError, PoleError
-from .families import c6_entry_poly
+from .families import c6_coeff_polys
 from .ffield import (FpElement, _as_modulus, as_element, binomial, components,
                      mul, power)
 from .unipoly import UniPoly, ext2_root_counts, horner
@@ -114,11 +115,11 @@ def verify_gauss_lemma(mod) -> bool:
     the square roots come from one table of squares, with sqrt(v) =
     w*sqrt(v/s) for a non-residue v.
 
-    c1 and c2 are the (1,3) and (3,1) entries of the C6 matrix
-    (c6_entry_poly), each binom(p-1, k) = (-1)^k times the y-coefficient
-    of (y^4 + r y^2 + 1)^(p-1-k) that its series reproduces.  The two
-    slots' k, (p-2)/3 and (2p-1)/3, differ by (p+1)/3, an even number, so
-    one sign = (-1)^((p-2)/3) serves both.
+    c1 and c2 are grid[0][2] and grid[2][0], the (1,3) and (3,1) entries
+    of the c6_coeff_polys grid, each binom(p-1, k) = (-1)^k times the
+    y-coefficient of (y^4 + r y^2 + 1)^(p-1-k) that its series
+    reproduces.  The two slots' k, (p-2)/3 and (2p-1)/3, differ by
+    (p+1)/3, an even number, so one sign = (-1)^((p-2)/3) serves both.
     """
     mod = _require_residue_5_mod_6(mod)
     p = mod.p
@@ -138,8 +139,9 @@ def verify_gauss_lemma(mod) -> bool:
     alpha = (r + sq[0]) * half % p, sq[1] * half % p
     beta = (r - sq[0]) * half % p, -sq[1] * half % p
     t = mul(alpha, alpha, mod)
-    for n, e, g, f in (((2 * p - 1) // 3, (p - 1) // 2, g1, c6_entry_poly(mod, 1, 3)),
-                       ((p - 2) // 3, (p - 5) // 6, g2, c6_entry_poly(mod, 3, 1))):
+    grid = c6_coeff_polys(mod)
+    for n, e, g, f in (((2 * p - 1) // 3, (p - 1) // 2, g1, grid[0][2]),
+                       ((p - 2) // 3, (p - 5) // 6, g2, grid[2][0])):
         factor = mul(components(binomial(n, (p + 1) // 6, mod) * sign),
                      power(beta, e, mod), mod)
         va, vb = mul(factor, horner(g.coeffs, t, mod), mod)

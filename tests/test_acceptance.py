@@ -12,16 +12,16 @@ import numpy as np
 from oracles import divides, elliptic_e0_supersingular, pochhammer
 
 from hwquartic.families import (LOCUS_SLOT, TABLE_C6, TABLE_C9, c6_coeff_polys,
-                                c6_count_max_a, c6_entry_poly, c6_form,
-                                c6_hw, c6_stack, c9_classify, c9_form, c9_hw)
-from hwquartic.ffield import FpElement, modulus
+                                c6_count_max_a, c6_form, c6_hw, c6_stack,
+                                c9_classify, c9_form, c9_hw, coeff_of_power)
+from hwquartic.ffield import FpElement, binomial, modulus
 from hwquartic.harness import (count_points_ext2, hasse_weil_window,
                                oracle_corpus, primes_in)
 from hwquartic.hwcore import (HWMatrix, a_number, hw_matrix, hw_matrix_oracle,
-                              rank3, stable_rank)
+                              hw_targets, rank3, stable_rank)
 from hwquartic.hypergeom import (expectation_check, verify_euler,
                                  verify_gauss_lemma)
-from hwquartic.unipoly import is_separable
+from hwquartic.unipoly import UniPoly, is_separable
 
 
 def _report(n, text):
@@ -29,9 +29,9 @@ def _report(n, text):
 
 
 def c6_hw_all(grid, rs):
-    """c6_hw at each int r of rs, from one c6_stack of a c6_coeff_polys
-    grid built once per prime (c6_hw rebuilds the grid per call); the
-    tests check it against c6_hw at a seeded r per prime."""
+    """c6_hw at each int r of rs, from one c6_stack of the c6_coeff_polys
+    grid (c6_hw evaluates the grid at one r per call); the tests check it
+    against c6_hw at a seeded r per prime."""
     mod = grid[0][0].modulus
     stack = c6_stack(grid, (np.array(rs, np.int64),))
     return [HWMatrix([[FpElement(int(v[k]), mod) for (v,) in row]
@@ -51,8 +51,8 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_closed_form_spot_checks():
     m5, m11 = modulus(5), modulus(11)
-    assert c6_entry_poly(m5, 3, 1).coeffs == (4,)        # c2 = -1
-    assert c6_entry_poly(m11, 3, 1).coeffs == (0, 8)     # c2 = -3r
+    assert c6_coeff_polys(m5)[2][0].coeffs == (4,)       # c2 = -1
+    assert c6_coeff_polys(m11)[2][0].coeffs == (0, 8)    # c2 = -3r
     assert c9_hw(modulus(17)).is_zero()
     H = c9_hw(modulus(13))
     nonzero = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3)
@@ -77,7 +77,11 @@ def test_criterion_03_structure_lemmas():
         for row in (1, 2, 3):
             for col in (1, 2, 3):
                 poly = grid[row - 1][col - 1]
-                assert poly == c6_entry_poly(m, row, col), (p, row, col)
+                # the slot rule: x^3*z used i/3 times, so zero unless 3 | i
+                i, j, _ = hw_targets(p)[row - 1][col - 1]
+                expect = UniPoly.zero(m) if i % 3 else coeff_of_power(
+                    p - 1 - i // 3, j, m).scale(binomial(p - 1, i // 3, m))
+                assert poly == expect, (p, row, col)
                 if (row, col) not in live:
                     assert poly.is_zero, (p, row, col)
         row, col = LOCUS_SLOT[p % 6]

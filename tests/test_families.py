@@ -12,10 +12,11 @@ from hwquartic import families, hwcore
 from hwquartic.errors import IntegrityError, ModulusError
 from hwquartic.families import (LOCUS_SLOT, Classification, TABLE_C6, TABLE_C9,
                                 _c9_solve_slot, c6_classify, c6_classify_all,
-                                c6_coeff_polys, c6_count_max_a, c6_entry_poly,
-                                c6_form, c6_hw, c9_classify, c9_form, c9_hw,
+                                c6_coeff_polys, c6_count_max_a, c6_form,
+                                c6_hw, c9_classify, c9_form, c9_hw,
                                 coeff_of_power)
-from hwquartic.ffield import Fp2Element, FpElement, components, modulus, multinomial
+from hwquartic.ffield import (Fp2Element, FpElement, binomial, components,
+                              modulus, multinomial)
 from hwquartic.harness import main, primes_in
 from hwquartic.hwcore import (a_number, hw_matrix, hw_matrix_oracle, hw_targets,
                               rank3, stable_rank)
@@ -100,24 +101,27 @@ def test_c6_polys_match_oracle_at_sampled_r():
 
 
 def test_c6_entry_poly_structure():
+    """The grid is a tuple of tuples of UniPoly, zero off the live slots,
+    and entry (i, j, k) is binom(p-1, i/3) * coeff_of_power(p-1-i/3, j),
+    zero unless 3 | i."""
     for p in (11, 13, 29, 31):
         m = modulus(p)
         live = {(1, 3), (3, 1)} if p % 6 == 5 else {(1, 1), (2, 2), (3, 3)}
+        grid = c6_coeff_polys(m)
         for row in (1, 2, 3):
             for col in (1, 2, 3):
-                poly = c6_entry_poly(m, row, col)
+                poly = grid[row - 1][col - 1]
                 assert poly.is_zero == ((row, col) not in live)
-        grid = c6_coeff_polys(m)
-        assert isinstance(grid, list) and len(grid) == 3
-        assert all(isinstance(row, list) and len(row) == 3 for row in grid)
+        assert isinstance(grid, tuple) and len(grid) == 3
+        assert all(isinstance(row, tuple) and len(row) == 3 for row in grid)
         assert all(isinstance(f, UniPoly) and f.modulus == m
                    for row in grid for f in row)
         for row in (1, 2, 3):
             for col in (1, 2, 3):
-                assert grid[row - 1][col - 1] == c6_entry_poly(m, row, col)
-    for row, col in ((0, 1), (1, 0), (-1, 1), (4, 1), (1, 4)):
-        with pytest.raises(IndexError):
-            c6_entry_poly(modulus(11), row, col)
+                i, j, _ = hw_targets(p)[row - 1][col - 1]
+                assert grid[row - 1][col - 1] == (
+                    UniPoly.zero(m) if i % 3 else coeff_of_power(
+                        p - 1 - i // 3, j, m).scale(binomial(p - 1, i // 3, m)))
 
 
 def test_divisibility_and_root_structure():
@@ -141,7 +145,7 @@ def test_divisibility_and_root_structure():
 def test_ct2_has_no_roots_besides_pm2():
     for p in (7, 13, 19, 31, 37):
         m = modulus(p)
-        ct2 = c6_entry_poly(m, 2, 2)
+        ct2 = c6_coeff_polys(m)[1][1]
         allowed = {Fp2Element(2, 0, m), Fp2Element(p - 2, 0, m)}
         assert roots_over(ct2, 2) <= allowed
 
@@ -150,8 +154,6 @@ def test_dt2_is_scaled_power_of_r2_minus_4():
     """dt2 = ct2 / binom(p-1, (p-1)/3), the raw y-coefficient behind ct2,
     is binom((2p-2)/3, (p-1)/3) * (r^2 - 4)^((p-1)/6) exactly, which pins
     every root of ct2 to +-2 for all p = 1 mod 6 up to 500."""
-    from hwquartic.ffield import binomial
-
     for p in primes_in(7, 500):
         if p % 6 != 1:
             continue
@@ -159,7 +161,7 @@ def test_dt2_is_scaled_power_of_r2_minus_4():
         base = UniPoly([-4, 0, 1], m)
         expect = (base ** ((p - 1) // 6)).scale(
             binomial((2 * p - 2) // 3, (p - 1) // 3, m))
-        assert c6_entry_poly(m, 2, 2) == expect.scale(binomial(p - 1, (p - 1) // 3, m)), p
+        assert c6_coeff_polys(m)[1][1] == expect.scale(binomial(p - 1, (p - 1) // 3, m)), p
 
 
 def test_c6_hw_values():
@@ -196,7 +198,7 @@ def test_c6_classify_ext2_max_a_parameters():
     # p = 13: the ct1 roots satisfy r^2 = 8, a non-residue, so the two
     # max-a curves have r in F_169 \ F_13 (and r^2 in F_p)
     m = modulus(13)
-    ct1 = c6_entry_poly(m, 1, 1)
+    ct1 = c6_coeff_polys(m)[0][0]
     roots = roots_over(ct1, 2)
     assert len(roots) == 2
     assert all(z.b != 0 for z in roots)
@@ -222,7 +224,7 @@ def test_c6_classify():
 def test_c6_superspecial_member():
     # p = 17: c2 has roots; any root r gives the zero matrix and a = 3
     m = modulus(17)
-    c2 = c6_entry_poly(m, *LOCUS_SLOT[5])
+    c2 = c6_coeff_polys(m)[2][0]
     roots = [z for z in roots_over(c2, 2) if z.b == 0]
     assert roots, "no F_p-rational superspecial parameter at p = 17"
     r = FpElement(roots[0].a, m)
@@ -253,13 +255,15 @@ def test_c6_count_max_a_examples():
 def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
     """A squared root locus has every root twice: the count would double,
     so the separability guard must stop it, and verify counts exits 1."""
-    entry = families.c6_entry_poly
+    gather = families.coeff_of_power
 
-    def squared_locus(mod, row, col):
-        f = entry(mod, row, col)
-        return f * f if (row, col) == LOCUS_SLOT[mod.p % 6] else f
+    def squared_locus(s, m, mod):
+        f = gather(s, m, mod)
+        s0, n = _locus_parameters(mod.p)
+        return f * f if (s, m) == (s0, 2 * n) else f
 
-    monkeypatch.setattr(families, "c6_entry_poly", squared_locus)
+    families.c6_coeff_polys.cache_clear()  # a cached grid would miss the patch
+    monkeypatch.setattr(families, "coeff_of_power", squared_locus)
     with pytest.raises(IntegrityError, match="inseparable"):
         c6_count_max_a(modulus(17))
     assert main(["verify", "counts", "--p", "17"]) == 1
@@ -268,8 +272,9 @@ def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
 
 def _euclid_count(mod):
     """The count certified by a gcd with the derivative: the quadratic
-    oracle for c6_count_max_a."""
-    locus = c6_entry_poly(mod, *LOCUS_SLOT[mod.p % 6])
+    oracle for c6_count_max_a, on the binomial-scaled grid entry."""
+    row, col = LOCUS_SLOT[mod.p % 6]
+    locus = c6_coeff_polys(mod)[row - 1][col - 1]
     assert is_separable(locus), mod.p
     n = locus.degree - sum(locus.eval(r).is_zero() for r in (0, 2, mod.p - 2))
     assert n % 2 == 0, mod.p
@@ -292,17 +297,19 @@ def test_c6_count_max_a_matches_the_euclid_count():
 @pytest.mark.parametrize("p", [17, 997, 2999])
 def test_c6_count_max_a_rejects_a_perturbed_locus(monkeypatch, capsys, p):
     """One coefficient bumped by 1 breaks the Gegenbauer equation."""
-    entry = families.c6_entry_poly
+    gather = families.coeff_of_power
 
-    def bumped_locus(mod, row, col):
-        f = entry(mod, row, col)
-        if (row, col) != LOCUS_SLOT[mod.p % 6]:
+    def bumped_locus(s, m, mod):
+        f = gather(s, m, mod)
+        s0, n = _locus_parameters(mod.p)
+        if (s, m) != (s0, 2 * n):
             return f
         c = list(f.coeffs)
         c[len(c) // 2] += 1
         return UniPoly(c, mod)
 
-    monkeypatch.setattr(families, "c6_entry_poly", bumped_locus)
+    families.c6_coeff_polys.cache_clear()  # a cached grid would miss the patch
+    monkeypatch.setattr(families, "coeff_of_power", bumped_locus)
     with pytest.raises(IntegrityError, match="Gegenbauer equation fails"):
         c6_count_max_a(modulus(p))
     assert main(["verify", "counts", "--p", str(p)]) == 1

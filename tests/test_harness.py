@@ -267,11 +267,14 @@ _LONG = "1" * 5000
     (["hw", "--quartic", "x^" + _LONG + " + y^4", "--p", "7"], 2),
     (["hw", "--r", _LONG, "--p", "7"], 0),
     (["hw", "--r", "3+" + _LONG + "*w", "--p", "7"], 2),
+    (["verify", "counts", "--p-range", "5.." + _LONG], 3),
+    (["verify", "counts", "--p-range", _LONG + "..5"], 0),
 ])
 def test_cli_overlong_number_is_a_parse_error_at_its_position(capsys, argv,
                                                               position):
-    """A coefficient, exponent or parameter with more digits than int()
-    takes is a ParseError at the number, not Python's own ValueError."""
+    """A coefficient, exponent, parameter or range bound with more digits
+    than int() takes is a ParseError at the number, not Python's own
+    ValueError."""
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == ("usage error: number has too many digits "
@@ -341,7 +344,7 @@ def test_maximal_c6_members_are_superspecial(p, ext):
     """Brute force over every r in F_p^ext (r != +-2): a maximal C_r has
     c2(r) = 0, which is why the --c6-question search counts only there."""
     m = modulus(p)
-    c2 = families.c6_entry_poly(m, *families.LOCUS_SLOT[5])
+    c2 = families.c6_coeff_polys(m)[2][0]
     params = [Fp2Element(a, b, m) for a in range(p)
               for b in range(p if ext == 2 else 1)
               if not (b == 0 and a in (2, p - 2))]
@@ -1285,6 +1288,33 @@ def test_c6_structure_fails_when_hw_matrix_disagrees(capsys, monkeypatch):
     assert row.status == "FAIL"
     assert row.detail.startswith(
         "entry polynomials disagree with hw_matrix at r=")
+
+
+@pytest.mark.parametrize("suite, p", [
+    ("c6-structure", 101),  # 5 mod 6
+    ("c6-structure", 103),  # 1 mod 6
+    ("gauss-lemma", 101),
+])
+def test_a_verify_run_builds_the_c6_grid_of_its_prime_once(capsys, monkeypatch,
+                                                           suite, p):
+    """Every C6 consumer at one prime reads one cached grid: the run makes
+    as many coeff_of_power gathers as one fresh c6_coeff_polys."""
+    gathers = []
+    gather = families.coeff_of_power
+
+    def counted(*args):
+        gathers.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(families, "coeff_of_power", counted)
+    families.c6_coeff_polys.cache_clear()
+    families.c6_coeff_polys(modulus(p))
+    one_build = len(gathers)
+    families.c6_coeff_polys.cache_clear()
+    gathers.clear()
+    code, _ = run_cli(capsys, "verify", suite, "--p", str(p))
+    assert code == 0
+    assert len(gathers) == one_build > 0
 
 
 def test_cli_enumerate(capsys):

@@ -6,7 +6,7 @@ from oracles import embed, pochhammer
 
 from hwquartic import hypergeom
 from hwquartic.errors import ModulusError, PoleError
-from hwquartic.families import LOCUS_SLOT, c6_entry_poly
+from hwquartic.families import c6_coeff_polys
 from hwquartic.ffield import (Fp2Element, FpElement, binomial, is_prime,
                               is_square_fp2, modulus, sqrt_fp2_of_fp)
 from hwquartic.hypergeom import (expectation_check, gauss_truncated,
@@ -240,7 +240,7 @@ def test_verify_gauss_lemma_wrong_class():
 def scalar_gauss_lemma(mod):
     """Reference: both congruences one r at a time, with Fp2Element
     arithmetic and scalar UniPoly.eval.  Reads the series, the binomials
-    and the entry polynomials through the hypergeom module, so that a
+    and the entry grid through the hypergeom module, so that a
     monkeypatched perturbation reaches it too.  The (1,3) and (3,1)
     entries are (-1)^k times the series' y-coefficients, with k =
     (p-2)/3 resp. (2p-1)/3, whose parities agree."""
@@ -248,8 +248,8 @@ def scalar_gauss_lemma(mod):
     c = (7, 6)
     g1 = hypergeom.gauss_truncated((1, 3), (1, 2), c, (p - 1) // 2, mod)
     g2 = hypergeom.gauss_truncated((5, 6), (2, 3), c, (p - 5) // 6, mod)
-    c1 = hypergeom.c6_entry_poly(mod, 1, 3)
-    c2 = hypergeom.c6_entry_poly(mod, 3, 1)
+    grid = hypergeom.c6_coeff_polys(mod)
+    c1, c2 = grid[0][2], grid[2][0]
     sign = (-1) ** ((p - 2) // 3)
     bin1 = embed(hypergeom.binomial((2 * p - 1) // 3, (p + 1) // 6, mod)) * sign
     bin2 = embed(hypergeom.binomial((p - 2) // 3, (p + 1) // 6, mod)) * sign
@@ -287,7 +287,7 @@ def bump_top(f):
 def test_gauss_lemma_fails_on_a_perturbed_side(monkeypatch, p, which):
     """d1 and d2 bump the coefficient side, the (1,3) resp. (3,1) entry
     polynomial; g1 and g2 bump a series."""
-    series, entry_poly = hypergeom.gauss_truncated, hypergeom.c6_entry_poly
+    series, grid_of = hypergeom.gauss_truncated, hypergeom.c6_coeff_polys
     degree = {"g1": (p - 1) // 2, "g2": (p - 5) // 6}.get(which)
     slot = {"d1": (1, 3), "d2": (3, 1)}.get(which)
 
@@ -295,12 +295,13 @@ def test_gauss_lemma_fails_on_a_perturbed_side(monkeypatch, p, which):
         g = series(a, b, c, d, mod)
         return bump_top(g) if d == degree else g
 
-    def perturbed_entry(mod, row, col):
-        f = entry_poly(mod, row, col)
-        return bump_top(f) if (row, col) == slot else f
+    def perturbed_grid(mod):
+        return tuple(tuple(bump_top(f) if (row, col) == slot else f
+                           for col, f in enumerate(fs, 1))
+                     for row, fs in enumerate(grid_of(mod), 1))
 
     monkeypatch.setattr(hypergeom, "gauss_truncated", perturbed_series)
-    monkeypatch.setattr(hypergeom, "c6_entry_poly", perturbed_entry)
+    monkeypatch.setattr(hypergeom, "c6_coeff_polys", perturbed_grid)
     assert verify_gauss_lemma(modulus(p)) is False
     assert scalar_gauss_lemma(modulus(p)) is False
 
@@ -346,7 +347,7 @@ def test_expectation_check_matches_exhaustion():
 def test_c2_roots_match_series_roots(p):
     """c2(r) = 0 iff the degree-(p-5)/6 series vanishes at t = alpha/beta."""
     m = modulus(p)
-    c2 = c6_entry_poly(m, *LOCUS_SLOT[5])
+    c2 = c6_coeff_polys(m)[2][0]
     g = gauss_truncated((5, 6), (2, 3), (7, 6), (p - 5) // 6, m)
     for rv in range(p):
         if rv in (2, p - 2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import derivative, divides
 
 from hwquartic.errors import CapacityError, ModulusError
-from hwquartic.families import LOCUS_SLOT, c6_entry_poly, coeff_of_power
+from hwquartic.families import LOCUS_SLOT, c6_coeff_polys, coeff_of_power
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
 from hwquartic.harness import main
@@ -73,7 +73,7 @@ def test_is_separable():
 
 
 def test_c2_at_17_is_separable_with_two_ext2_roots():
-    c2 = c6_entry_poly(modulus(17), *LOCUS_SLOT[5])
+    c2 = c6_coeff_polys(modulus(17))[2][0]
     assert c2.degree == 2
     assert is_separable(c2)
     roots = roots_over(c2, 2)
@@ -158,7 +158,8 @@ def test_c2_divides_c1_at_23():
     """Also the raw y-coefficients of (y^4 + r y^2 + 1)^(p-1-i/3) behind
     c1 and c2, before the binomial scalar."""
     m = modulus(23)
-    assert divides(c6_entry_poly(m, 3, 1), c6_entry_poly(m, 1, 3))
+    grid = c6_coeff_polys(m)
+    assert divides(grid[2][0], grid[0][2])
     (i1, j1, _), (i2, j2, _) = hw_targets(23)[0][2], hw_targets(23)[2][0]
     d1 = coeff_of_power(22 - i1 // 3, j1, m)
     d2 = coeff_of_power(22 - i2 // 3, j2, m)
@@ -516,7 +517,8 @@ def test_ext2_root_counts_match_exhaustion(f):
 
 def test_separable_root_count_bound():
     for p in (13, 17):
-        f = c6_entry_poly(modulus(p), *LOCUS_SLOT[p % 6])
+        row, col = LOCUS_SLOT[p % 6]
+        f = c6_coeff_polys(modulus(p))[row - 1][col - 1]
         if is_separable(f):
             assert len(roots_over(f, 2)) <= f.degree
 
@@ -650,10 +652,13 @@ BLOCK_PRIMES = (5, 7, 1009, 1048573, 2 ** 31 - 1)
 
 @st.composite
 def long_horner_cases(draw):
-    """(mod, coefficients, x) at width 1 or 2, with 1 to 401 coefficients
-    (dense around the 25 where blocks start) and x as ints, as 1-D arrays
-    or as 2-D arrays that broadcast (a column against a row at width 2).
-    Values are biased to 0, 1 and p - 1."""
+    """(mod, coefficients, x, pairs) at width 1 or 2, with 1 to 401
+    coefficients (dense around the 25 where blocks start) and x as ints,
+    as 1-D arrays or as 2-D arrays that broadcast (a column against a row
+    at width 2).  Values are biased to 0, 1 and p - 1.  At width 2 the
+    coefficients are pairs, or residues of F_p (which take the blocked
+    step on arrays); pairs are the coefficients as the power sum reads
+    them."""
     p = draw(st.sampled_from(BLOCK_PRIMES))
     width = draw(st.sampled_from((1, 2)))
     n = draw(st.one_of(st.integers(1, 401), st.integers(16, 40)))
@@ -662,9 +667,10 @@ def long_horner_cases(draw):
     def residue():
         return rng.choice((0, 1, p - 1, rng.randrange(p)))
 
-    real = width == 2 and draw(st.booleans())  # b-components all zero
-    coeffs = [residue() if width == 1 else (residue(), 0 if real else residue())
+    real = width == 2 and draw(st.booleans())
+    coeffs = [residue() if width == 1 or real else (residue(), residue())
               for _ in range(n)]
+    pairs = [(c, 0) for c in coeffs] if real else coeffs
     form = draw(st.sampled_from(("int", "1d", "2d")))
     if form == "int":
         x = tuple(residue() for _ in range(width))
@@ -677,25 +683,25 @@ def long_horner_cases(draw):
         shapes = [(rows, cols)] if width == 1 else [(rows, 1), (1, cols)]
         x = tuple(np.array([residue() for _ in range(a * b)], np.int64).reshape(a, b)
                   for a, b in shapes)
-    return modulus(p), coeffs, x
+    return modulus(p), coeffs, x, pairs
 
 
 @settings(max_examples=300, deadline=None)
 @given(long_horner_cases())
 def test_horner_matches_the_power_sum_on_both_sides_of_the_crossover(case):
-    mod, coeffs, x = case
+    mod, coeffs, x, pairs = case
     p, s = mod.p, mod.nonresidue
     got = horner(coeffs, x, mod)
     assert len(got) == len(x)
     if isinstance(x[0], int):
-        assert got == power_sum(coeffs, x, p, s)
+        assert got == power_sum(pairs, x, p, s)
         return
     X = np.broadcast_arrays(*x)
     for v in got:
         assert v.dtype == np.int64 and v.shape == X[0].shape
     for i in np.ndindex(X[0].shape):
         point = tuple(int(c[i]) for c in X)
-        assert tuple(int(v[i]) for v in got) == power_sum(coeffs, point, p, s)
+        assert tuple(int(v[i]) for v in got) == power_sum(pairs, point, p, s)
 
 
 @pytest.mark.parametrize("p", (1358187913, 1358187923))
