@@ -130,15 +130,18 @@ def coeff_of_power(s: int, m: int, mod) -> UniPoly:
     return UniPoly._reduced(coeffs.tolist(), mod)
 
 
-@lru_cache(maxsize=1)
 def c6_coeff_polys(mod) -> tuple:
     """The C6 Hasse-Witt matrix at p as a 3x3 grid of polynomials in r,
     rows of UniPoly indexed like hw_targets, built once for the last p
-    asked.  The x^3*z term is used exactly i/3 times, so entry (i, j, k)
-    is binom(p-1, i/3) * coeff_of_power(p-1-i/3, j), zero unless 3 | i.
-    Only (1,3) and (3,1) are nonzero for p = 5 mod 6, only the diagonal
-    for p = 1 mod 6."""
-    mod = _as_modulus(mod)
+    asked (an int p and modulus(p) alike).  The x^3*z term is used exactly
+    i/3 times, so entry (i, j, k) is binom(p-1, i/3) *
+    coeff_of_power(p-1-i/3, j), zero unless 3 | i.  Only (1,3) and (3,1)
+    are nonzero for p = 5 mod 6, only the diagonal for p = 1 mod 6."""
+    return _c6_grid(_as_modulus(mod))
+
+
+@lru_cache(maxsize=1)
+def _c6_grid(mod) -> tuple:
     p = mod.p
 
     def entry(i, j, _k):

@@ -17,14 +17,16 @@ to width 2, and element(c, mod) back; as_element(x, mod) is the input
 rule for values handed in (an int or an element of the same modulus).
 FactorialTable holds n! and 1/n! mod p as int64 arrays to gather rows
 from; the inverses need no second pass, by Wilson's reflection
-n! (p-1-n)! = (-1)^(n+1) mod p.
+n! (p-1-n)! = (-1)^(n+1) mod p.  A PrimeModulus holds its prime's table
+and non-residue itself, and modulus(p), the one cache here, keeps the
+last prime's modulus only.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -92,44 +94,42 @@ class FactorialTable:
         self.inv_fact[0::2] = p - self.inv_fact[0::2]
 
 
-#: primes whose modulus, factorial table and non-residue stay cached: a
-#: range sweep holds at most this many tables, CACHED_PRIMES * 16 MiB at
-#: MAX_TABLE_PRIME
-CACHED_PRIMES = 8
-_factorials = lru_cache(maxsize=CACHED_PRIMES)(FactorialTable)
-
-
-@lru_cache(maxsize=CACHED_PRIMES)
-def _nonresidue(p: int) -> int:
-    return next(s for s in range(2, p) if pow(s, (p - 1) // 2, p) == p - 1)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p >= 5; its per-prime data comes from caches keyed by p, so
-    independently constructed moduli compare equal and share it."""
+    """A prime p >= 5 with its per-prime data, each computed on first use
+    and held on the instance: factorials (16 MiB at MAX_TABLE_PRIME) and
+    nonresidue.  Moduli compare and hash by p; p is read by operator.index,
+    so a numpy integer is stored as a Python int."""
 
+    # p in a slot: once cached_property fills __dict__, CPython 3.11 reads
+    # a __dict__ attribute by a dict lookup, about 2% of an fp sweep
+    __slots__ = ("p", "__dict__")
     p: int
 
     def __post_init__(self):
-        p = self.p
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise ModulusError(f"modulus {p!r} is not a prime")
+        if isinstance(self.p, bool) or not hasattr(self.p, "__index__"):
+            raise ModulusError(f"modulus {self.p!r} is not an integer")
+        p = operator.index(self.p)
+        object.__setattr__(self, "p", p)
+        if not is_prime(p):
+            raise ModulusError(f"modulus {p} is not a prime")
         if p < 5:
             raise ModulusError(f"modulus {p} is too small (need p >= 5)")
 
-    @property
+    @cached_property
     def factorials(self) -> FactorialTable:
-        return _factorials(self.p)
+        return FactorialTable(self.p)
 
-    @property
+    @cached_property
     def nonresidue(self) -> int:
         """Smallest positive quadratic non-residue mod p (the s with w^2 = s)."""
-        return _nonresidue(self.p)
+        p = self.p
+        return next(s for s in range(2, p) if pow(s, (p - 1) // 2, p) == p - 1)
 
 
-#: the shared PrimeModulus of p
-modulus = lru_cache(maxsize=CACHED_PRIMES)(PrimeModulus)
+#: the shared PrimeModulus of the last p asked: a sweep, one prime at a
+#: time, holds one prime's data
+modulus = lru_cache(maxsize=1)(PrimeModulus)
 
 
 def _as_modulus(mod) -> PrimeModulus:

@@ -37,7 +37,7 @@ from .ffield import (Fp2Element, FpElement, _as_modulus, components, is_prime,
 from .hwcore import (HWMatrix, QuarticForm, _pivots,
                      _require_oracle_prime, a_number, hw_matrix, hw_matrix_oracle,
                      stable_rank)
-from .unipoly import DEFAULT_ROOT_BOUND, ext2_elements, horner, roots_over
+from .unipoly import eval_all_ext2, ext2_elements, horner
 
 #: default cap on p for exact F_{p^2} point counting; the grid path of
 #: count_points_ext2 makes p^4 evaluations, the triple-cover path p^2
@@ -460,31 +460,29 @@ def _first_maximal_c6(mod, bound):
     """(r, r in F_p) for the first F_{p^2}-maximal C_r found, or (None, False).
 
     A maximal curve has Frobenius -p, so F = -V on J[p] and a = 3: the
-    matrix vanishes and r is a root of c2.  Only those roots are counted,
-    r != 0, 2, -2: the F_p roots in ascending order, then the others by
-    their components (a, b).
+    matrix vanishes and r is a root of c2.  The caller runs this only
+    after the C9 count at p has passed bound; c2 on all of F_{p^2} costs
+    the same p^2 evaluations.  Only its roots are counted, r != 0, 2, -2:
+    the F_p roots in ascending order, then the others by their components
+    (a, b), i.e. the zero indices a*p + b sorted by (b != 0, index).
     """
     p = mod.p
     top = hasse_weil_window(p)[1]
     row, col = families.LOCUS_SLOT[5]
-    c2 = families.c6_coeff_polys(mod)[row - 1][col - 1]
-    for z in sorted(roots_over(c2, 2), key=lambda z: (z.b != 0, z.a, z.b)):
-        rational = z.b == 0
-        if rational and z.a in (0, 2, p - 2):
+    va, vb = eval_all_ext2(families.c6_coeff_polys(mod)[row - 1][col - 1])
+    zeros = np.flatnonzero((va == 0) & (vb == 0)).tolist()
+    for i in sorted(zeros, key=lambda i: (i % p != 0, i)):
+        a, b = divmod(i, p)
+        if not b and a in (0, 2, p - 2):
             continue
-        r = z.a if rational else z
+        r = Fp2Element(a, b, mod) if b else a
         if count_points_ext2(families.c6_form(mod, r), bound=bound) == top:
-            return str(r), rational
+            return str(r), not b
     return None, False
 
 
 def _suite_maximality(report, mod, args):
     p = mod.p
-    ask = args.c6_question and p % 6 == 5 and p >= 17
-    roots_fit = p * p <= DEFAULT_ROOT_BOUND
-    if ask and args.p is not None and not roots_fit:
-        raise CapacityError(f"--c6-question: p^2 = {p * p} exceeds the root "
-                            f"exhaustion bound {DEFAULT_ROOT_BOUND}")
     top = hasse_weil_window(p)[1]
     count = count_points_ext2(families.c9_form(mod), bound=args.bound)
     maximal = count == top
@@ -493,11 +491,7 @@ def _suite_maximality(report, mod, args):
                status="PASS" if maximal == expected else "FAIL",
                detail=f"points={count} hasse-weil-max={top} "
                       f"maximal={maximal} expected={expected}")
-    if not ask:
-        return
-    if not roots_fit:
-        report.add(p=p, family="c6", status="SKIP",
-                   detail=f"p^2 exceeds root exhaustion bound {DEFAULT_ROOT_BOUND}")
+    if not (args.c6_question and p % 6 == 5 and p >= 17):
         return
     # informational search for the open question: is some C_r maximal?
     found, rational = _first_maximal_c6(mod, args.bound)

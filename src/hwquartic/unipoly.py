@@ -14,8 +14,8 @@ ffield._power on arrays from the reduced base to the result, each
 reduction two truncated products with a precomputed inverse of rev(m);
 divmod and gcd by one long division in place on arrays, its scalar
 steps on Python ints; a gcd converts to arrays once.
-ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over
-lists them by exhaustive evaluation (p^ext <= DEFAULT_ROOT_BOUND).
+ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over,
+the tests' oracle, lists them by exhaustion (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
 (a, b) for a + b*w in F_{p^2}, of ints or broadcasting int64 arrays, on
 arrays in blocks of ~sqrt(d) coefficients if d is long.  Coefficients

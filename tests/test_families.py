@@ -252,6 +252,25 @@ def test_c6_count_max_a_examples():
         assert c6_count_max_a(modulus(p)) == p // 12
 
 
+def test_c6_grid_is_one_entry_for_an_int_and_its_modulus(monkeypatch):
+    """c6_coeff_polys(p) and c6_coeff_polys(modulus(p)) share one cached
+    grid: the second call gathers nothing."""
+    gathers = []
+    gather = families.coeff_of_power
+
+    def counted(*args):
+        gathers.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(families, "coeff_of_power", counted)
+    families._c6_grid.cache_clear()
+    grid = c6_coeff_polys(101)
+    one_build = len(gathers)
+    assert one_build > 0
+    assert c6_coeff_polys(modulus(101)) is grid
+    assert len(gathers) == one_build
+
+
 def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
     """A squared root locus has every root twice: the count would double,
     so the separability guard must stop it, and verify counts exits 1."""
@@ -262,7 +281,7 @@ def test_c6_count_max_a_rejects_an_inseparable_locus(monkeypatch, capsys):
         s0, n = _locus_parameters(mod.p)
         return f * f if (s, m) == (s0, 2 * n) else f
 
-    families.c6_coeff_polys.cache_clear()  # a cached grid would miss the patch
+    families._c6_grid.cache_clear()  # a cached grid would miss the patch
     monkeypatch.setattr(families, "coeff_of_power", squared_locus)
     with pytest.raises(IntegrityError, match="inseparable"):
         c6_count_max_a(modulus(17))
@@ -308,7 +327,7 @@ def test_c6_count_max_a_rejects_a_perturbed_locus(monkeypatch, capsys, p):
         c[len(c) // 2] += 1
         return UniPoly(c, mod)
 
-    families.c6_coeff_polys.cache_clear()  # a cached grid would miss the patch
+    families._c6_grid.cache_clear()  # a cached grid would miss the patch
     monkeypatch.setattr(families, "coeff_of_power", bumped_locus)
     with pytest.raises(IntegrityError, match="Gegenbauer equation fails"):
         c6_count_max_a(modulus(p))

@@ -38,8 +38,41 @@ def test_modulus_rejects_bad_values():
     for bad in (4, 6, 1, 0, -7, 9, 2, 3, PSI_12, PSI_13):
         with pytest.raises(ModulusError):
             PrimeModulus(bad)
-    with pytest.raises(ModulusError):
-        PrimeModulus("11")
+    for bad in ("11", 13.0, True):
+        with pytest.raises(ModulusError, match="is not an integer"):
+            PrimeModulus(bad)
+    m = modulus(np.int64(13))
+    assert m == PrimeModulus(13) and type(m.p) is int
+
+
+def test_modulus_holds_one_prime_and_computes_its_data_once(monkeypatch):
+    """modulus(p) keeps the last prime only; a modulus builds its factorial
+    table and finds its non-residue once, on first use."""
+    first = modulus(17)
+    assert modulus(17) is first
+    modulus(13)
+    assert modulus(17) is not first and modulus(17) == first
+
+    calls = []
+    table, power = ffield.FactorialTable, pow
+
+    def counted_table(p):
+        calls.append("table")
+        return table(p)
+
+    def counted_pow(*args):
+        calls.append("pow")
+        return power(*args)
+
+    monkeypatch.setattr(ffield, "FactorialTable", counted_table)
+    m = PrimeModulus(23)
+    assert m.factorials is m.factorials
+    assert calls == ["table"]
+    monkeypatch.setattr(ffield, "pow", counted_pow, raising=False)
+    s = m.nonresidue
+    searched = len(calls)
+    assert s == m.nonresidue == 5 and searched > 1
+    assert len(calls) == searched
 
 
 def test_factorial_tables():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,15 @@ from hypothesis import strategies as st
 
 from hwquartic import families
 from hwquartic.errors import CapacityError, IntegrityError, ParseError
-from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, modulus
+from hwquartic.ffield import (Fp2Element, FpElement, _as_modulus, components,
+                              modulus)
 from hwquartic.harness import (_EXPONENT_TRIPLES, COMMANDS, SUITES,
                                ReportRow, SweepReport, _count_points_grid,
                                build_parser, count_points_ext2, fermat_form,
                                hasse_weil_window, main, oracle_corpus,
                                parse_c6_param, parse_quartic, primes_in)
 from hwquartic.hwcore import ORACLE_PRIME_BOUND, QuarticForm
+from hwquartic.unipoly import roots_over
 
 
 # ---------------------------------------------------------------------------
@@ -1011,32 +1014,76 @@ def test_cli_verify_maximality_c6_question(capsys, p, rows):
     assert out.splitlines()[1:] == rows
 
 
-def test_c6_question_skips_above_the_root_bound(capsys):
-    """p^2 > DEFAULT_ROOT_BOUND (p >= 503): in a range the C9 row stays and
-    the c6 row is a SKIP naming the bound."""
+def test_c6_question_runs_to_the_point_bound(capsys):
+    """Past p^2 = 250000 (p >= 503) the c2 search runs under --bound, as
+    the C9 count does; each maximal C_r is checked independently."""
     code, out = run_cli(capsys, "verify", "maximality", "--p-range", "490..510",
                         "--bound", "600", "--c6-question")
     assert code == 0
     rows = SweepReport.from_csv(out).rows
     assert [(r.p, r.family, r.status) for r in rows] == [
         (491, "c9", "PASS"), (491, "c6", "PASS"), (499, "c9", "PASS"),
-        (503, "c9", "PASS"), (503, "c6", "SKIP"), (509, "c9", "PASS"),
-        (509, "c6", "SKIP")]
-    assert rows[4].detail == "p^2 exceeds root exhaustion bound 250000"
+        (503, "c9", "PASS"), (503, "c6", "PASS"), (509, "c9", "PASS"),
+        (509, "c6", "PASS")]
+    found = [(row.p, parse_c6_param(row.param, row.p))
+             for row in rows if row.family == "c6" and row.param]
+    assert [p for p, _ in found] == [491, 503, 509]
+    for p, r in found:
+        assert families.c6_hw(p, r).is_zero()
+        assert (count_points_ext2(families.c6_form(modulus(p), r), bound=600)
+                == hasse_weil_window(p)[1])
 
 
-def test_c6_question_checks_the_root_bound_before_counting(capsys, monkeypatch):
+def test_c6_question_checks_the_point_bound_before_counting(capsys, monkeypatch):
     from hwquartic import harness
 
     def unused(*_args, **_kw):
         raise AssertionError("points counted")
 
-    monkeypatch.setattr(harness, "count_points_ext2", unused)
-    assert main(["verify", "maximality", "--p", "503", "--bound", "600",
-                 "--c6-question"]) == 3
+    for name in ("_count_points_cover", "_count_points_grid", "eval_all_ext2"):
+        monkeypatch.setattr(harness, name, unused)
+    assert main(["verify", "maximality", "--p", "61", "--c6-question"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("capacity error: --c6-question: p^2 = 253009")
+    assert err == "capacity error: point counting needs p <= 60, got 61\n"
+
+
+def test_c6_question_ignores_the_root_exhaustion_bound(capsys, monkeypatch):
+    """The c2 search is bounded by --bound alone: unipoly's root bound,
+    which binds roots_over only, does not reach it."""
+    from hwquartic import unipoly
+
+    monkeypatch.setattr(unipoly, "DEFAULT_ROOT_BOUND", 1)
+    code, out = run_cli(capsys, "verify", "maximality", "--p", "17",
+                        "--c6-question")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "17,c9,,,,,,PASS,points=392 hasse-weil-max=392 maximal=True expected=True",
+        "17,c6,5,,,,,PASS,maximal C_r found at r=5 (r swept over F_p only)"]
+
+
+@pytest.mark.parametrize("p", [29, 41, 101])
+def test_c6_search_walks_the_roots_of_c2_in_component_order(monkeypatch, p):
+    """The search tries every root of c2 in F_{p^2} except 0 and +-2, the
+    F_p roots first, each in the order of its components (a, b), as the
+    root-exhaustion oracle lists them."""
+    from hwquartic import harness
+
+    tried = []
+
+    def no_point(F, bound=None):
+        tried.append(F.terms[(0, 2, 2)])
+        return 0
+
+    monkeypatch.setattr(harness, "count_points_ext2", no_point)
+    assert harness._first_maximal_c6(modulus(p), 60) == (None, False)
+    row, col = families.LOCUS_SLOT[5]
+    c2 = families.c6_coeff_polys(modulus(p))[row - 1][col - 1]
+    expected = sorted((z for z in roots_over(c2, 2)
+                       if z.b or z.a not in (0, 2, p - 2)),
+                      key=lambda z: (z.b != 0, z.a, z.b))
+    assert any(z.b for z in expected)
+    assert [components(r) for r in tried] == [(z.a, z.b) for z in expected]
 
 
 @pytest.mark.parametrize("cmd", ["hw", "classify"])
@@ -1159,7 +1206,7 @@ def test_c6_range_skip_rows_carry_the_reduced_parameter(capsys, monkeypatch,
     SKIP rows whose param is r mod p, as a PASS row's is."""
     from hwquartic import ffield
 
-    ffield._factorials.cache_clear()  # no table of an earlier test is reused
+    ffield.modulus.cache_clear()  # no table of an earlier test is reused
     monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
     code, out = run_cli(capsys, cmd, "--r", "110", "--p-range", "101..109")
     assert code == 0
@@ -1175,7 +1222,7 @@ def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):
     row of enumerate in a range and exit 3 under --p."""
     from hwquartic import ffield
 
-    ffield._factorials.cache_clear()  # no table of an earlier test is reused
+    ffield.modulus.cache_clear()  # no table of an earlier test is reused
     monkeypatch.setattr(ffield, "MAX_TABLE_PRIME", 105)
     code, out = run_cli(capsys, "enumerate", "--p-range", "101..109")
     assert code == 0
@@ -1187,17 +1234,27 @@ def test_enumerate_skips_the_primes_past_the_table_bound(capsys, monkeypatch):
     assert main(["enumerate", "--p", "107"]) == 3
 
 
-def test_a_range_sweep_keeps_at_most_the_cached_factorial_tables(capsys):
-    """A range of about 300 primes leaves no more factorial tables alive
-    than ffield.CACHED_PRIMES: each prime's table goes once the cache
-    holds that many newer ones."""
+def test_a_range_sweep_keeps_one_factorial_table(capsys, monkeypatch):
+    """A range of about 300 primes builds each prime's factorial table
+    once and leaves at most one of them alive: the modulus that holds a
+    table goes once the sweep asks for the next prime."""
     from hwquartic import ffield
 
+    built = []
+    table = ffield.FactorialTable
+
+    def recorded(p):
+        t = table(p)
+        built.append((p, weakref.ref(t)))
+        return t
+
+    ffield.modulus.cache_clear()
+    monkeypatch.setattr(ffield, "FactorialTable", recorded)
     assert main(["verify", "counts", "--p-range", "5..2000"]) == 0
     capsys.readouterr()
     gc.collect()
-    alive = sum(isinstance(o, ffield.FactorialTable) for o in gc.get_objects())
-    assert 0 < alive <= ffield.CACHED_PRIMES
+    assert [p for p, _ in built] == primes_in(5, 2000)
+    assert sum(ref() is not None for _, ref in built) <= 1
 
 
 def test_cli_failure_exit_code(capsys, monkeypatch):
@@ -1307,10 +1364,10 @@ def test_a_verify_run_builds_the_c6_grid_of_its_prime_once(capsys, monkeypatch,
         return gather(*args)
 
     monkeypatch.setattr(families, "coeff_of_power", counted)
-    families.c6_coeff_polys.cache_clear()
+    families._c6_grid.cache_clear()
     families.c6_coeff_polys(modulus(p))
     one_build = len(gathers)
-    families.c6_coeff_polys.cache_clear()
+    families._c6_grid.cache_clear()
     gathers.clear()
     code, _ = run_cli(capsys, "verify", suite, "--p", str(p))
     assert code == 0
