@@ -5,11 +5,8 @@ polynomial is the empty coefficient tuple (degree -1), so trimming keeps
 the representation canonical.  The constructor takes coefficients by
 the ffield.as_element rule, _reduced takes residues.  The array kernels
 hold residues as int64 while p < 2^31, where every product of two fits,
-and as object dtype above (_dtype).  Products by one Kronecker kernel,
-_mul_arrays: numpy packs each factor's residues into k-byte slots, one
-int product, and numpy reads each slot back as one uint64 reduced mod p,
-which holds in the table range (k <= 8 at every p <= 2^20); beyond it
-products are schoolbook on Python ints, as division is.  powmod by
+and as object dtype above (_dtype).  Products by _mul_arrays: word-lane
+Kronecker for short factors, an exact FFT for long ones.  powmod by
 ffield._power on arrays from the reduced base to the result, each
 reduction two truncated products with a precomputed inverse of rev(m);
 divmod and gcd by one long division in place on arrays, its scalar
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ModulusError
+from .errors import CapacityError, IntegrityError, ModulusError
 from .ffield import (Fp2Element, FpElement, _as_modulus, _power, as_element,
                      element, mul)
 
@@ -193,38 +190,65 @@ def _divmod_arrays(a, b, p: int, quotient=True):
     return q, _trimmed(r[:min(db, len(r))])
 
 
+FFT_CROSSOVER = 256  #: the shorter factor's length from which products take the FFT
+_LANES = np.dtype("<u4"), np.dtype("<u8")
+
+
 def _mul_arrays(a, b, p: int, n=None):
     """The coefficients of a*b below t^n (all of them if n is None), for
     residue sequences a, b low degree first, as an array of _dtype(p).
 
-    Kronecker substitution: each factor is packed into little-endian slots
-    of k bytes, k wide enough for any coefficient of the product (at most
-    min(len a, len b) (p-1)^2), the two ints are multiplied once (a square
-    when b is a), and each slot is read back as one uint64 reduced by % p.
-    That needs k <= 8, which holds at every p <= 2^20 below 2^24
-    coefficients; a wider slot takes np.convolve on Python ints, the
-    schoolbook regime of _divmod_arrays at those primes."""
-    dtype = _dtype(p)
+    Below FFT_CROSSOVER coefficients in the shorter factor, Kronecker
+    substitution on one int per factor, of uint32 lanes (uint64 where a
+    product coefficient, at most min(len a, len b) (p-1)^2, needs 33-64
+    bits); from it on, at p < 2^20, an exact float64 FFT of two 10-bit
+    limbs (lo*lo, hi*hi and (lo+hi)^2 from 4 rffts, 2 for a square, and 3
+    inverse ones), with IntegrityError unless every value lies within 1/4
+    of an integer (1.2e-4 at most, at 2^19 points).  Kronecker wins below
+    about 380 coefficients on uint32 lanes and 140 on uint64 (best of 50,
+    one core of a 2-core Xeon sandbox), so 256 sends the Euler products
+    near p = 3000 (~400, uint64) to the FFT.  Wider lanes (p > 2^20,
+    library calls only) take np.convolve on Python ints."""
     if not len(a) or not len(b):
-        return np.zeros(0, dtype)
-    full = len(a) + len(b) - 1
-    n = full if n is None else min(n, full)
-    k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    if k > 8:
-        return (np.convolve(np.asarray(a, object), np.asarray(b, object))[:n]
-                % p).astype(dtype)
-    x = _packed(a, k)
-    prod = x * x if b is a else x * _packed(b, k)
-    slots = np.zeros((n, 8), np.uint8)
-    slots[:, :k] = np.frombuffer(prod.to_bytes(k * full, "little"), np.uint8,
-                                 k * n).reshape(n, k)
-    return (slots.view("<u8")[:, 0] % p).astype(dtype)
+        return np.zeros(0, _dtype(p))
+    n = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
+    plan = _plan(len(a), len(b), p)
+    x = _pack(a, plan)
+    return _product(x, x if b is a else _pack(b, plan), plan, n, p)
 
 
-def _packed(a, k: int) -> int:
-    """The int with the residue a[i] in little-endian k-byte slot i."""
-    u = np.asarray(a, "<u8").view(np.uint8).reshape(-1, 8)
-    return int.from_bytes(u[:, :k].tobytes(), "little")
+def _plan(la: int, lb: int, p: int):
+    """An FFT size 2^k or 3*2^k >= la + lb - 1, a lane dtype or None."""
+    if min(la, lb) >= FFT_CROSSOVER and p < 2 ** 20:
+        return min(m << ((la + lb - 2) // m).bit_length() for m in (1, 3))
+    bits = 2 * (p - 1).bit_length() + min(la, lb).bit_length()
+    return _LANES[bits > 32] if bits <= 64 else None
+
+
+def _pack(a, plan):
+    """Residues a as _product takes them under plan."""
+    if plan is None:
+        return np.asarray(a, object)
+    if isinstance(plan, np.dtype):
+        return int.from_bytes(np.asarray(a, plan).tobytes(), "little")
+    return np.fft.rfft(np.asarray(a, np.int64) >> np.array([[0], [10]]) & 1023, plan)
+
+
+def _product(x, y, plan, n: int, p: int):
+    """The n lowest coefficients of the product of x and y, packed by plan."""
+    if plan is None:
+        return (np.convolve(x, y)[:n] % p).astype(_dtype(p))
+    if isinstance(plan, np.dtype):
+        z = x * y
+        lanes = z.to_bytes(max(n * plan.itemsize, -(-z.bit_length() // 8)), "little")
+        return (np.frombuffer(lanes, plan, n) % p).astype(_dtype(p))
+    v = np.fft.irfft(np.stack((x[0] * y[0], x[1] * y[1],
+                               (x[0] + x[1]) * (y[0] + y[1]))), plan)[:, :n]
+    r = np.rint(v)
+    if np.abs(v - r).max() > 0.25:
+        raise IntegrityError(f"an FFT product mod {p} is off an integer by over 1/4")
+    lo, hi, mid = r.astype(np.int64)
+    return (lo + (mid - lo - hi) % p * 2 ** 10 + hi % p * 2 ** 20) % p
 
 
 class _Reducer:
@@ -236,7 +260,8 @@ class _Reducer:
     Gathen-Gerhard, Modern Computer Algebra, 9.1), and the remainder is
     f - q m, of which only the low n coefficients are formed.  The power
     series 1/rev_n(m) is computed once, to precision n, by Newton
-    iteration g <- g (2 - rev_n(m) g)."""
+    iteration g <- g (2 - rev_n(m) g); it and m's low part are packed once.
+    One excess coefficient (t times a remainder) is a scalar step."""
 
     def __init__(self, m: UniPoly):
         p = self.p = m.modulus.p
@@ -248,15 +273,18 @@ class _Reducer:
             e = -_mul_arrays(rev[:prec], g, p, prec)
             e[0] += 2
             g = _mul_arrays(g, e % p, p, prec)
-        self.inv = g
+        self.inv, self.plan = g, _plan(self.n - 1, self.n, p)  # d <= n - 1 by n
+        self.packed = _pack(g, self.plan), _pack(self.low, self.plan)
 
     def __call__(self, f):
-        n, p = self.n, self.p
+        n, p, plan, (inv, low) = self.n, self.p, self.plan, self.packed
         d = len(f) - n
         if d <= 0:
             return f
-        q = _mul_arrays(f[:-d - 1:-1], self.inv[:d], p, d)[::-1]
-        return _trimmed((f[:n] - _mul_arrays(q, self.low, p, n)) % p)
+        if d == 1:
+            return _trimmed((f[:n] - f.item(n) * self.inv.item(0) % p * self.low) % p)
+        q = _product(_pack(f[:-d - 1:-1], plan), inv, plan, d, p)[::-1]
+        return _trimmed((f[:n] - _product(_pack(q, plan), low, plan, n, p)) % p)
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -353,6 +381,8 @@ def ext2_root_counts(f: UniPoly):
     t^((q+1)/2) - t, which mod f are t*h^2 - t and t*h - t for
     h = t^((q-1)/2) mod f; each count is the degree of a gcd with f.  One
     powmod (Cantor-Zassenhaus, Math. Comp. 1981)."""
+    if f.is_zero:
+        raise ValueError("every element is a root of the zero polynomial")
     mod, p = f.modulus, f.modulus.p
     h = np.asarray(pow(UniPoly((0, 1), mod), (p * p - 1) // 2, f).coeffs or (0,),
                    _dtype(p))

@@ -3,11 +3,15 @@
 The program needs two of them in one place each and computes them
 inline there: the derivative in unipoly.is_separable and the embedding
 of F_p into F_{p^2} in ffield.sqrt_fp2_of_fp.  pochhammer is the
-series kernel hypergeom._rising at one length.  Each docstring states
-the inputs the function is meant for.
+series kernel hypergeom._rising at one length.  kronecker_slots, a
+product by Kronecker substitution on byte slots, is the exact oracle of
+both regimes of unipoly._mul_arrays (word lanes and the FFT).  Each
+docstring states the inputs the function is meant for.
 """
 
 from math import comb
+
+import numpy as np
 
 from hwquartic.ffield import Fp2Element, FpElement, _as_modulus, components
 from hwquartic.hypergeom import _residue, _rising
@@ -52,3 +56,29 @@ def pochhammer(x, n: int, mod) -> FpElement:
     if n < 0:
         raise ValueError(f"negative Pochhammer length {n}")
     return FpElement(_rising((_residue(x, mod) - 1) % mod.p, n, mod), mod)
+
+
+def kronecker_slots(a, b, p: int, n=None) -> np.ndarray:
+    """The coefficients of a*b below t^n (all of them if n is None) as a
+    uint64 array, for nonempty residue sequences a, b mod p, low degree
+    first, by Kronecker substitution on k-byte slots.
+
+    Each factor is packed into little-endian slots of k bytes, k wide
+    enough for any product coefficient (at most min(len a, len b)
+    (p-1)^2), the two ints are multiplied once and each slot is read back
+    as one uint64 reduced by % p.  Meant for k <= 8, which holds at every
+    p <= 2^20 below 2^24 coefficients; ValueError beyond."""
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
+    k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    if k > 8:
+        raise ValueError(f"{k}-byte slots do not fit a uint64")
+
+    def packed(c):
+        u = np.asarray(c, "<u8").view(np.uint8).reshape(-1, 8)
+        return int.from_bytes(u[:, :k].tobytes(), "little")
+
+    slots = np.zeros((n, 8), np.uint8)
+    slots[:, :k] = np.frombuffer((packed(a) * packed(b)).to_bytes(k * full, "little"),
+                                 np.uint8, k * n).reshape(n, k)
+    return slots.view("<u8")[:, 0] % p

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import derivative, divides
+from oracles import derivative, divides, kronecker_slots
 
-from hwquartic.errors import CapacityError, ModulusError
+from hwquartic.errors import CapacityError, IntegrityError, ModulusError
 from hwquartic.families import LOCUS_SLOT, c6_coeff_polys, coeff_of_power
 from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
                               is_square_fp2, modulus)
 from hwquartic.harness import main
 from hwquartic.hwcore import hw_targets
-from hwquartic.unipoly import (UniPoly, _blocks, _divmod_arrays, eval_all_ext2,
-                               ext2_elements, ext2_root_counts, horner,
-                               is_separable, poly_gcd, roots_over)
+from hwquartic.unipoly import (FFT_CROSSOVER, UniPoly, _blocks, _divmod_arrays,
+                               _mul_arrays, eval_all_ext2, ext2_elements,
+                               ext2_root_counts, horner, is_separable, poly_gcd,
+                               roots_over)
 
 
 def P(coeffs, p):
@@ -262,23 +263,25 @@ def test_mul_matches_schoolbook(p, data):
                                2 ** 64 + 13))
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128))
 def test_mul_at_slot_width_steps(p, n):
-    """All coefficients p - 1 fill every slot of the product to its
-    largest value n (p-1)^2; the slot width steps up where the shorter
-    length n crosses a power of 2.  At 1048573, the largest table prime,
-    a slot is at most 6 bytes.  At p = 2^29 - 3 a slot is 8 bytes, one
-    uint64, up to n = 63; from n = 64 it would be 9 bytes, and such
-    products now take the convolution on Python ints, as every product
-    at 2^61 - 1 and 2^64 + 13 does."""
+    """All coefficients p - 1 fill every lane of the product to its
+    largest value n (p-1)^2; the lanes widen from uint32 to uint64 where
+    that value passes 2^32: never at 7 and 127, from n = 16 at 9973, and
+    at every n at 1048573, the largest table prime.  At p = 2^29 - 3 a
+    uint64 lane holds it up to n = 63; from n = 64 it would need 65 bits,
+    and such products take the convolution on Python ints, as every
+    product at 2^61 - 1 and 2^64 + 13 does."""
     f = P([p - 1] * n, p)
     for g in (f, P([p - 1] * (n + 5), p), P([p - 1], p), P([3], p)):
         assert f * g == schoolbook_mul(f, g)
 
 
 def test_production_products_stay_on_the_uint64_slots(monkeypatch, capsys):
-    """With np.convolve, the wide-slot product, made to raise, the Euler
-    identity and the expectation check still pass at primes near 3000
-    (series products, powmods and gcds); a product at 2^61 - 1 reaches
-    the patched convolution."""
+    """With np.convolve, the product on Python ints, made to raise, the
+    Euler identity and the expectation check still pass at primes near
+    3000: their series products, squares and reductions (about 500
+    coefficients) take the FFT, and the products by t and the gcds the
+    uint32 lanes and int64 division.  A product at 2^61 - 1, too wide for
+    a uint64 lane, reaches the patched convolution."""
     def refuse(*args, **kwargs):
         raise AssertionError("np.convolve called")
 
@@ -289,6 +292,89 @@ def test_production_products_stay_on_the_uint64_slots(monkeypatch, capsys):
         assert ",PASS," in capsys.readouterr().out
     with pytest.raises(AssertionError, match="np.convolve called"):
         P([1, 2], MERSENNE_61) * P([3, 4], MERSENNE_61)
+
+
+#: factor lengths on both sides of FFT_CROSSOVER
+FACTOR_LENGTHS = st.one_of(st.integers(1, 40),
+                           st.integers(FFT_CROSSOVER - 16, FFT_CROSSOVER + 16),
+                           st.integers(400, 1500))
+#: uint32 lanes below the crossover at 491, uint64 lanes at 30011 and at
+#: 2^20 - 3, the largest p of the FFT, whose all-(p-1) factors carry the
+#: largest limbs and the largest FFT values
+LANE_PRIMES = st.sampled_from((491, 30011, 2 ** 20 - 3))
+FILLS = st.sampled_from(("uniform", "mixed", "top"))
+
+
+def residues(p, length, fill, rng):
+    """length residues mod p with a nonzero last one: uniform, about half
+    of them p - 1 (mixed), or all p - 1 (top)."""
+    c = np.full(length, p - 1) if fill == "top" else rng.integers(0, p, length)
+    if fill == "mixed":
+        c[rng.random(length) < 0.5] = p - 1
+    c[-1] = c[-1] or 1
+    return c.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(LANE_PRIMES, FACTOR_LENGTHS, FACTOR_LENGTHS, FILLS,
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3000))
+@example(2 ** 20 - 3, 1500, 1500, "top", 0, 2000)
+@example(491, FFT_CROSSOVER - 1, FFT_CROSSOVER, "top", 0, 300)
+def test_products_match_the_byte_slot_oracle(p, la, lb, fill, seed, n):
+    """UniPoly.__mul__, squares (b is a) and products truncated below t^n,
+    on the word lanes and on the FFT, against the byte-slot kernel."""
+    rng = np.random.default_rng(seed)
+    a, b = residues(p, la, fill, rng), residues(p, lb, fill, rng)
+    f, g = P(a, p), P(b, p)
+    assert (f * g).coeffs == tuple(kronecker_slots(a, b, p).tolist())
+    assert (f * f).coeffs == tuple(kronecker_slots(a, a, p).tolist())
+    x, y = np.asarray(a, np.int64), np.asarray(b, np.int64)
+    assert _mul_arrays(x, y, p, n).tolist() == kronecker_slots(a, b, p, n).tolist()
+    assert _mul_arrays(x, x, p, n).tolist() == kronecker_slots(a, a, p, n).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(LANE_PRIMES, FACTOR_LENGTHS.filter(lambda k: k > 1), FILLS,
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 4))
+def test_pow_mod_matches_the_oracle_across_the_crossover(p, k, fill, seed, e):
+    """pow(f, e, m) with m of k coefficients, so that its reductions run on
+    either side of the crossover (and by the scalar step after each product
+    by t), against right-to-left square and multiply by the byte-slot
+    kernel and long division."""
+    rng = np.random.default_rng(seed)
+    m = P(residues(p, k, fill, rng), p)
+
+    def mulmod(u, v):
+        if u.is_zero or v.is_zero:
+            return UniPoly.zero(u.modulus)
+        return UniPoly(kronecker_slots(u.coeffs, v.coeffs, p).tolist(), p).divmod(m)[1]
+
+    for f in (P([0, 1], p), P(residues(p, 2 * k, fill, rng), p)):
+        out, base, bits = P([1], p).divmod(m)[1], f.divmod(m)[1], e
+        while bits:
+            if bits & 1:
+                out = mulmod(out, base)
+            base, bits = mulmod(base, base), bits >> 1
+        assert pow(f, e, m) == out
+
+
+def test_a_perturbed_fft_value_raises_integrity_error(monkeypatch):
+    """A value 0.3 off an integer, out of np.fft.irfft, fails the rounding
+    check; the same product passes unpatched."""
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        v = irfft(*args, **kwargs)
+        v[0, 0] += 0.3
+        return v
+
+    f = P(range(1, FFT_CROSSOVER + 1), 30011)
+    assert f * f == P(kronecker_slots(f.coeffs, f.coeffs, 30011).tolist(), 30011)
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(IntegrityError, match="1/4"):
+        f * f
+    with pytest.raises(IntegrityError, match="1/4"):
+        f * P(range(2, FFT_CROSSOVER + 2), 30011)
 
 
 def test_mul_zero_and_constants():
@@ -513,6 +599,14 @@ def factored_polys(draw):
 def test_ext2_root_counts_match_exhaustion(f):
     roots = roots_over(f, 2)
     assert ext2_root_counts(f) == (len(roots), sum(map(is_square_fp2, roots)))
+
+
+def test_ext2_root_counts_rejects_the_zero_polynomial():
+    """Every element is a root of 0: a ValueError up front, as roots_over
+    raises, not the powmod's division by zero."""
+    for p in (7, 491):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            ext2_root_counts(UniPoly.zero(modulus(p)))
 
 
 def test_separable_root_count_bound():
