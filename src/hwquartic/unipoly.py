@@ -207,8 +207,8 @@ def _mul_arrays(a, b, p: int, n=None):
     of an integer (1.2e-4 at most, at 2^19 points).  Kronecker wins below
     about 380 coefficients on uint32 lanes and 140 on uint64 (best of 50,
     one core of a 2-core Xeon sandbox), so 256 sends the Euler products
-    near p = 3000 (~400, uint64) to the FFT.  Wider lanes (p > 2^20,
-    library calls only) take np.convolve on Python ints."""
+    near p = 3000 (~400, uint64) to the FFT.  Coefficients wider than 64
+    bits (p > 2^20, library calls only) take np.convolve on Python ints."""
     if not len(a) or not len(b):
         return np.zeros(0, _dtype(p))
     n = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
