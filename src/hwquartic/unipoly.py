@@ -204,11 +204,11 @@ def _mul_arrays(a, b, p: int, n=None):
     bits); from it on, at p < 2^20, an exact float64 FFT of two 10-bit
     limbs (lo*lo, hi*hi and (lo+hi)^2 from 4 rffts, 2 for a square, and 3
     inverse ones), with IntegrityError unless every value lies within 1/4
-    of an integer (1.2e-4 at most, at 2^19 points).  Kronecker wins below
-    about 380 coefficients on uint32 lanes and 140 on uint64 (best of 50,
-    one core of a 2-core Xeon sandbox), so 256 sends the Euler products
-    near p = 3000 (~400, uint64) to the FFT.  Coefficients wider than 64
-    bits (p > 2^20, library calls only) take np.convolve on Python ints."""
+    of an integer (4.9e-4 at most, all p - 1 at 2^19 points).  Kronecker
+    wins below about 380 coefficients on uint32 lanes and 140 on uint64
+    (best of 50, one core of a 2-core Xeon sandbox), so 256 sends the Euler
+    products near p = 3000 (~400, uint64) to the FFT.  Coefficients wider
+    than 64 bits (p > 2^20, library calls only) take np.convolve on ints."""
     if not len(a) or not len(b):
         return np.zeros(0, _dtype(p))
     n = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)

@@ -358,6 +358,18 @@ def test_pow_mod_matches_the_oracle_across_the_crossover(p, k, fill, seed, e):
         assert pow(f, e, m) == out
 
 
+def test_fft_product_of_all_top_factors_at_the_largest_size():
+    """Factors of p - 1 only, at p = 2^20 - 3 (the largest limbs) and at
+    the lengths of the Euler product at p = 1048571 (2^19 points, the
+    largest FFT the program runs), equal the closed form
+    (p-1)^2 min(k+1, la, lb, la+lb-1-k) mod p."""
+    p, la, lb = 2 ** 20 - 3, 349525, 174762
+    k = np.arange(la + lb - 1)
+    count = np.minimum(np.minimum(k + 1, la + lb - 1 - k), lb)
+    exact = count % p * ((p - 1) ** 2 % p) % p
+    assert np.array_equal(_mul_arrays(np.full(la, p - 1), np.full(lb, p - 1), p), exact)
+
+
 def test_a_perturbed_fft_value_raises_integrity_error(monkeypatch):
     """A value 0.3 off an integer, out of np.fft.irfft, fails the rounding
     check; the same product passes unpatched."""
