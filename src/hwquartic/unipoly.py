@@ -5,12 +5,12 @@ polynomial is the empty coefficient tuple (degree -1), so trimming keeps
 the representation canonical.  The constructor takes coefficients by
 the ffield.as_element rule, _reduced takes residues.  The array kernels
 hold residues as int64 while p < 2^31, where every product of two fits,
-and as object dtype above (_dtype).  Products by _mul_arrays: word-lane
-Kronecker for short factors, an exact FFT for long ones.  powmod by
-ffield._power on arrays from the reduced base to the result, each
-reduction two truncated products with a precomputed inverse of rev(m);
-divmod and gcd by one long division in place on arrays, its scalar
-steps on Python ints; a gcd converts to arrays once.
+and as object dtype above (_dtype).  Products by _mul_arrays: np.convolve
+below FFT_CROSSOVER, an exact FFT from it on.  powmod by ffield._power on
+arrays from the reduced base to the result, each reduction two truncated
+products with an inverse of rev(m) seeded by scalar steps; divmod and
+gcd by one long division in place on arrays, its scalar steps on Python
+ints; a gcd converts to arrays once.
 ext2_root_counts counts the roots in F_{p^2} by one powmod; roots_over,
 the tests' oracle, lists them by exhaustion (p^ext <= DEFAULT_ROOT_BOUND).
 horner is the one evaluation loop: at a component tuple, (a,) in F_p or
@@ -190,25 +190,23 @@ def _divmod_arrays(a, b, p: int, quotient=True):
     return q, _trimmed(r[:min(db, len(r))])
 
 
-FFT_CROSSOVER = 256  #: the shorter factor's length from which products take the FFT
-_LANES = np.dtype("<u4"), np.dtype("<u8")
+FFT_CROSSOVER = 384  #: the shorter factor's length from which products take the FFT
 
 
 def _mul_arrays(a, b, p: int, n=None):
     """The coefficients of a*b below t^n (all of them if n is None), for
     residue sequences a, b low degree first, as an array of _dtype(p).
 
-    Below FFT_CROSSOVER coefficients in the shorter factor, Kronecker
-    substitution on one int per factor, of uint32 lanes (uint64 where a
-    product coefficient, at most min(len a, len b) (p-1)^2, needs 33-64
-    bits); from it on, at p < 2^20, an exact float64 FFT of two 10-bit
-    limbs (lo*lo, hi*hi and (lo+hi)^2 from 4 rffts, 2 for a square, and 3
-    inverse ones), with IntegrityError unless every value lies within 1/4
-    of an integer (4.9e-4 at most, all p - 1 at 2^19 points).  Kronecker
-    wins below about 380 coefficients on uint32 lanes and 140 on uint64
-    (best of 50, one core of a 2-core Xeon sandbox), so 256 sends the Euler
-    products near p = 3000 (~400, uint64) to the FFT.  Coefficients wider
-    than 64 bits (p > 2^20, library calls only) take np.convolve on ints."""
+    Below FFT_CROSSOVER coefficients in the shorter factor, one direct
+    np.convolve of the factors cut to n, on int64 while every product
+    coefficient, at most min(len a, len b) (p-1)^2, is below 2^63 and on
+    Python ints (object dtype) above; from it on, at p < 2^20, an exact
+    float64 FFT of two 10-bit limbs (lo*lo, hi*hi and (lo+hi)^2 from 4
+    rffts, 2 for a square, and 3 inverse ones), with IntegrityError unless
+    every value lies within 1/4 of an integer (4.9e-4 at most, all p - 1
+    at 2^19 points).  On balanced factors the two tie at about 384
+    coefficients (80 us) and the FFT leads from 448, at p = 491, 2999 and
+    30011 alike (best of 50, one core of a 2-core Xeon sandbox)."""
     if not len(a) or not len(b):
         return np.zeros(0, _dtype(p))
     n = len(a) + len(b) - 1 if n is None else min(n, len(a) + len(b) - 1)
@@ -218,34 +216,30 @@ def _mul_arrays(a, b, p: int, n=None):
 
 
 def _plan(la: int, lb: int, p: int):
-    """An FFT size 2^k or 3*2^k >= la + lb - 1, a lane dtype or None."""
+    """From FFT_CROSSOVER on (p < 2^20), an FFT size 2^k or 3*2^k
+    >= la + lb - 1; below, np.convolve's dtype: int64 while
+    max(min(la, lb), 1) (p-1)^2 < 2^63, else object."""
     if min(la, lb) >= FFT_CROSSOVER and p < 2 ** 20:
         return min(m << ((la + lb - 2) // m).bit_length() for m in (1, 3))
-    bits = 2 * (p - 1).bit_length() + min(la, lb).bit_length()
-    return _LANES[bits > 32] if bits <= 64 else None
+    return np.dtype(np.int64 if max(min(la, lb), 1) * (p - 1) ** 2 < 2 ** 63 else object)
 
 
 def _pack(a, plan):
     """Residues a as _product takes them under plan."""
-    if plan is None:
-        return np.asarray(a, object)
     if isinstance(plan, np.dtype):
-        return int.from_bytes(np.asarray(a, plan).tobytes(), "little")
+        return np.asarray(a, plan)
     return np.fft.rfft(np.asarray(a, np.int64) >> np.array([[0], [10]]) & 1023, plan)
 
 
 def _product(x, y, plan, n: int, p: int):
     """The n lowest coefficients of the product of x and y, packed by plan."""
-    if plan is None:
-        return (np.convolve(x, y)[:n] % p).astype(_dtype(p))
     if isinstance(plan, np.dtype):
-        z = x * y
-        lanes = z.to_bytes(max(n * plan.itemsize, -(-z.bit_length() // 8)), "little")
-        return (np.frombuffer(lanes, plan, n) % p).astype(_dtype(p))
+        return (np.convolve(x[:n], y[:n])[:n] % p).astype(_dtype(p), copy=False)
     v = np.fft.irfft(np.stack((x[0] * y[0], x[1] * y[1],
                                (x[0] + x[1]) * (y[0] + y[1]))), plan)[:, :n]
     r = np.rint(v)
-    if np.abs(v - r).max() > 0.25:
+    v -= r
+    if np.abs(v, out=v).max() > 0.25:
         raise IntegrityError(f"an FFT product mod {p} is off an integer by over 1/4")
     lo, hi, mid = r.astype(np.int64)
     return (lo + (mid - lo - hi) % p * 2 ** 10 + hi % p * 2 ** 20) % p
@@ -259,15 +253,21 @@ class _Reducer:
     D) by m is rev_{D-n}(rev_D(f) / rev_n(m) mod t^(D-n+1)) (von zur
     Gathen-Gerhard, Modern Computer Algebra, 9.1), and the remainder is
     f - q m, of which only the low n coefficients are formed.  The power
-    series 1/rev_n(m) is computed once, to precision n, by Newton
-    iteration g <- g (2 - rev_n(m) g); it and m's low part are packed once.
-    One excess coefficient (t times a remainder) is a scalar step."""
+    series 1/rev_n(m) is computed once, to precision n: min(n, 8) terms
+    by g_k = -g_0 sum_{j=1..k} r_j g_(k-j) on Python ints, then Newton
+    doublings g <- g (2 - rev_n(m) g) (4 at n = 81, not 7).  It and m's
+    low part are packed once for np.convolve below FFT_CROSSOVER or the
+    FFT from it on.  One excess coefficient (t times a remainder) is a
+    scalar step."""
 
     def __init__(self, m: UniPoly):
         p = self.p = m.modulus.p
         c = np.asarray(m.coeffs, _dtype(p))
         self.n, self.low = len(c) - 1, c[:-1]
-        rev, g, prec = c[::-1], np.array([pow(c.item(-1), -1, p)], c.dtype), 1
+        rev, r, g = c[::-1], m.coeffs[::-1], [pow(m.coeffs[-1], -1, p)]
+        for k in range(1, min(self.n, 8)):
+            g.append(-g[0] * sum(r[j] * g[k - j] for j in range(1, k + 1)) % p)
+        g, prec = np.array(g, c.dtype), len(g)
         while prec < self.n:
             prec = min(2 * prec, self.n)
             e = -_mul_arrays(rev[:prec], g, p, prec)

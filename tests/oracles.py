@@ -4,8 +4,9 @@ The program needs two of them in one place each and computes them
 inline there: the derivative in unipoly.is_separable and the embedding
 of F_p into F_{p^2} in ffield.sqrt_fp2_of_fp.  pochhammer is the
 series kernel hypergeom._rising at one length.  kronecker_slots, a
-product by Kronecker substitution on byte slots, is the exact oracle of
-both regimes of unipoly._mul_arrays (word lanes and the FFT).  Each
+product by Kronecker substitution on byte slots, has no twin in the
+program; it is the exact, independent oracle of both regimes of
+unipoly._mul_arrays (the direct convolution and the FFT).  Each
 docstring states the inputs the function is meant for.
 """
 
@@ -66,8 +67,11 @@ def kronecker_slots(a, b, p: int, n=None) -> np.ndarray:
     Each factor is packed into little-endian slots of k bytes, k wide
     enough for any product coefficient (at most min(len a, len b)
     (p-1)^2), the two ints are multiplied once and each slot is read back
-    as one uint64 reduced by % p.  Meant for k <= 8, which holds at every
-    p <= 2^20 below 2^24 coefficients; ValueError beyond."""
+    as one uint64 reduced by % p.  The program multiplies by neither
+    packing: below unipoly.FFT_CROSSOVER by np.convolve on int64 (or
+    Python ints), from it on by the limb FFT, and this kernel checks
+    both.  Meant for k <= 8, which holds at every p <= 2^20 below 2^24
+    coefficients; ValueError beyond."""
     full = len(a) + len(b) - 1
     n = full if n is None else min(n, full)
     k = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8

@@ -13,9 +13,9 @@ from hwquartic.ffield import (Fp2Element, FpElement, components, is_prime,
 from hwquartic.harness import main
 from hwquartic.hwcore import hw_targets
 from hwquartic.unipoly import (FFT_CROSSOVER, UniPoly, _blocks, _divmod_arrays,
-                               _mul_arrays, eval_all_ext2, ext2_elements,
-                               ext2_root_counts, horner, is_separable, poly_gcd,
-                               roots_over)
+                               _mul_arrays, _plan, _Reducer, eval_all_ext2,
+                               ext2_elements, ext2_root_counts, horner,
+                               is_separable, poly_gcd, roots_over)
 
 
 def P(coeffs, p):
@@ -233,8 +233,8 @@ PRIMES = st.sampled_from([q for q in range(5, 10 ** 4) if is_prime(q)]
 
 
 #: the array kernels (division, products, powmod) run on int64 below 2^31
-#: and on Python ints above; a product there needs slots wider than 8
-#: bytes (but for a factor of 1-3 coefficients at 2^31 - 1) and takes the
+#: and on Python ints above; a product there overflows int64 (but for a
+#: factor of 1-2 coefficients at 2^31 - 1, 1 at 2^31 + 11) and takes the
 #: convolution on Python ints; above 2^64 a residue is wider than a uint64
 WIDE_PRIMES = (2 ** 31 - 1, 2 ** 31 + 11, MERSENNE_61, 2 ** 64 + 13)
 ARRAY_PRIMES = st.one_of(
@@ -244,7 +244,7 @@ ARRAY_PRIMES = st.one_of(
 
 @st.composite
 def polys(draw, p, max_len):
-    """Coefficient lists biased to p - 1, where the product slots fill up."""
+    """Coefficient lists biased to p - 1, where product sums are largest."""
     c = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
     return P(draw(st.lists(c, max_size=max_len)), p)
 
@@ -261,47 +261,72 @@ def test_mul_matches_schoolbook(p, data):
 
 @pytest.mark.parametrize("p", (7, 127, 9973, 1048573, 2 ** 29 - 3, MERSENNE_61,
                                2 ** 64 + 13))
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64,
+                               65, 128))
 def test_mul_at_slot_width_steps(p, n):
-    """All coefficients p - 1 fill every lane of the product to its
-    largest value n (p-1)^2; the lanes widen from uint32 to uint64 where
-    that value passes 2^32: never at 7 and 127, from n = 16 at 9973, and
-    at every n at 1048573, the largest table prime.  At p = 2^29 - 3 a
-    uint64 lane holds it up to n = 63; from n = 64 it would need 65 bits,
-    and such products take the convolution on Python ints, as every
-    product at 2^61 - 1 and 2^64 + 13 does."""
+    """All coefficients p - 1 raise every coefficient of the product to
+    its largest value n (p-1)^2, which the int64 convolution must hold
+    below 2^63: at every n here for 7 up to 1048573, the largest table
+    prime; at p = 2^29 - 3 up to n = 32, and from n = 33 such products
+    take the convolution on Python ints (object dtype), as every product
+    at 2^61 - 1 and 2^64 + 13 does."""
+    widest = {2 ** 29 - 3: 32, MERSENNE_61: 0, 2 ** 64 + 13: 0}.get(p, 128)
+    assert _plan(n, n, p) == (np.int64 if n <= widest else object)
     f = P([p - 1] * n, p)
     for g in (f, P([p - 1] * (n + 5), p), P([p - 1], p), P([3], p)):
         assert f * g == schoolbook_mul(f, g)
 
 
-def test_production_products_stay_on_the_uint64_slots(monkeypatch, capsys):
-    """With np.convolve, the product on Python ints, made to raise, the
-    Euler identity and the expectation check still pass at primes near
-    3000: their series products, squares and reductions (about 500
-    coefficients) take the FFT, and the products by t and the gcds the
-    uint32 lanes and int64 division.  A product at 2^61 - 1, too wide for
-    a uint64 lane, reaches the patched convolution."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.convolve called")
+def test_production_products_stay_on_int64(monkeypatch, capsys):
+    """With np.convolve made to refuse object-dtype input, the Euler
+    identity and the expectation check still pass at primes near 3000:
+    their series products, squares and reductions (about 500
+    coefficients) take the FFT, the Newton steps below FFT_CROSSOVER the
+    int64 convolution, the products by t scalar steps and the gcds int64
+    division.  A product at 2^61 - 1, too wide for int64, reaches the
+    object path."""
+    convolve, calls = np.convolve, []
 
-    monkeypatch.setattr(np, "convolve", refuse)
+    def int64_only(a, v, *args, **kwargs):
+        if np.asarray(a).dtype == object or np.asarray(v).dtype == object:
+            raise AssertionError("np.convolve called on object dtype")
+        calls.append(a)
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", int64_only)
     for argv in (["verify", "euler", "--p", "2909"],
                  ["verify", "expectation", "--p", "2999"]):
         assert main(argv) == 0
         assert ",PASS," in capsys.readouterr().out
-    with pytest.raises(AssertionError, match="np.convolve called"):
+    assert calls
+    with pytest.raises(AssertionError, match="object dtype"):
         P([1, 2], MERSENNE_61) * P([3, 4], MERSENNE_61)
+
+
+@pytest.mark.parametrize("p", (5, 491, 2 ** 20 - 3))
+def test_reducer_inverse_of_the_reversed_modulus(p):
+    """_Reducer(m).inv, seeded by the series recurrence for min(n, 8)
+    terms and lifted by Newton steps, times rev(m) is 1 mod t^n, for
+    deg m = n = 1..40 and leading coefficients other than 1; checked by a
+    schoolbook product on Python ints."""
+    rng = np.random.default_rng(p)
+    for n in range(1, 41):
+        c = rng.integers(0, p, n + 1).tolist()
+        c[-1] = int(rng.integers(2, p))
+        rev, inv = c[::-1], _Reducer(P(c, p)).inv.tolist()
+        assert len(inv) == n
+        assert [sum(inv[i] * rev[k - i] for i in range(k + 1)) % p
+                for k in range(n)] == [1] + [0] * (n - 1), (n, c)
 
 
 #: factor lengths on both sides of FFT_CROSSOVER
 FACTOR_LENGTHS = st.one_of(st.integers(1, 40),
                            st.integers(FFT_CROSSOVER - 16, FFT_CROSSOVER + 16),
                            st.integers(400, 1500))
-#: uint32 lanes below the crossover at 491, uint64 lanes at 30011 and at
-#: 2^20 - 3, the largest p of the FFT, whose all-(p-1) factors carry the
-#: largest limbs and the largest FFT values
-LANE_PRIMES = st.sampled_from((491, 30011, 2 ** 20 - 3))
+#: small (491), middling (30011) and the largest p of the FFT, 2^20 - 3,
+#: whose all-(p-1) factors carry the largest limbs, FFT values and int64
+#: convolution sums
+PRODUCT_PRIMES = st.sampled_from((491, 30011, 2 ** 20 - 3))
 FILLS = st.sampled_from(("uniform", "mixed", "top"))
 
 
@@ -316,13 +341,13 @@ def residues(p, length, fill, rng):
 
 
 @settings(max_examples=150, deadline=None)
-@given(LANE_PRIMES, FACTOR_LENGTHS, FACTOR_LENGTHS, FILLS,
+@given(PRODUCT_PRIMES, FACTOR_LENGTHS, FACTOR_LENGTHS, FILLS,
        st.integers(0, 2 ** 32 - 1), st.integers(1, 3000))
 @example(2 ** 20 - 3, 1500, 1500, "top", 0, 2000)
 @example(491, FFT_CROSSOVER - 1, FFT_CROSSOVER, "top", 0, 300)
 def test_products_match_the_byte_slot_oracle(p, la, lb, fill, seed, n):
     """UniPoly.__mul__, squares (b is a) and products truncated below t^n,
-    on the word lanes and on the FFT, against the byte-slot kernel."""
+    on the int64 convolution and on the FFT, against the byte-slot kernel."""
     rng = np.random.default_rng(seed)
     a, b = residues(p, la, fill, rng), residues(p, lb, fill, rng)
     f, g = P(a, p), P(b, p)
@@ -334,7 +359,7 @@ def test_products_match_the_byte_slot_oracle(p, la, lb, fill, seed, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(LANE_PRIMES, FACTOR_LENGTHS.filter(lambda k: k > 1), FILLS,
+@given(PRODUCT_PRIMES, FACTOR_LENGTHS.filter(lambda k: k > 1), FILLS,
        st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 4))
 def test_pow_mod_matches_the_oracle_across_the_crossover(p, k, fill, seed, e):
     """pow(f, e, m) with m of k coefficients, so that its reductions run on
